@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
-from .distributions import positive_mass
+from .distributions import _seed_key, positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
 from .frontier import FamilySpec, classify_shape, pareto_filter, sweep
@@ -29,7 +29,7 @@ from .metrics import (DECOMP_TOL, MetricWeights, accuracy, confusion_rates,
                       decompose_unfairness, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
-from .theorems import (check_accuracy_jump, check_boundary_alignment,
+from .theorems import (_boundary_alignment_reports, check_accuracy_jump,
                        check_decomposition_bound,
                        check_simultaneous_optimality,
                        overpursuit_accuracy_bound)
@@ -74,6 +74,7 @@ class RunConfig:
         if unknown:
             raise ValidationError(
                 f"unknown analyses {unknown}; choose from {list(ANALYSES)}")
+        _seed_key(self.seed)
 
 
 @dataclass(frozen=True)
@@ -433,6 +434,8 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
     w = cfg.weights
     shared_opt = bayes_accuracy_optimal(model, "overall")
     per_group_opt = bayes_accuracy_optimal(model, "per_group")
+    located, indicated = _boundary_alignment_reports(
+        model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
@@ -442,10 +445,8 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
          check_decomposition_bound(model, shared_opt, w)),
         ("unfairness decomposition at the per-group accuracy optimum",
          check_decomposition_bound(model, per_group_opt, w)),
-        ("boundary alignment, matching boundary points",
-         check_boundary_alignment(model, "boundary_location")),
-        ("boundary alignment, matching indicators",
-         check_boundary_alignment(model, "strict_indicator")),
+        ("boundary alignment, matching boundary points", located),
+        ("boundary alignment, matching indicators", indicated),
     ]
     if frontier is None:
         candidates = sweep(model, cfg.family, w)

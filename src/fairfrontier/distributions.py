@@ -7,6 +7,7 @@ inverse-cdf based and keyed solely by (seed, n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,25 +151,30 @@ class Mixture:
         return sum(w * d.cdf(x) for w, d in self.components)
 
     def ppf(self, q):
+        """Smallest x with cdf(x) >= q, to 1e-13 by one array bisection.
+
+        Quantiles of 0 and 1 sit at the support edge (possibly infinite).
+        """
         q = np.asarray(q, dtype=float)
-        scalar = q.ndim == 0
-        qs = np.atleast_1d(q).astype(float)
-        out = np.array([self._ppf_scalar(v) for v in qs])
-        return float(out[0]) if scalar else out
-
-    def _ppf_scalar(self, q: float) -> float:
-        if q <= 0.0 or q >= 1.0:
-            # quantiles of 0/1 sit at the support edge (possibly infinite)
-            lo, hi = self.support()
-            return lo if q <= 0.0 else hi
-        from scipy.optimize import brentq
-
         lo, hi = self._finite_bracket()
-        while self.cdf(lo) > q:
+        # widen to where the cdf saturates: the bracket then does not depend
+        # on q, so no result depends on the other elements of q, and one
+        # fixed count of halvings takes every element to 1e-13
+        while self.cdf(lo) > 0.0:
             lo -= (hi - lo) + 1.0
-        while self.cdf(hi) < q:
+        while self.cdf(hi) < self.cdf(np.inf):
             hi += (hi - lo) + 1.0
-        return float(brentq(lambda x: float(self.cdf(x)) - q, lo, hi, xtol=1e-13))
+        low = np.full(q.shape, lo)
+        high = np.full(q.shape, hi)
+        for _ in range(math.ceil(math.log2((hi - lo) / 1e-13))):
+            mid = 0.5 * (low + high)
+            below = self.cdf(mid) < q
+            low = np.where(below, mid, low)
+            high = np.where(below, high, mid)
+        edge_lo, edge_hi = self.support()
+        out = np.where(q <= 0.0, edge_lo,
+                       np.where(q >= 1.0, edge_hi, 0.5 * (low + high)))
+        return float(out) if out.ndim == 0 else out
 
     def _finite_bracket(self) -> tuple[float, float]:
         los, his = [], []
@@ -238,8 +244,16 @@ def sample(dist, n: int, seed: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=_seed_key(seed)))
     return _draw(dist, n, rng)
+
+
+def _seed_key(seed) -> np.uint64:
+    """seed as a Philox key word; seeds outside [0, 2**64) are refused."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must be in [0, 2**64), got {seed}")
+    return np.uint64(seed)
 
 
 def _draw(dist, n: int, rng: np.random.Generator) -> np.ndarray:

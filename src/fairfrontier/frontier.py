@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional
@@ -28,6 +26,16 @@ DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
 KINDS = ("shared_threshold", "per_group_threshold", "per_group_intervals")
 ORIENTS = ("positive_above", "positive_below", "both")
+
+
+def _whole(name: str, value) -> int:
+    """value as an int, refusing fractions instead of truncating them."""
+    try:
+        if int(value) == float(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +68,18 @@ class FamilySpec:
         if len(slots) not in (1, 2) or any(s not in ORIENTS for s in slots):
             raise ValidationError(f"bad orientations {self.orientations!r}")
         object.__setattr__(self, "orientations", slots)
-        if int(self.resolution) < 3:
+        object.__setattr__(self, "resolution",
+                           _whole("resolution", self.resolution))
+        if self.resolution < 3:
             raise ValidationError("resolution must be >= 3")
-        object.__setattr__(self, "resolution", int(self.resolution))
         if self.sweep_range is not None:
             lo, hi = (float(v) for v in self.sweep_range)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValidationError(f"bad sweep range {self.sweep_range!r}")
             object.__setattr__(self, "sweep_range", (lo, hi))
-        if int(self.k) < 1:
+        object.__setattr__(self, "k", _whole("k", self.k))
+        if self.k < 1:
             raise ValidationError("k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
 
     def combos(self) -> tuple:
         expand = {"both": ("positive_above", "positive_below")}
@@ -118,25 +127,6 @@ class Frontier:
     diagnostics: tuple = ()
     resolution: Optional[int] = None
     sweep_range: Optional[tuple] = None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FAIRFRONTIER_THREADS", "").strip()
-    if not raw:
-        return max(1, min(os.cpu_count() or 1, 8))
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"FAIRFRONTIER_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _above_region(t: float) -> tuple:
@@ -258,17 +248,14 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> list:
     grid = np.linspace(lo, hi, family.resolution)
 
     if family.kind == "shared_threshold":
-        blocks = _map_ordered(
-            lambda orient: _shared_block(model, family, w, grid, orient[0]),
-            family.combos())
+        blocks = [_shared_block(model, family, w, grid, orient)
+                  for (orient,) in family.combos()]
     elif family.kind == "per_group_threshold":
-        blocks = _map_ordered(
-            lambda combo: _per_group_block(model, family, w, grid, combo),
-            family.combos())
+        blocks = [_per_group_block(model, family, w, grid, combo)
+                  for combo in family.combos()]
     else:
-        blocks = _map_ordered(
-            lambda combo: _intervals_block(model, family, w, grid, combo),
-            family.combos())
+        blocks = [_intervals_block(model, family, w, grid, combo)
+                  for combo in family.combos()]
 
     points = [pt for block in blocks for pt in block]
     points.extend(_appended_optima(model, family, w))
@@ -358,28 +345,16 @@ def _appended_optima(model, family, w):
 
 FAIR_TOL = 1e-10
 _FAIR_LEVELS = 2049
+_PLATEAU_GAP = 1e-12
 
 
-def _invert_cdf(dist, levels, lo, hi):
-    """Smallest x with cdf(x) >= level, elementwise, by bisection."""
-    levels = np.asarray(levels, dtype=float)
-    low = np.full(levels.shape, float(lo))
-    high = np.full(levels.shape, float(hi))
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        below = np.asarray(dist.cdf(mid)) < levels
-        low = np.where(below, mid, low)
-        high = np.where(below, high, mid)
-    return 0.5 * (low + high)
-
-
-def _fair_line(model, w, combo, u, bracket):
+def _fair_line(model, w, combo, u):
     """Rates and thresholds of the equal-TPR threshold pairs at levels u."""
     thresholds = []
     tnrs = []
     for a, orient in ((0, combo[0]), (1, combo[1])):
         level = 1.0 - u if orient == "positive_above" else u
-        t = _invert_cdf(model.conditional[(a, 1)], level, *bracket)
+        t = model.conditional[(a, 1)].ppf(level)
         c0 = np.asarray(model.conditional[(a, 0)].cdf(t))
         thresholds.append(t)
         tnrs.append(c0 if orient == "positive_above" else 1.0 - c0)
@@ -387,12 +362,6 @@ def _fair_line(model, w, combo, u, bracket):
            + w.p2 * (tnrs[0] * model.joint[(0, 0)]
                      + tnrs[1] * model.joint[(1, 0)]))
     return thresholds, tnrs[1] - tnrs[0], acc
-
-
-def _fair_bracket(model):
-    lo, hi = model.quantile_range(1.0 - 1e-9)
-    pad = 0.01 * (hi - lo) + 1.0
-    return lo - pad, hi + pad
 
 
 def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:
@@ -405,13 +374,12 @@ def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:
     shared fairness optimum when no pair improves on it.
     """
     u_grid = np.linspace(1e-7, 1.0 - 1e-7, _FAIR_LEVELS)
-    bracket = _fair_bracket(model)
     best = fairness_optimal(model)
     best_key = _fair_key(model, w, best)
     for combo in itertools.product(ORIENTS[:2], repeat=2):
-        gap = _fair_line(model, w, combo, u_grid, bracket)[1]
-        for u_star in _fair_roots(model, w, combo, u_grid, gap, bracket):
-            clf = _fair_pair(model, w, combo, u_star, bracket)
+        gap = _fair_line(model, w, combo, u_grid)[1]
+        for u_star in _fair_roots(model, w, combo, u_grid, gap):
+            clf = _fair_pair(model, w, combo, u_star)
             key = _fair_key(model, w, clf)
             if key < best_key:
                 best, best_key = clf, key
@@ -425,50 +393,45 @@ def _fair_key(model, w, clf):
     return (over, f_u if over else 0.0, -accuracy(model, clf, w))
 
 
-def _fair_pair(model, w, combo, u_star, bracket):
-    thresholds = _fair_line(model, w, combo, np.array([u_star]), bracket)[0]
+def _fair_pair(model, w, combo, u_star):
+    thresholds = _fair_line(model, w, combo, np.array([u_star]))[0]
     return GroupwiseClassifier(tuple(
         IntervalSet(_region_of(float(t[0]), orient))
         for t, orient in zip(thresholds, combo)))
 
 
-def _fair_roots(model, w, combo, u_grid, gap, bracket):
-    roots = []
-    near_zero = np.abs(gap) <= 1e-12
-    i = 0
-    while i < len(u_grid):
-        if near_zero[i]:
-            j = i
-            while j + 1 < len(u_grid) and near_zero[j + 1]:
-                j += 1
-            roots.append(
-                _fair_polish(model, w, combo, u_grid, i, j, bracket))
-            i = j + 1
-        else:
-            i += 1
-    sign = np.sign(gap)
-    crossing = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    for i in crossing:
-        lo_u, hi_u = u_grid[i], u_grid[i + 1]
-        g_lo = gap[i]
-        for _ in range(80):
-            mid = 0.5 * (lo_u + hi_u)
-            g_mid = float(
-                _fair_line(model, w, combo, np.array([mid]), bracket)[1][0])
-            if g_mid == 0.0:
-                lo_u = hi_u = mid
-                break
-            if (g_mid > 0) == (g_lo > 0):
-                lo_u, g_lo = mid, g_mid
-            else:
-                hi_u = mid
-        roots.append(0.5 * (lo_u + hi_u))
-    return roots
+def _fair_roots(model, w, combo, u_grid, gap):
+    """Levels u where the TNR gap vanishes: one per plateau, one per crossing.
+
+    Each run of samples with |gap| <= _PLATEAU_GAP, even a one-sample run, is
+    a plateau for _fair_polish; sign flips next to one are rounding noise.
+    The other sign flips are real crossings, bisected together as one array.
+    """
+    near_zero = np.abs(gap) <= _PLATEAU_GAP
+    starts = np.nonzero(near_zero & ~np.r_[False, near_zero[:-1]])[0]
+    ends = np.nonzero(near_zero & ~np.r_[near_zero[1:], False])[0]
+    roots = [_fair_polish(model, w, combo, u_grid, i, j)
+             for i, j in zip(starts, ends)]
+    crossing = np.nonzero((gap[:-1] * gap[1:] < 0)
+                          & ~near_zero[:-1] & ~near_zero[1:])[0]
+    lo_u, hi_u = u_grid[crossing], u_grid[crossing + 1]
+    lo_positive = gap[crossing] > 0
+    for _ in range(80):
+        mid = 0.5 * (lo_u + hi_u)
+        if np.all((mid == lo_u) | (mid == hi_u)):
+            break  # every bracket is down to adjacent floats
+        g_mid = _fair_line(model, w, combo, mid)[1]
+        # an exact zero pins both ends; otherwise keep the flip bracketed
+        zero = g_mid == 0.0
+        same = (g_mid > 0) == lo_positive
+        lo_u = np.where(zero | same, mid, lo_u)
+        hi_u = np.where(zero | ~same, mid, hi_u)
+    return roots + [float(u) for u in 0.5 * (lo_u + hi_u)]
 
 
-def _fair_polish(model, w, combo, u_grid, i, j, bracket):
+def _fair_polish(model, w, combo, u_grid, i, j):
     """Accuracy argmax over a plateau of vanishing gap, golden-sectioned."""
-    acc = _fair_line(model, w, combo, u_grid[i:j + 1], bracket)[2]
+    acc = _fair_line(model, w, combo, u_grid[i:j + 1])[2]
     k = i + int(np.argmax(acc))
     lo_u = u_grid[max(k - 1, i)]
     hi_u = u_grid[min(k + 1, j)]
@@ -477,7 +440,7 @@ def _fair_polish(model, w, combo, u_grid, i, j, bracket):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def acc_at(u):
-        return float(_fair_line(model, w, combo, np.array([u]), bracket)[2][0])
+        return float(_fair_line(model, w, combo, np.array([u]))[2][0])
 
     a, b = lo_u, hi_u
     c, d = b - phi * (b - a), a + phi * (b - a)

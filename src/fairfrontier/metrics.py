@@ -3,6 +3,7 @@ data/model split of unfairness."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,7 +45,10 @@ class MetricWeights:
     p2: float = 1.0
 
     def __post_init__(self):
-        if min(self.omega1, self.omega2, self.p1, self.p2) < 0.0:
+        weights = (self.omega1, self.omega2, self.p1, self.p2)
+        if not all(math.isfinite(v) for v in weights):
+            raise ValidationError(f"weights must be finite, got {weights}")
+        if min(weights) < 0.0:
             raise ValidationError("weights must be nonnegative")
         if abs(self.omega1 + self.omega2 - 1.0) > 1e-12:
             raise ValidationError("omega1 + omega2 must equal 1")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _draw
+from .distributions import _draw, _seed_key
 from .errors import InputError, ResourceError
 from .frontier import Frontier, _finish_frontier
 from .metrics import MetricWeights
@@ -51,6 +51,7 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     if n < MIN_SAMPLES:
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {n}")
     seed = int(seed)
+    key = _seed_key(seed)
 
     cum = np.cumsum([model.joint[c] for c in CELL_ORDER])
     count = {c: 0 for c in CELL_ORDER}
@@ -61,7 +62,7 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
         if size == 0:
             continue
         rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(b)]))
+            np.random.Philox(key=[key, np.uint64(b)]))
         u = rng.random(size)
         idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
         for ci, cell in enumerate(CELL_ORDER):

@@ -243,49 +243,57 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     accuracy. Two reading of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    if mode not in ("boundary_location", "strict_indicator"):
-        raise InputError(f"unknown mode {mode!r}")
-    stars = bayes_accuracy_optimal(model, "per_group")
-    star_rates = confusion_rates(model, stars)
-    f_du = unfairness(star_rates)
-    conds = [Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})]
+    return _boundary_alignment_reports(model, (mode,), tol)[0]
 
-    r0, r1 = stars.regions
-    if mode == "boundary_location":
-        b0, b1 = r0.boundary, r1.boundary
-        aligned = (len(b0) == len(b1)
-                   and all(abs(p - q) <= 1e-6 for p, q in zip(b0, b1)))
-        conds.append(Condition("boundary_location_match", aligned,
-                               {"boundary_group0": list(b0),
-                                "boundary_group1": list(b1)}))
-    else:
-        disagreement = r0.symmetric_difference(r1).length()
-        aligned = disagreement <= tol
-        conds.append(Condition("indicator_match", aligned,
-                               {"disagreement_length": disagreement}))
+
+def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
+    """One boundary-alignment report per mode, all from one family search."""
+    for mode in modes:
+        if mode not in ("boundary_location", "strict_indicator"):
+            raise InputError(f"unknown mode {mode!r}")
+    stars = bayes_accuracy_optimal(model, "per_group")
+    f_du = unfairness(confusion_rates(model, stars))
+    absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
     candidates = sweep(model, SEARCH_FAMILY)
     target = accuracy(model, stars)
-    hits = [p for p in candidates
-            if 1.0 - p.fairness <= tol and p.accuracy >= target - tol]
+    found = any(1.0 - p.fairness <= tol and p.accuracy >= target - tol
+                for p in candidates)
     best = max(candidates, key=lambda p: (p.fairness, p.accuracy))
-    found = bool(hits)
-    conds.append(Condition(
+    search = Condition(
         "complete_fairness_at_optimal_accuracy", found,
         {"optimal_accuracy": target,
          "best_candidate_f_u": 1.0 - best.fairness,
          "best_candidate_accuracy": best.accuracy,
-         "family": "per_group_intervals(resolution=9, k=2)"}))
+         "family": "per_group_intervals(resolution=9, k=2)"})
 
-    predicted = conds[0].satisfied and aligned
-    concluded = predicted == found
-    notes = ()
-    if not concluded:
-        notes = (f"{mode} alignment predicts "
-                 f"{'existence' if predicted else 'absence'} but the search "
-                 f"{'found' if found else 'did not find'} such a classifier",)
-    return TheoremReport("boundary_alignment", tuple(conds), concluded, tol,
-                         notes)
+    r0, r1 = stars.regions
+    reports = []
+    for mode in modes:
+        if mode == "boundary_location":
+            b0, b1 = r0.boundary, r1.boundary
+            aligned = (len(b0) == len(b1)
+                       and all(abs(p - q) <= 1e-6 for p, q in zip(b0, b1)))
+            match = Condition("boundary_location_match", aligned,
+                              {"boundary_group0": list(b0),
+                               "boundary_group1": list(b1)})
+        else:
+            disagreement = r0.symmetric_difference(r1).length()
+            aligned = disagreement <= tol
+            match = Condition("indicator_match", aligned,
+                              {"disagreement_length": disagreement})
+        predicted = absent.satisfied and aligned
+        concluded = predicted == found
+        notes = ()
+        if not concluded:
+            notes = (f"{mode} alignment predicts "
+                     f"{'existence' if predicted else 'absence'} but the "
+                     f"search {'found' if found else 'did not find'} such a "
+                     "classifier",)
+        reports.append(TheoremReport("boundary_alignment",
+                                     (absent, match, search), concluded, tol,
+                                     notes))
+    return tuple(reports)
 
 
 def _prescribed_regions(model, branch: int, lo: float, hi: float):

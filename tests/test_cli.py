@@ -109,12 +109,24 @@ def test_missing_out_exits_2(capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAIRFRONTIER_THREADS", "many")
+def test_nonfinite_weight_exits_2(tmp_path, capsys):
     code = main(["run", "--scenario", "example1", "--out", str(tmp_path),
-                 "--frontier", "--resolution", "51"])
+                 "--frontier", "--resolution", "11", "--omega1", "nan",
+                 "--omega2", "0.5"])
     assert code == 2
-    assert "FAIRFRONTIER_THREADS" in capsys.readouterr().err
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "frontier.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--scenario", "example1", "--n", "1000", "--seed", "-1"],
+    ["run", "--scenario", "example1", "--resolution", "11", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_oversized_family_exits_3(tmp_path, capsys):

@@ -1,10 +1,20 @@
 """Sweeps, Pareto filtering, and frontier shape classification."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
-                          ResourceError, ValidationError, build_frontier,
-                          classify_shape, pareto_filter, scenario, sweep)
+                          MetricWeights, ResourceError, ValidationError,
+                          build_frontier, classify_shape, pareto_filter,
+                          scenario, sweep)
+from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _fair_line,
+                                   _fair_roots)
+from helpers import random_model
+
+COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
+                                 repeat=2))
 
 
 def pt(fairness, accuracy, tag):
@@ -25,6 +35,14 @@ def test_family_spec_validation():
         FamilySpec("shared_threshold", sweep_range=(4, 4))
     with pytest.raises(ValidationError):
         FamilySpec("shared_threshold", orientations="up")
+    # fractions are refused, not truncated
+    with pytest.raises(ValidationError):
+        FamilySpec("shared_threshold", resolution=3.7)
+    with pytest.raises(ValidationError):
+        FamilySpec("per_group_intervals", k=1.5)
+    with pytest.raises(ValidationError):
+        FamilySpec("shared_threshold", resolution=float("nan"))
+    assert FamilySpec("shared_threshold", resolution=5.0).resolution == 5
 
 
 def test_family_spec_orientation_expansion():
@@ -66,8 +84,68 @@ def test_per_group_sweep_appends_groupwise_fair_optimum():
     fair = pts[-2]
     assert fair.params[:2] == ("optimum", "fairness")
     assert fair.fairness == pytest.approx(1.0, abs=1e-9)
-    assert fair.accuracy == pytest.approx(0.9615036014, abs=1e-6)
+    assert fair.accuracy == pytest.approx(0.9615036014022516, abs=1e-12)
     assert not fair.clf.shared
+
+
+def _fair_grid(model, combo):
+    w = MetricWeights()
+    u = np.linspace(1e-7, 1.0 - 1e-7, _FAIR_LEVELS)
+    gap = _fair_line(model, w, combo, u)[1]
+    return w, u, gap, np.abs(gap) <= _PLATEAU_GAP
+
+
+@pytest.mark.parametrize("name", ["example4_identical",
+                                  "example4_nonidentical"])
+def test_fair_roots_one_per_plateau_and_none_inside(name):
+    # the TNR gap of these presets is rounding noise on whole plateaus, with
+    # hundreds of sign flips; each plateau must give exactly one root and no
+    # flip inside or next to it may be bisected
+    model = scenario(name)
+    plateaus = 0
+    for combo in COMBOS:
+        w, u, gap, flat = _fair_grid(model, combo)
+        roots = np.array(_fair_roots(model, w, combo, u, gap))
+        starts = np.nonzero(flat & ~np.r_[False, flat[:-1]])[0]
+        ends = np.nonzero(flat & ~np.r_[flat[1:], False])[0]
+        crossings = np.nonzero((gap[:-1] * gap[1:] < 0)
+                               & ~flat[:-1] & ~flat[1:])[0]
+        spans = [(u[i], u[j]) for i, j in zip(starts, ends)]
+        spans += [(u[i], u[i + 1]) for i in crossings]
+        assert len(roots) == len(spans)
+        for lo, hi in spans:
+            assert np.count_nonzero((roots >= lo) & (roots <= hi)) == 1
+        plateaus += len(starts)
+    assert plateaus == 2
+
+
+def test_fair_roots_bisects_crossings_like_one_at_a_time():
+    # random_model(1) has real crossings; the array bisection must land on
+    # the very roots a scalar bisection of each crossing finds
+    model = random_model(1)
+    bisected = 0
+    for combo in COMBOS:
+        w, u, gap, flat = _fair_grid(model, combo)
+        want = []
+        for i in np.nonzero((gap[:-1] * gap[1:] < 0)
+                            & ~flat[:-1] & ~flat[1:])[0]:
+            lo_u, hi_u, g_lo = u[i], u[i + 1], gap[i]
+            for _ in range(80):
+                mid = 0.5 * (lo_u + hi_u)
+                g_mid = float(_fair_line(model, w, combo,
+                                         np.array([mid]))[1][0])
+                if g_mid == 0.0:
+                    lo_u = hi_u = mid
+                    break
+                if (g_mid > 0) == (g_lo > 0):
+                    lo_u, g_lo = mid, g_mid
+                else:
+                    hi_u = mid
+            want.append(0.5 * (lo_u + hi_u))
+        got = _fair_roots(model, w, combo, u, gap)
+        assert got[len(got) - len(want):] == want
+        bisected += len(want)
+    assert bisected == 6
 
 
 def test_sweep_resource_cap():

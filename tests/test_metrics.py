@@ -63,6 +63,10 @@ def test_metric_weights_validation():
         MetricWeights(omega1=-0.1, omega2=1.1)
     with pytest.raises(ValidationError):
         MetricWeights(p1=-1.0)
+    with pytest.raises(ValidationError):
+        MetricWeights(omega1=float("nan"), omega2=0.5)
+    with pytest.raises(ValidationError):
+        MetricWeights(p2=float("inf"))
 
 
 def test_confusion_rates_validation():

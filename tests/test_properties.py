@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairfrontier import (ConfusionRates, FrontierPoint, IntervalSet,
-                          bayes_accuracy_optimal, decompose_unfairness,
-                          dominance_oracle, fairness, pareto_filter,
-                          unfairness)
+                          Mixture, Normal, Triangular, bayes_accuracy_optimal,
+                          decompose_unfairness, dominance_oracle, fairness,
+                          pareto_filter, unfairness)
 from fairfrontier.frontier import (DOMINANCE_TOL, _interval_region_count,
                                    _interval_regions)
 from helpers import random_classifier, random_model
@@ -38,6 +38,21 @@ def clouds(draw):
                           min_size=1, max_size=80))
     return [FrontierPoint(f / 20.0, a / 500.0, ("grid", str(i), (), ()))
             for i, (f, a) in enumerate(pairs)]
+
+
+@st.composite
+def mixtures(draw):
+    # densities stay below ~4 so a 1e-13 quantile error moves the cdf < 1e-12
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(-10, 10))
+        if draw(st.booleans()):
+            comps.append(Normal(lo, draw(st.floats(0.2, 3.0))))
+        else:
+            hi = lo + draw(st.floats(0.5, 6.0))
+            comps.append(Triangular(lo, hi, draw(st.floats(lo, hi))))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in comps]
+    return Mixture(tuple((r / sum(raw), d) for r, d in zip(raw, comps)))
 
 
 def probe_points(*sets):
@@ -149,3 +164,14 @@ def test_interval_region_count_matches_enumeration(resolution, k, orient):
     assert len(set(regions)) == len(regions)
     for region in regions:
         assert len(region) <= k
+
+
+@given(mixtures(), st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1,
+                            max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_mixture_ppf_inverts_cdf_and_is_monotone(mix, qs):
+    q = np.sort(np.array(qs))
+    x = mix.ppf(q)
+    assert np.all(np.abs(mix.cdf(x) - q) <= 1e-12)
+    assert np.all(np.diff(x) >= 0.0)
+    assert mix.ppf(float(q[0])) == x[0]
