@@ -9,7 +9,7 @@ from .distributions import (DensityPoint, Mixture, Normal, Triangular,
                             evaluate, positive_mass, sample)
 from .errors import (ComplexityError, ContractError, FairFrontierError,
                      InputError, ResourceError, ValidationError)
-from .frontier import (FamilySpec, Frontier, FrontierPoint, Jump,
+from .frontier import (Candidates, FamilySpec, Frontier, FrontierPoint, Jump,
                        build_frontier, classify_shape, pareto_filter, sweep)
 from .metrics import (ConfusionRates, Decomposition, MetricWeights, accuracy,
                       confusion_rates, decompose_unfairness, fairness,
@@ -26,7 +26,7 @@ from .theorems import (Condition, TheoremReport, check_accuracy_jump,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CELLS", "ComplexityError", "Condition", "ConfusionRates",
+    "CELLS", "Candidates", "ComplexityError", "Condition", "ConfusionRates",
     "ContractError", "Decomposition", "DensityPoint", "EMPTY",
     "FairFrontierError", "FamilySpec", "Frontier", "FrontierPoint",
     "FULL_LINE", "GroupConditionalModel", "GroupwiseClassifier", "InputError",

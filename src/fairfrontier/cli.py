@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -21,10 +20,10 @@ import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
-from .distributions import _seed_key, positive_mass
+from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
-from .frontier import FamilySpec, classify_shape, pareto_filter, sweep
+from .frontier import FamilySpec, _swept_frontier
 from .metrics import (DECOMP_TOL, MetricWeights, accuracy, confusion_rates,
                       decompose_unfairness, unfairness)
 from .oracle import mc_estimate
@@ -63,7 +62,6 @@ class RunConfig:
     weights: MetricWeights
     out: Path
     analyses: tuple = ("frontier",)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.scenario:
@@ -74,7 +72,6 @@ class RunConfig:
         if unknown:
             raise ValidationError(
                 f"unknown analyses {unknown}; choose from {list(ANALYSES)}")
-        _seed_key(self.seed)
 
 
 @dataclass(frozen=True)
@@ -449,12 +446,7 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
         ("boundary alignment, matching indicators", indicated),
     ]
     if frontier is None:
-        candidates = sweep(model, cfg.family, w)
-        frontier = pareto_filter(candidates, cfg.family)
-        lo, hi = cfg.family.sweep_range or model.quantile_range(0.9999)
-        frontier = dataclasses.replace(frontier,
-                                       sweep_range=(float(lo), float(hi)))
-        frontier = classify_shape(frontier)
+        frontier = _swept_frontier(model, cfg.family, w)[1]
     sections.append(("frontier accuracy-jump conditions",
                      check_accuracy_jump(model, frontier)))
     head = (f"scenario: {cfg.scenario}\n"
@@ -500,6 +492,10 @@ def _read_config_file(path: str) -> dict:
             f"config parse error at line {exc.lineno}, column {exc.colno}")
     if not isinstance(payload, dict):
         raise ValidationError("config file must hold a JSON object")
+    if "seed" in payload:
+        raise ValidationError(
+            "config key \"seed\" is not used: every analysis is exact;"
+            " remove it")
     return payload
 
 
@@ -553,20 +549,10 @@ def _load_config(args, default_analyses=("frontier",),
         weights=weights,
         out=Path(out),
         analyses=analyses,
-        seed=int(pick(args.seed, payload.get("seed"), 0)),
     )
 
 
 # -- subcommands --------------------------------------------------------------
-
-
-def _build_frontier_with_candidates(model, cfg: RunConfig):
-    candidates = sweep(model, cfg.family, cfg.weights)
-    frontier = pareto_filter(candidates, cfg.family)
-    lo, hi = cfg.family.sweep_range or model.quantile_range(0.9999)
-    frontier = dataclasses.replace(frontier,
-                                   sweep_range=(float(lo), float(hi)))
-    return candidates, classify_shape(frontier)
 
 
 def _cmd_run(args) -> int:
@@ -581,7 +567,8 @@ def _cmd_run(args) -> int:
 
     frontier = None
     if "frontier" in cfg.analyses:
-        candidates, frontier = _build_frontier_with_candidates(model, cfg)
+        candidates, frontier = _swept_frontier(model, cfg.family,
+                                               cfg.weights)
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
         _write_sweep_csv(model, candidates, cfg.weights, cfg.out / "sweep.csv")
@@ -715,7 +702,6 @@ def _add_config_flags(sub, with_out: bool = True) -> None:
     sub.add_argument("--omega2", type=float)
     sub.add_argument("--p1", type=float)
     sub.add_argument("--p2", type=float)
-    sub.add_argument("--seed", type=int)
     if with_out:
         sub.add_argument("--out", help="output directory")
 

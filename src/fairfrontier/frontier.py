@@ -8,9 +8,12 @@ set; shape classification tags discontinuities in the surviving curve.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional
@@ -230,7 +233,53 @@ def _candidate_count(model, family: FamilySpec) -> int:
     return total
 
 
-def sweep(model, family: FamilySpec, w: MetricWeights = None) -> list:
+class Candidates(Sequence):
+    """A sweep's candidates, stored as columns and read-only.
+
+    fairness and accuracy hold one value per candidate in sweep order.
+    Indexing (negative indices too) and iteration build equal FrontierPoints
+    on demand: each block of the sweep decodes its own flat index into
+    params. sweep_range is the grid range the sweep resolved.
+    """
+
+    def __init__(self, blocks, sweep_range: tuple):
+        self.fairness = np.concatenate([b[0] for b in blocks])
+        self.accuracy = np.concatenate([b[1] for b in blocks])
+        self.fairness.flags.writeable = False
+        self.accuracy.flags.writeable = False
+        self.sweep_range = sweep_range
+        self._counts = tuple(b[2] for b in blocks)
+        self._decoders = tuple(b[3] for b in blocks)
+        self._ends = tuple(itertools.accumulate(self._counts))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i) -> FrontierPoint:
+        i = operator.index(i)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"candidate index out of range for {n}")
+        b = bisect.bisect_right(self._ends, i)
+        start = self._ends[b] - self._counts[b]
+        return FrontierPoint(float(self.fairness[i]), float(self.accuracy[i]),
+                             self._decoders[b](i - start))
+
+    def __iter__(self):
+        # block by block over tolist() values: a bisect per element would
+        # slow every caller that streams all candidates
+        start = 0
+        for count, decode in zip(self._counts, self._decoders):
+            fair = self.fairness[start:start + count].tolist()
+            acc = self.accuracy[start:start + count].tolist()
+            for k in range(count):
+                yield FrontierPoint(fair[k], acc[k], decode(k))
+            start += count
+
+
+def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     """Evaluate every family member plus the two appended optimal classifiers.
 
     Candidates come out orientation-major, then row-major over the grid, and
@@ -247,31 +296,31 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> list:
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
 
-    if family.kind == "shared_threshold":
-        blocks = [_shared_block(model, family, w, grid, orient)
-                  for (orient,) in family.combos()]
-    elif family.kind == "per_group_threshold":
-        blocks = [_per_group_block(model, family, w, grid, combo)
-                  for combo in family.combos()]
-    else:
-        blocks = [_intervals_block(model, family, w, grid, combo)
-                  for combo in family.combos()]
-
-    points = [pt for block in blocks for pt in block]
-    points.extend(_appended_optima(model, family, w))
-    return points
+    block = {"shared_threshold": _shared_block,
+             "per_group_threshold": _per_group_block,
+             "per_group_intervals": _intervals_block}[family.kind]
+    blocks = [block(model, family, w, grid, combo)
+              for combo in family.combos()]
+    blocks.append(_points_block(_appended_optima(model, family, w)))
+    return Candidates(blocks, (float(lo), float(hi)))
 
 
-def _shared_block(model, family, w, grid, orient):
+def _points_block(points):
+    fair = np.array([p.fairness for p in points], dtype=float)
+    acc = np.array([p.accuracy for p in points], dtype=float)
+    return fair, acc, len(points), lambda k: points[k].params
+
+
+def _shared_block(model, family, w, grid, combo):
+    (orient,) = combo
     tpr0, tnr0 = _rate_arrays(model, grid, 0, orient)
     tpr1, tnr1 = _rate_arrays(model, grid, 1, orient)
     fair, acc = _scores(model, w, tpr0, tpr1, tnr0, tnr1)
-    out = []
-    for i, t in enumerate(grid):
-        region = _region_of(float(t), orient)
-        out.append(FrontierPoint(float(fair[i]), float(acc[i]),
-                                 ("grid", orient, region, region)))
-    return out
+    regions = [_region_of(t, orient) for t in grid.tolist()]
+
+    def decode(k):
+        return ("grid", orient, regions[k], regions[k])
+    return fair, acc, fair.size, decode
 
 
 def _per_group_block(model, family, w, grid, combo):
@@ -282,18 +331,19 @@ def _per_group_block(model, family, w, grid, combo):
     fair, acc = _scores(model, w,
                         tpr0[:, None], tpr1[None, :],
                         tnr0[:, None], tnr1[None, :])
-    tag = f"{o0}|{o1}"
-    out = []
-    regions0 = [_region_of(float(t), o0) for t in grid]
-    regions1 = [_region_of(float(t), o1) for t in grid]
-    fair = fair.ravel()
-    acc = acc.ravel()
-    n = len(grid)
-    for idx in range(fair.size):
-        i, j = divmod(idx, n)
-        out.append(FrontierPoint(float(fair[idx]), float(acc[idx]),
-                                 ("grid", tag, regions0[i], regions1[j])))
-    return out
+    return _pair_block(fair, acc, f"{o0}|{o1}",
+                       [_region_of(t, o0) for t in grid.tolist()],
+                       [_region_of(t, o1) for t in grid.tolist()])
+
+
+def _pair_block(fair, acc, tag, bounds0, bounds1):
+    """A (group-0 row, group-1 column) score table as a flat block."""
+    n1 = len(bounds1)
+
+    def decode(k):
+        i, j = divmod(k, n1)
+        return ("grid", tag, bounds0[i], bounds1[j])
+    return fair.ravel(), acc.ravel(), fair.size, decode
 
 
 def _intervals_block(model, family, w, grid, combo):
@@ -312,16 +362,7 @@ def _intervals_block(model, family, w, grid, combo):
     fair, acc = _scores(model, w,
                         tpr0[:, None], tpr1[None, :],
                         tnr0[:, None], tnr1[None, :])
-    tag = f"{combo[0]}|{combo[1]}"
-    fair = fair.ravel()
-    acc = acc.ravel()
-    n1 = len(b1)
-    out = []
-    for idx in range(fair.size):
-        i, j = divmod(idx, n1)
-        out.append(FrontierPoint(float(fair[idx]), float(acc[idx]),
-                                 ("grid", tag, b0[i], b1[j])))
-    return out
+    return _pair_block(fair, acc, f"{combo[0]}|{combo[1]}", b0, b1)
 
 
 def _appended_optima(model, family, w):
@@ -473,20 +514,41 @@ def _finish_frontier(survivors, resolution=None, sweep_range=None) -> Frontier:
                     sweep_range=sweep_range)
 
 
+def _fairest(fairness, accuracy) -> tuple:
+    """The highest fairness and the best accuracy among candidates at it.
+
+    A NaN fairness makes both NaN and -inf, which drops nothing.
+    """
+    f_max = fairness.max()
+    return float(f_max), float(accuracy[fairness == f_max].max(
+        initial=-math.inf))
+
+
 def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     """Keep exactly the candidates no other candidate dominates.
 
     Domination allows a 1e-12 slack on the "no worse" side and demands a
     strict win beyond the same slack on the other. Passing the generating
-    family stamps its grid metadata onto the result.
+    family stamps its grid metadata onto the result. A Candidates sweep is
+    filtered on its arrays; FrontierPoints are built only for survivors.
     """
-    pts = list(candidates)
-    if not pts:
+    if isinstance(candidates, Candidates):
+        pts = candidates
+        f, a = candidates.fairness, candidates.accuracy
+    else:
+        pts = list(candidates)
+        f = np.fromiter((p.fairness for p in pts), float, len(pts))
+        a = np.fromiter((p.accuracy for p in pts), float, len(pts))
+    if not len(pts):
         raise InputError("no candidates to filter")
     tol = DOMINANCE_TOL
-    f = np.fromiter((p.fairness for p in pts), float, len(pts))
-    a = np.fromiter((p.accuracy for p in pts), float, len(pts))
-    order = np.argsort(f, kind="stable")
+    # The fairest, most accurate candidate (f_max, a_top) is strictly fairer
+    # than each dropped point with accuracy no worse, so it dominates it; it
+    # also dominates every point a dropped one dominates, because a_top is
+    # not below the dropped accuracy. The survivors are therefore unchanged.
+    f_max, a_top = _fairest(f, a)
+    kept = np.flatnonzero(~((f + tol < f_max) & (a <= a_top)))
+    order = kept[np.argsort(f[kept], kind="stable")]
     fs, as_ = f[order], a[order]
     suffix_max = np.maximum.accumulate(as_[::-1])[::-1]
 
@@ -499,7 +561,7 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     dominated |= in_range & (suffix_max[np.minimum(hi_idx, len(fs) - 1)]
                              >= as_ - tol)
 
-    survivors = [pts[i] for i in order[~dominated]]
+    survivors = [pts[i] for i in order[~dominated].tolist()]
     return _finish_frontier(
         survivors,
         resolution=family.resolution if family else None,
@@ -552,12 +614,18 @@ def classify_shape(frontier: Frontier, jump_threshold: float = 0.05,
                                diagnostics=tuple(notes))
 
 
+def _swept_frontier(model, family: FamilySpec, w: MetricWeights = None,
+                    jump_threshold: float = 0.05,
+                    fairness_gap: float = None) -> tuple:
+    """(candidates, labelled frontier) of one family sweep."""
+    candidates = sweep(model, family, w)
+    frontier = dataclasses.replace(pareto_filter(candidates, family),
+                                   sweep_range=candidates.sweep_range)
+    return candidates, classify_shape(frontier, jump_threshold, fairness_gap)
+
+
 def build_frontier(model, family: FamilySpec, w: MetricWeights = None,
                    jump_threshold: float = 0.05,
                    fairness_gap: float = None) -> Frontier:
     """sweep -> pareto_filter -> classify_shape in one call."""
-    candidates = sweep(model, family, w)
-    lo, hi = family.sweep_range or model.quantile_range(0.9999)
-    frontier = pareto_filter(candidates, family)
-    frontier = dataclasses.replace(frontier, sweep_range=(float(lo), float(hi)))
-    return classify_shape(frontier, jump_threshold, fairness_gap)
+    return _swept_frontier(model, family, w, jump_threshold, fairness_gap)[1]

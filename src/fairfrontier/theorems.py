@@ -16,7 +16,8 @@ from .classifiers import (FULL_LINE, GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal,
                           sign_region, well_defined_check)
 from .errors import ContractError, InputError
-from .frontier import FamilySpec, Frontier, Jump, classify_shape, sweep
+from .frontier import (FamilySpec, Frontier, Jump, _fairest, classify_shape,
+                       sweep)
 from .metrics import (MetricWeights, accuracy, confusion_rates,
                       decompose_unfairness, unfairness)
 
@@ -256,15 +257,15 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
     candidates = sweep(model, SEARCH_FAMILY)
+    f, a = candidates.fairness, candidates.accuracy
     target = accuracy(model, stars)
-    found = any(1.0 - p.fairness <= tol and p.accuracy >= target - tol
-                for p in candidates)
-    best = max(candidates, key=lambda p: (p.fairness, p.accuracy))
+    found = bool(np.any((1.0 - f <= tol) & (a >= target - tol)))
+    best_fairness, best_accuracy = _fairest(f, a)
     search = Condition(
         "complete_fairness_at_optimal_accuracy", found,
         {"optimal_accuracy": target,
-         "best_candidate_f_u": 1.0 - best.fairness,
-         "best_candidate_accuracy": best.accuracy,
+         "best_candidate_f_u": 1.0 - best_fairness,
+         "best_candidate_accuracy": best_accuracy,
          "family": "per_group_intervals(resolution=9, k=2)"})
 
     r0, r1 = stars.regions

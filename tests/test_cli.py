@@ -123,10 +123,24 @@ def test_nonfinite_weight_exits_2(tmp_path, capsys):
     ["run", "--scenario", "example1", "--resolution", "11", "--seed", "-1"],
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # oracle rejects the value; run has no --seed flag, so argparse exits
     if argv[0] == "run":
-        argv = argv + ["--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        return
     assert main(argv) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_config_seed_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", "seed": 3,
+                               "out": str(tmp_path / "cfg_out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert '"seed" is not used' in capsys.readouterr().err
+    assert not (tmp_path / "cfg_out").exists()
 
 
 def test_oversized_family_exits_3(tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
                           MetricWeights, ResourceError, ValidationError,
-                          build_frontier, classify_shape, pareto_filter,
-                          scenario, sweep)
+                          build_frontier, classify_shape, dominance_oracle,
+                          pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _fair_line,
                                    _fair_roots)
 from helpers import random_model
@@ -190,6 +190,28 @@ def test_pareto_filter_collapses_equal_fairness():
     assert len(got.points) == 1
     assert got.points[0].accuracy == 0.9
     assert got.points[0].params[1] == "a"
+
+
+def test_pareto_filter_ties_at_max_fairness():
+    # the pre-filter keys on the best accuracy at the top fairness, "b";
+    # "e" sits within the tolerance above it, so only the filter drops it
+    cloud = [pt(1.0, 0.5, "a"), pt(1.0, 0.7, "b"), pt(1.0, 0.6, "c"),
+             pt(0.9, 0.7, "d"), pt(0.9, 0.7 + 5e-13, "e"), pt(0.8, 0.9, "f"),
+             pt(0.85, 0.75, "g"), pt(1.0, 0.7, "h")]
+    got = pareto_filter(cloud)
+    assert [p.params[1] for p in got.points] == ["f", "g", "b"]
+    assert got.points == dominance_oracle(cloud).points
+
+
+def test_pareto_filter_keeps_points_only_a_dropped_one_dominates():
+    # "q" dominates "r" but the fairest point "p" does not: r's accuracy is
+    # more than the tolerance above p's. Dropping q for being dominated by p
+    # must not let r survive.
+    cloud = [pt(1.0, 0.5, "p"), pt(0.9, 0.5 + 0.9e-12, "q"),
+             pt(0.8, 0.5 + 1.5e-12, "r")]
+    got = pareto_filter(cloud)
+    assert [p.params[1] for p in got.points] == ["p"]
+    assert got.points == dominance_oracle(cloud).points
 
 
 def test_pareto_filter_stamps_family_metadata():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairfrontier import (ConfusionRates, FrontierPoint, IntervalSet,
-                          Mixture, Normal, Triangular, bayes_accuracy_optimal,
-                          decompose_unfairness, dominance_oracle, fairness,
-                          pareto_filter, unfairness)
-from fairfrontier.frontier import (DOMINANCE_TOL, _interval_region_count,
-                                   _interval_regions)
+from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
+                          IntervalSet, Mixture, Normal, Triangular,
+                          bayes_accuracy_optimal, decompose_unfairness,
+                          dominance_oracle, fairness, pareto_filter, sweep,
+                          unfairness)
+from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
+                                   _interval_region_count, _interval_regions)
 from helpers import random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
@@ -151,6 +152,29 @@ def test_pareto_filter_idempotent(cloud):
 @settings(max_examples=60, deadline=None)
 def test_fast_filter_equals_quadratic_oracle(cloud):
     assert pareto_filter(cloud).points == dominance_oracle(cloud).points
+
+
+@given(st.integers(0, 300), st.sampled_from(KINDS), st.sampled_from(ORIENTS),
+       st.data())
+@settings(max_examples=12, deadline=None)
+def test_candidates_agree_with_their_points(mseed, kind, orient, data):
+    family = FamilySpec(kind, orientations=orient,
+                        resolution=5 if kind == "per_group_intervals" else 9)
+    candidates = sweep(random_model(mseed), family)
+    pts = list(candidates)
+    assert len(pts) == len(candidates)
+    assert [p.fairness for p in pts] == candidates.fairness.tolist()
+    assert [p.accuracy for p in pts] == candidates.accuracy.tolist()
+    drawn = data.draw(st.lists(st.integers(-len(pts), len(pts) - 1),
+                               max_size=20))
+    for i in [0, 1, -2, -1] + drawn:
+        assert candidates[i] == pts[i]
+    for i in (len(pts), -len(pts) - 1):
+        with pytest.raises(IndexError):
+            candidates[i]
+    frontier = pareto_filter(candidates).points
+    assert frontier == pareto_filter(pts).points
+    assert frontier == dominance_oracle(pts).points
 
 
 @pytest.mark.parametrize("resolution", [3, 4, 5, 6])
