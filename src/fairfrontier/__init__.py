@@ -3,17 +3,18 @@ Equalized-Odds notion of fairness: closed-form metrics, classifier sweeps,
 Pareto filtering, structural checks, and Monte-Carlo oracles."""
 
 from .classifiers import (EMPTY, FULL_LINE, GroupwiseClassifier, IntervalSet,
-                          WellDefinedResult, bayes_accuracy_optimal,
-                          fairness_optimal, sign_region, well_defined_check)
+                          bayes_accuracy_optimal, fairness_optimal,
+                          sign_region)
 from .distributions import (DensityPoint, Mixture, Normal, Triangular,
                             evaluate, positive_mass, sample)
 from .errors import (ComplexityError, ContractError, FairFrontierError,
                      InputError, ResourceError, ValidationError)
 from .frontier import (Candidates, FamilySpec, Frontier, FrontierPoint, Jump,
                        build_frontier, classify_shape, pareto_filter, sweep)
-from .metrics import (ConfusionRates, Decomposition, MetricWeights, accuracy,
-                      confusion_rates, decompose_unfairness, fairness,
-                      unfairness)
+from .metrics import (ConfusionRates, Decomposition, MetricWeights, Reference,
+                      WellDefinedResult, accuracy, confusion_rates,
+                      decompose_unfairness, fairness, unfairness,
+                      well_defined_check)
 from .oracle import McEstimate, McResult, dominance_oracle, mc_estimate
 from .population import (CELLS, PRESETS, GroupConditionalModel,
                          ValidationReport, read_scenario_file, scenario,
@@ -31,8 +32,9 @@ __all__ = [
     "FairFrontierError", "FamilySpec", "Frontier", "FrontierPoint",
     "FULL_LINE", "GroupConditionalModel", "GroupwiseClassifier", "InputError",
     "IntervalSet", "Jump", "McEstimate", "McResult", "MetricWeights",
-    "Mixture", "Normal", "PRESETS", "ResourceError", "TheoremReport",
-    "Triangular", "ValidationError", "ValidationReport", "WellDefinedResult",
+    "Mixture", "Normal", "PRESETS", "Reference", "ResourceError",
+    "TheoremReport", "Triangular", "ValidationError", "ValidationReport",
+    "WellDefinedResult",
     "accuracy", "bayes_accuracy_optimal", "build_frontier",
     "check_accuracy_jump", "check_boundary_alignment",
     "check_decomposition_bound", "check_simultaneous_optimality",

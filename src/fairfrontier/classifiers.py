@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -90,24 +90,16 @@ FULL_LINE = IntervalSet(((-math.inf, math.inf),))
 
 
 def _combine(a: IntervalSet, b: IntervalSet, keep: Callable) -> IntervalSet:
-    # Sweep over the common endpoint partition and test each open segment at
-    # a representative point; endpoints are preserved exactly.
+    # Sweep over the common endpoint partition and test each half-open
+    # segment [lo, hi) at lo: membership changes only at endpoints and an
+    # endpoint rides with the segment on its right, so lo is exact even
+    # where a midpoint would round onto hi. Endpoints are preserved exactly.
     pts = sorted({p for s in (a, b) for pair in s.intervals for p in pair
                   if np.isfinite(p)})
     edges = [-math.inf] + pts + [math.inf]
     out = []
     for lo, hi in zip(edges, edges[1:]):
-        if lo == hi:
-            continue
-        if lo == -math.inf:
-            rep = edges[1] - 1.0 if pts else 0.0
-        elif hi == math.inf:
-            rep = lo + 1.0
-        else:
-            rep = 0.5 * (lo + hi)
-        inside = keep(bool(a.contains(rep)), bool(b.contains(rep)))
-        # half-open semantics: the left endpoint rides with its segment
-        if inside:
+        if keep(bool(a.contains(lo)), bool(b.contains(lo))):
             if out and out[-1][1] == lo:
                 out[-1][1] = hi
             else:
@@ -279,26 +271,3 @@ def fairness_optimal(model,
         return GroupwiseClassifier.from_shared(FULL_LINE)
     return GroupwiseClassifier.from_shared(best[1])
 
-
-class WellDefinedResult(NamedTuple):
-    well_defined: bool
-    enclosed: IntervalSet
-
-
-def well_defined_check(clf: GroupwiseClassifier, model) -> WellDefinedResult:
-    """Does clf match the per-group optimal prediction outside the disputed set?
-
-    The disputed (enclosed) set is where the two per-group accuracy-optimal
-    classifiers disagree; outside it they share a verdict and clf must follow
-    it, up to 1e-9 of total mismatch length.
-    """
-    stars = bayes_accuracy_optimal(model, "per_group")
-    r0, r1 = stars.regions
-    enclosed = r0.symmetric_difference(r1)
-    agreed = enclosed.complement()
-    common_pos = r0.intersection(r1)
-    mismatch = 0.0
-    for a in (0, 1):
-        diff = clf.positive_region(a).symmetric_difference(common_pos)
-        mismatch += diff.intersection(agreed).length()
-    return WellDefinedResult(well_defined=mismatch <= 1e-9, enclosed=enclosed)

@@ -24,14 +24,13 @@ from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
 from .frontier import FamilySpec, _swept_frontier
-from .metrics import (DECOMP_TOL, MetricWeights, accuracy, confusion_rates,
-                      decompose_unfairness, unfairness)
+from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
+                      confusion_rates, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
-from .theorems import (_boundary_alignment_reports, check_accuracy_jump,
-                       check_decomposition_bound,
-                       check_simultaneous_optimality,
-                       overpursuit_accuracy_bound)
+from .theorems import (_boundary_alignment_reports, _decomposition_report,
+                       _overpursuit_report, check_accuracy_jump,
+                       check_simultaneous_optimality)
 
 ANALYSES = ("frontier", "decompose", "theorems")
 
@@ -139,14 +138,10 @@ DECOMP_COLUMNS = ("t", "fairness", "accuracy", "f_u", "f_du", "f_mu",
                   "well_defined", "condition")
 
 
-def _write_sweep_csv(model, candidates, w: MetricWeights, path: Path) -> None:
-    reference = bayes_accuracy_optimal(model, "per_group")
-    star = confusion_rates(model, reference)
+def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
+                     path: Path) -> None:
+    star = ref.rates
     f_du = unfairness(star, w)
-    r0, r1 = reference.regions
-    agreed = r0.symmetric_difference(r1).complement()
-    common = r0.intersection(r1)
-
     cache = {}
 
     def group_stats(a: int, bounds) -> tuple:
@@ -156,9 +151,7 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, path: Path) -> None:
             region = IntervalSet(bounds)
             tpr = positive_mass(model.conditional[(a, 1)], region)
             tnr = 1.0 - positive_mass(model.conditional[(a, 0)], region)
-            mismatch = (region.symmetric_difference(common)
-                        .intersection(agreed).length())
-            hit = cache[key] = (tpr, tnr, mismatch)
+            hit = cache[key] = (tpr, tnr, ref.mismatch(region))
         return hit
 
     with open(path, "w", newline="") as fh:
@@ -208,8 +201,8 @@ def _write_frontier_csv(frontier, family: FamilySpec, path: Path) -> None:
             ))
 
 
-def _decomposition_table(model, family: FamilySpec,
-                         w: MetricWeights) -> SweepTable:
+def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
+                         ref: Reference) -> SweepTable:
     """Decompose unfairness along a shared-boundary sweep.
 
     Non-threshold families fall back to an ascending-positive boundary sweep
@@ -221,27 +214,18 @@ def _decomposition_table(model, family: FamilySpec,
         orient = family.orientations[0]
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
-
-    reference = bayes_accuracy_optimal(model, "per_group")
-    r0, r1 = reference.regions
-    agreed = r0.symmetric_difference(r1).complement()
-    common = r0.intersection(r1)
-
     cols = {name: [] for name in DECOMP_COLUMNS}
     for t in grid:
         clf = GroupwiseClassifier.shared_threshold(
             float(t), positive_above=orient == "positive_above")
-        d = decompose_unfairness(model, clf, w, reference=reference)
-        region = clf.positive_region(0)
-        mismatch = 2.0 * (region.symmetric_difference(common)
-                          .intersection(agreed).length())
+        d = ref.decompose(model, clf, w)
         cols["t"].append(float(t))
         cols["fairness"].append(1.0 - d.f_u)
         cols["accuracy"].append(accuracy(model, clf, w))
         cols["f_u"].append(d.f_u)
         cols["f_du"].append(d.f_du)
         cols["f_mu"].append(d.f_mu)
-        cols["well_defined"].append(mismatch <= DECOMP_TOL)
+        cols["well_defined"].append(ref.well_defined(clf))
         cols["condition"].append(d.condition_met or "")
     return SweepTable(**{k: tuple(v) for k, v in cols.items()})
 
@@ -427,21 +411,21 @@ def _render_report(title: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
+def _theorems_text(model, cfg: RunConfig, ref: Reference,
+                   frontier=None) -> str:
     w = cfg.weights
     shared_opt = bayes_accuracy_optimal(model, "overall")
-    per_group_opt = bayes_accuracy_optimal(model, "per_group")
     located, indicated = _boundary_alignment_reports(
-        model, ("boundary_location", "strict_indicator"))
+        model, ref, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
         ("accuracy ceiling under fairness over-pursuit",
-         overpursuit_accuracy_bound(model, fairness_optimal(model), w)),
+         _overpursuit_report(model, ref, fairness_optimal(model), w)),
         ("unfairness decomposition at the shared accuracy optimum",
-         check_decomposition_bound(model, shared_opt, w)),
+         _decomposition_report(model, ref, shared_opt, w)),
         ("unfairness decomposition at the per-group accuracy optimum",
-         check_decomposition_bound(model, per_group_opt, w)),
+         _decomposition_report(model, ref, ref.optima, w)),
         ("boundary alignment, matching boundary points", located),
         ("boundary alignment, matching indicators", indicated),
     ]
@@ -564,6 +548,7 @@ def _cmd_run(args) -> int:
         raise ValidationError(f"cannot create output directory: {exc}")
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
+    ref = Reference.of(model)
 
     frontier = None
     if "frontier" in cfg.analyses:
@@ -571,7 +556,8 @@ def _cmd_run(args) -> int:
                                                cfg.weights)
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
-        _write_sweep_csv(model, candidates, cfg.weights, cfg.out / "sweep.csv")
+        _write_sweep_csv(model, candidates, cfg.weights, ref,
+                         cfg.out / "sweep.csv")
         _write_frontier_csv(frontier, cfg.family, cfg.out / "frontier.csv")
         emit_plot(frontier, "frontier_curve", cfg.out / "frontier.svg")
         print(f"frontier: {len(frontier.points)} points,"
@@ -584,7 +570,7 @@ def _cmd_run(args) -> int:
         print("wrote sweep.csv, frontier.csv, frontier.svg")
 
     if "decompose" in cfg.analyses:
-        table = _decomposition_table(model, cfg.family, cfg.weights)
+        table = _decomposition_table(model, cfg.family, cfg.weights, ref)
         _write_decomposition_csv(table, cfg.out / "decomposition.csv")
         emit_plot(table, "sweep_curve", cfg.out / "sweep.svg")
         emit_plot(table, "decomposition_curve", cfg.out / "decomposition.svg")
@@ -594,7 +580,7 @@ def _cmd_run(args) -> int:
         print("wrote decomposition.csv, sweep.svg, decomposition.svg")
 
     if "theorems" in cfg.analyses:
-        text = _theorems_text(model, cfg, frontier)
+        text = _theorems_text(model, cfg, ref, frontier)
         (cfg.out / "theorems.txt").write_text(text)
         print("wrote theorems.txt")
     return 0
@@ -633,7 +619,7 @@ def _cmd_check(args) -> int:
     cfg = _load_config(args, default_analyses=("theorems",),
                        require_out=False)
     model = scenario(cfg.scenario)
-    text = _theorems_text(model, cfg)
+    text = _theorems_text(model, cfg, Reference.of(model))
     sys.stdout.write(text)
     if args.out is not None:
         out = Path(args.out)

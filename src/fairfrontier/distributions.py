@@ -75,13 +75,16 @@ class Triangular:
         a, b, c = self.lower, self.upper, self.mode
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        # rising edge is absent when c == a, falling edge when c == b
-        if c > a:
+        # an edge is absent when its denominator is 0: c == a (rising edge),
+        # c == b (falling edge), or an edge so narrow that the product
+        # underflows, where dividing would give 0/0 = NaN
+        rise, fall = (b - a) * (c - a), (b - a) * (b - c)
+        if rise > 0.0:
             left = (x >= a) & (x < c)
-            out = np.where(left, 2.0 * (x - a) / ((b - a) * (c - a)), out)
-        if c < b:
+            out = np.where(left, 2.0 * (x - a) / rise, out)
+        if fall > 0.0:
             right = (x >= c) & (x <= b)
-            out = np.where(right, 2.0 * (b - x) / ((b - a) * (b - c)), out)
+            out = np.where(right, 2.0 * (b - x) / fall, out)
         else:
             out = np.where(x == b, 2.0 / (b - a), out)
         return out
@@ -90,12 +93,13 @@ class Triangular:
         a, b, c = self.lower, self.upper, self.mode
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, a, b)
-        if c > a:
-            low = np.square(xc - a) / ((b - a) * (c - a))
+        rise, fall = (b - a) * (c - a), (b - a) * (b - c)  # as in pdf
+        if rise > 0.0:
+            low = np.square(xc - a) / rise
         else:
             low = np.zeros_like(xc)
-        if c < b:
-            high = 1.0 - np.square(b - xc) / ((b - a) * (b - c))
+        if fall > 0.0:
+            high = 1.0 - np.square(b - xc) / fall
         else:
             high = np.ones_like(xc)
         return np.where(xc < c, low, high)
@@ -156,7 +160,7 @@ class Mixture:
         Quantiles of 0 and 1 sit at the support edge (possibly infinite).
         """
         q = np.asarray(q, dtype=float)
-        lo, hi = self._finite_bracket()
+        lo, hi = _finite_bracket(d for _, d in self.components)
         # widen to where the cdf saturates: the bracket then does not depend
         # on q, so no result depends on the other elements of q, and one
         # fixed count of halvings takes every element to 1e-13
@@ -176,22 +180,6 @@ class Mixture:
                        np.where(q >= 1.0, edge_hi, 0.5 * (low + high)))
         return float(out) if out.ndim == 0 else out
 
-    def _finite_bracket(self) -> tuple[float, float]:
-        los, his = [], []
-        for _, d in self.components:
-            s = d.support()
-            if isinstance(d, Normal):
-                los.append(d.mean - 12.0 * d.stddev)
-                his.append(d.mean + 12.0 * d.stddev)
-            elif isinstance(d, Mixture):
-                b = d._finite_bracket()
-                los.append(b[0])
-                his.append(b[1])
-            else:
-                los.append(s[0])
-                his.append(s[1])
-        return min(los), max(his)
-
     def support(self) -> tuple[float, float]:
         lo = min(d.support()[0] for _, d in self.components)
         hi = max(d.support()[1] for _, d in self.components)
@@ -199,6 +187,23 @@ class Mixture:
 
 
 Distribution = (Normal, Triangular, Mixture)
+
+
+def _finite_bracket(laws) -> tuple[float, float]:
+    """A finite interval holding all but a negligible tail of every law:
+    each Normal's mean +- 12 sd, each Triangular's support, and the bracket
+    of each Mixture's components."""
+    los, his = [], []
+    for d in laws:
+        if isinstance(d, Normal):
+            lo, hi = d.mean - 12.0 * d.stddev, d.mean + 12.0 * d.stddev
+        elif isinstance(d, Mixture):
+            lo, hi = _finite_bracket(c for _, c in d.components)
+        else:
+            lo, hi = d.support()
+        los.append(lo)
+        his.append(hi)
+    return min(los), max(his)
 
 
 def evaluate(dist, x) -> DensityPoint:

@@ -160,19 +160,20 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1):
     return 1.0 - f_u, acc
 
 
+def _parities(m: int, k: int, orient: str) -> tuple:
+    """The starts_positive values a region with m boundaries may take."""
+    # a leftmost positive segment means positive below the first boundary,
+    # so the parity is pinned by the orientation; a positive start also
+    # spends one more of the k positive intervals
+    return tuple(
+        start for start in (True, False)
+        if ((m + 2) // 2 if start else (m + 1) // 2) <= k
+        and orient != ("positive_above" if start else "positive_below"))
+
+
 def _interval_region_count(resolution: int, k: int, orient: str) -> int:
-    total = 0
-    for m in range(0, 2 * k + 1):
-        for starts_positive in (True, False):
-            n_pos = (m + 2) // 2 if starts_positive else (m + 1) // 2
-            if n_pos > k:
-                continue
-            if orient == "positive_below" and not starts_positive:
-                continue
-            if orient == "positive_above" and starts_positive:
-                continue
-            total += comb(resolution, m)
-    return total
+    return sum(comb(resolution, m) * len(_parities(m, k, orient))
+               for m in range(0, 2 * k + 1))
 
 
 def _interval_regions(grid, k: int, orient: str):
@@ -184,18 +185,10 @@ def _interval_regions(grid, k: int, orient: str):
     n = len(grid)
     out = []
     for m in range(0, 2 * k + 1):
+        parities = _parities(m, k, orient)
         for combo in itertools.combinations(range(n), m):
             pts = (0,) + tuple(i + 1 for i in combo) + (n + 1,)
-            for starts_positive in (True, False):
-                n_pos = (m + 2) // 2 if starts_positive else (m + 1) // 2
-                if n_pos > k:
-                    continue
-                # a leftmost positive segment means positive below the first
-                # boundary, so the parity is pinned by the orientation
-                if orient == "positive_below" and not starts_positive:
-                    continue
-                if orient == "positive_above" and starts_positive:
-                    continue
+            for starts_positive in parities:
                 first = 0 if starts_positive else 1
                 out.append(tuple((pts[i], pts[i + 1])
                                  for i in range(first, m + 1, 2)))

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .classifiers import GroupwiseClassifier, bayes_accuracy_optimal
+from .classifiers import (GroupwiseClassifier, IntervalSet,
+                          bayes_accuracy_optimal)
 from .distributions import positive_mass
 from .errors import ValidationError
 
@@ -107,6 +108,69 @@ def accuracy(model, clf: GroupwiseClassifier, w: MetricWeights = None) -> float:
     return w.p1 * hit1 + w.p2 * hit0
 
 
+@dataclass(frozen=True)
+class Reference:
+    """The group-wise accuracy optimum that unfairness is split against.
+
+    optima are the per-group accuracy optima and rates their confusion
+    rates. disputed is where the two groups' optima disagree and common
+    where both predict 1. pattern names the sign-pattern condition under
+    which the split is exact for a well-defined classifier, or is None.
+    """
+
+    optima: GroupwiseClassifier
+    rates: ConfusionRates
+    disputed: IntervalSet
+    common: IntervalSet
+    pattern: Optional[str]
+
+    @classmethod
+    def of(cls, model, optima: GroupwiseClassifier = None) -> "Reference":
+        """The reference of model; optima are computed when not given."""
+        if optima is None:
+            optima = bayes_accuracy_optimal(model, "per_group")
+        rates = confusion_rates(model, optima)
+        tpr, tnr = rates.tpr, rates.tnr
+        r0, r1 = optima.regions
+        disputed = r0.symmetric_difference(r1)
+        pattern = None
+        if (disputed.difference(r0).length() <= DECOMP_TOL
+                and tpr[0] < tpr[1] and tnr[0] > tnr[1]):
+            pattern = "condition1"
+        elif (disputed.intersection(r0).length() <= DECOMP_TOL
+                and tpr[0] > tpr[1] and tnr[0] < tnr[1]):
+            pattern = "condition2"
+        return cls(optima, rates, disputed, r0.intersection(r1), pattern)
+
+    def mismatch(self, region: IntervalSet) -> float:
+        """Length of the agreed set where region departs from the optima's
+        shared verdict."""
+        return (region.symmetric_difference(self.common)
+                .difference(self.disputed).length())
+
+    def well_defined(self, clf: GroupwiseClassifier) -> bool:
+        """Does clf follow the optima wherever the two of them agree?"""
+        return sum(self.mismatch(r) for r in clf.regions) <= DECOMP_TOL
+
+    def decompose(self, model, clf: GroupwiseClassifier,
+                  w: MetricWeights = None) -> Decomposition:
+        """clf's unfairness split against this reference."""
+        w = w or MetricWeights()
+        star = self.rates
+        cur = confusion_rates(model, clf)
+        f_u = unfairness(cur, w)
+        f_du = unfairness(star, w)
+        f_mu = (w.omega1 * abs((cur.tpr[0] - star.tpr[0])
+                               - (cur.tpr[1] - star.tpr[1]))
+                + w.omega2 * abs((cur.tnr[0] - star.tnr[0])
+                                 - (cur.tnr[1] - star.tnr[1])))
+        return Decomposition(
+            f_u=f_u, f_du=f_du, f_mu=f_mu,
+            equality_holds=abs(f_u - (f_du + f_mu)) <= DECOMP_TOL,
+            condition_met=self.pattern if self.well_defined(clf) else None,
+        )
+
+
 def decompose_unfairness(model, clf: GroupwiseClassifier,
                          w: MetricWeights = None,
                          reference: GroupwiseClassifier = None) -> Decomposition:
@@ -117,40 +181,20 @@ def decompose_unfairness(model, clf: GroupwiseClassifier,
     which the split is exact, and is only reported when the classifier also
     matches the reference verdict outside the disputed region.
     """
-    w = w or MetricWeights()
-    if reference is None:
-        reference = bayes_accuracy_optimal(model, "per_group")
-    star = confusion_rates(model, reference)
-    cur = confusion_rates(model, clf)
+    return Reference.of(model, reference).decompose(model, clf, w)
 
-    f_u = unfairness(cur, w)
-    f_du = unfairness(star, w)
-    f_mu = (w.omega1 * abs((cur.tpr[0] - star.tpr[0])
-                           - (cur.tpr[1] - star.tpr[1]))
-            + w.omega2 * abs((cur.tnr[0] - star.tnr[0])
-                             - (cur.tnr[1] - star.tnr[1])))
 
-    r0, r1 = reference.regions
-    disputed = r0.symmetric_difference(r1)
-    agreed = disputed.complement()
-    common_pos = r0.intersection(r1)
-    mismatch = sum(
-        clf.positive_region(a).symmetric_difference(common_pos)
-        .intersection(agreed).length()
-        for a in (0, 1))
-    well_defined = mismatch <= DECOMP_TOL
+class WellDefinedResult(NamedTuple):
+    well_defined: bool
+    enclosed: IntervalSet
 
-    condition = None
-    if well_defined:
-        if (disputed.difference(r0).length() <= DECOMP_TOL
-                and star.tpr[0] < star.tpr[1] and star.tnr[0] > star.tnr[1]):
-            condition = "condition1"
-        elif (disputed.intersection(r0).length() <= DECOMP_TOL
-                and star.tpr[0] > star.tpr[1] and star.tnr[0] < star.tnr[1]):
-            condition = "condition2"
 
-    return Decomposition(
-        f_u=f_u, f_du=f_du, f_mu=f_mu,
-        equality_holds=abs(f_u - (f_du + f_mu)) <= DECOMP_TOL,
-        condition_met=condition,
-    )
+def well_defined_check(clf: GroupwiseClassifier, model) -> WellDefinedResult:
+    """Does clf match the per-group optimal prediction outside the disputed set?
+
+    The disputed (enclosed) set is where the two per-group accuracy-optimal
+    classifiers disagree; outside it they share a verdict and clf must follow
+    it, up to 1e-9 of total mismatch length.
+    """
+    ref = Reference.of(model)
+    return WellDefinedResult(ref.well_defined(clf), ref.disputed)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .distributions import Mixture, Normal, Triangular
+from .distributions import Mixture, Normal, Triangular, _finite_bracket
 from .errors import InputError, ValidationError
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -83,9 +83,6 @@ class GroupConditionalModel:
         num = self.joint_pdf(x, 0, y) + self.joint_pdf(x, 1, y)
         return num / self.p_label(y)
 
-    def pooled_pdf(self, x):
-        return sum(self.joint_pdf(x, a, y) for a, y in CELLS)
-
     def pooled_cdf(self, x):
         return sum(self.joint[(a, y)] * self.cell_cdf(x, a, y) for a, y in CELLS)
 
@@ -104,29 +101,13 @@ class GroupConditionalModel:
             return float(sum(w * d.cdf(x) for w, d in zip(weights, dists)))
 
         tail = (1.0 - central_mass) / 2.0
-        lo_b, hi_b = self._bracket(dists)
+        lo_b, hi_b = _finite_bracket(dists)
         return (self._pooled_quantile(cdf, tail, lo_b, hi_b),
                 self._pooled_quantile(cdf, 1.0 - tail, lo_b, hi_b))
 
     def group_quantile_range(self, a: int,
                              central_mass: float = 0.9999) -> tuple[float, float]:
         return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
-
-    @staticmethod
-    def _bracket(dists) -> tuple[float, float]:
-        los, his = [], []
-        for d in dists:
-            if isinstance(d, Normal):
-                los.append(d.mean - 12.0 * d.stddev)
-                his.append(d.mean + 12.0 * d.stddev)
-            elif isinstance(d, Mixture):
-                b = d._finite_bracket()
-                los.append(b[0])
-                his.append(b[1])
-            else:
-                los.append(d.lower)
-                his.append(d.upper)
-        return min(los), max(his)
 
     @staticmethod
     def _pooled_quantile(cdf, q: float, lo: float, hi: float) -> float:
@@ -168,10 +149,6 @@ def validate(model) -> ValidationReport:
     entries.append(("joint_sum", residual <= 1e-12,
                     f"joint mass residual {residual:.3g}"))
     for cell in CELLS:
-        # Constructed distributions already passed their own parameter
-        # validation; record that as an explicit entry anyway.
-        entries.append((f"params_{_cell_key(*cell)}", True, "parameters ok"))
-    for cell in CELLS:
         dist = cond[cell]
         lo, hi = _effective_support(dist)
         mass, _ = quad(lambda x: float(dist.pdf(x)), lo, hi, limit=200)
@@ -187,8 +164,7 @@ def _effective_support(dist) -> tuple[float, float]:
         return dist.lower, dist.upper
     if isinstance(dist, Normal):
         return dist.mean - 10.0 * dist.stddev, dist.mean + 10.0 * dist.stddev
-    lo, hi = dist._finite_bracket()
-    return lo, hi
+    return _finite_bracket((dist,))
 
 
 def _validate_payload(payload) -> ValidationReport:

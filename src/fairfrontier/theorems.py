@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import (FULL_LINE, GroupwiseClassifier, IntervalSet,
-                          bayes_accuracy_optimal, fairness_optimal,
-                          sign_region, well_defined_check)
+from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
 from .frontier import (FamilySpec, Frontier, Jump, _fairest, classify_shape,
                        sweep)
-from .metrics import (MetricWeights, accuracy, confusion_rates,
-                      decompose_unfairness, unfairness)
+from .metrics import (MetricWeights, Reference, accuracy, confusion_rates,
+                      unfairness)
 
 PRE_TOL = 1e-9
 
@@ -146,6 +144,11 @@ def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
     optimum: no better than the fairness optimum itself, nor than the best
     single group optimum applied to everyone.
     """
+    return _overpursuit_report(model, Reference.of(model), clf, w)
+
+
+def _overpursuit_report(model, ref: Reference, clf: GroupwiseClassifier,
+                        w: MetricWeights = None) -> TheoremReport:
     w = w or MetricWeights()
     if not clf.shared:
         raise ContractError(
@@ -159,7 +162,7 @@ def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
             f"classifier does not over-pursue fairness: its unfairness "
             f"{f_u_clf!r} exceeds the fairness optimum's {f_u_fair!r}")
 
-    stars = bayes_accuracy_optimal(model, "per_group")
+    stars = ref.optima
     acc_star = [accuracy(model,
                          GroupwiseClassifier.from_shared(stars.positive_region(a)),
                          w)
@@ -188,16 +191,6 @@ def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
                          conds[1].satisfied, PRE_TOL, tuple(notes))
 
 
-def _sign_pattern(disputed: IntervalSet, r0: IntervalSet, rates) -> str:
-    if (disputed.difference(r0).length() <= PRE_TOL
-            and rates.tpr[0] < rates.tpr[1] and rates.tnr[0] > rates.tnr[1]):
-        return "condition1"
-    if (disputed.intersection(r0).length() <= PRE_TOL
-            and rates.tpr[0] > rates.tpr[1] and rates.tnr[0] < rates.tnr[1]):
-        return "condition2"
-    return "none"
-
-
 def check_decomposition_bound(model, clf: GroupwiseClassifier,
                               w: MetricWeights = None,
                               tol: float = 1e-9) -> TheoremReport:
@@ -205,25 +198,28 @@ def check_decomposition_bound(model, clf: GroupwiseClassifier,
     equality when the classifier is well-defined and the reference optima
     disagree in one consistent direction.
     """
-    w = w or MetricWeights()
-    reference = bayes_accuracy_optimal(model, "per_group")
-    d = decompose_unfairness(model, clf, w, reference)
-    wd = well_defined_check(clf, model)
-    star = confusion_rates(model, reference)
-    pattern = _sign_pattern(wd.enclosed, reference.positive_region(0), star)
+    return _decomposition_report(model, Reference.of(model), clf, w, tol)
+
+
+def _decomposition_report(model, ref: Reference, clf: GroupwiseClassifier,
+                          w: MetricWeights = None,
+                          tol: float = 1e-9) -> TheoremReport:
+    d = ref.decompose(model, clf, w)
+    well_defined = ref.well_defined(clf)
+    pattern = ref.pattern or "none"
 
     residual = d.f_u - (d.f_du + d.f_mu)
     conds = [
         Condition("subadditivity", residual <= tol,
                   {"f_u": d.f_u, "f_du": d.f_du, "f_mu": d.f_mu,
                    "residual": residual}),
-        Condition("well_defined", wd.well_defined, {}),
+        Condition("well_defined", well_defined, {}),
         Condition("sign_pattern", pattern != "none", {"pattern": pattern}),
         Condition("equality", d.equality_holds,
                   {"abs_residual": abs(residual), "f_mu": d.f_mu}),
     ]
     notes = []
-    premises = wd.well_defined and pattern != "none"
+    premises = well_defined and pattern != "none"
     if premises and d.f_mu <= tol:
         notes.append("classifier matches the reference inside the disputed "
                      "region too, so the strict model-unfairness clause is "
@@ -244,21 +240,22 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     accuracy. Two reading of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    return _boundary_alignment_reports(model, (mode,), tol)[0]
+    return _boundary_alignment_reports(model, Reference.of(model), (mode,),
+                                       tol)[0]
 
 
-def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
+def _boundary_alignment_reports(model, ref: Reference, modes,
+                                tol: float = 1e-9) -> tuple:
     """One boundary-alignment report per mode, all from one family search."""
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
-    stars = bayes_accuracy_optimal(model, "per_group")
-    f_du = unfairness(confusion_rates(model, stars))
+    f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
     candidates = sweep(model, SEARCH_FAMILY)
     f, a = candidates.fairness, candidates.accuracy
-    target = accuracy(model, stars)
+    target = accuracy(model, ref.optima)
     found = bool(np.any((1.0 - f <= tol) & (a >= target - tol)))
     best_fairness, best_accuracy = _fairest(f, a)
     search = Condition(
@@ -268,18 +265,17 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
          "best_candidate_accuracy": best_accuracy,
          "family": "per_group_intervals(resolution=9, k=2)"})
 
-    r0, r1 = stars.regions
     reports = []
     for mode in modes:
         if mode == "boundary_location":
-            b0, b1 = r0.boundary, r1.boundary
+            b0, b1 = (r.boundary for r in ref.optima.regions)
             aligned = (len(b0) == len(b1)
                        and all(abs(p - q) <= 1e-6 for p, q in zip(b0, b1)))
             match = Condition("boundary_location_match", aligned,
                               {"boundary_group0": list(b0),
                                "boundary_group1": list(b1)})
         else:
-            disagreement = r0.symmetric_difference(r1).length()
+            disagreement = ref.disputed.length()
             aligned = disagreement <= tol
             match = Condition("indicator_match", aligned,
                               {"disagreement_length": disagreement})

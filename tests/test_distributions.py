@@ -21,6 +21,18 @@ def test_triangular_pdf_at_mode():
         0.25, abs=1e-15)
 
 
+@pytest.mark.parametrize("dist, edge", [
+    (Triangular(0.0, 0.5, 5e-324), Triangular(0.0, 0.5, 0.0)),
+    (Triangular(-0.5, 0.0, -5e-324), Triangular(-0.5, 0.0, 0.0)),
+])
+def test_triangular_with_an_underflowing_edge_stays_finite(dist, edge):
+    # (upper - lower) * (mode - lower), or its mirror, rounds to 0 here; the
+    # law must read like the one with its mode on that edge
+    xs = np.r_[dist.lower, dist.mode, np.linspace(-0.6, 0.6, 13)]
+    assert np.all(np.isfinite(dist.pdf(xs)))
+    np.testing.assert_allclose(dist.cdf(xs), edge.cdf(xs), atol=1e-15)
+
+
 def test_normal_cdf_at_mean():
     assert evaluate(Normal(6, 2), 6).cumulative == pytest.approx(0.5, abs=1e-15)
 

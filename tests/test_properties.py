@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           IntervalSet, Mixture, Normal, Triangular,
-                          bayes_accuracy_optimal, decompose_unfairness,
-                          dominance_oracle, fairness, pareto_filter, sweep,
-                          unfairness)
+                          bayes_accuracy_optimal, check_decomposition_bound,
+                          decompose_unfairness, dominance_oracle, fairness,
+                          pareto_filter, sweep, unfairness,
+                          well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _interval_region_count, _interval_regions)
 from helpers import random_classifier, random_model
@@ -67,6 +68,8 @@ def probe_points(*sets):
 
 
 @given(interval_sets(), interval_sets())
+@example(IntervalSet(((0.0, 50.0),)),
+         IntervalSet(((-math.inf, 49.99999999999999), (50.0, math.inf))))
 @settings(max_examples=60, deadline=None)
 def test_interval_algebra_matches_membership(a, b):
     xs = probe_points(a, b)
@@ -79,6 +82,7 @@ def test_interval_algebra_matches_membership(a, b):
 
 
 @given(interval_sets(), interval_sets())
+@example(IntervalSet(((1e20, math.inf),)), IntervalSet(()))
 @settings(max_examples=60, deadline=None)
 def test_interval_algebra_identities(a, b):
     assert a.union(b) == b.union(a)
@@ -108,6 +112,23 @@ def test_decomposition_subadditive(mseed, cseed):
     assert d.f_u <= d.f_du + d.f_mu + 1e-9
 
 
+@given(st.integers(0, 300), st.integers(0, 300))
+@settings(max_examples=12, deadline=None)
+def test_decomposition_paths_agree(mseed, cseed):
+    model = random_model(mseed)
+    clf = random_classifier(cseed)
+    d = decompose_unfairness(model, clf)
+    report = {c.name: c
+              for c in check_decomposition_bound(model, clf).conditions}
+    well_defined = well_defined_check(clf, model).well_defined
+    assert report["well_defined"].satisfied == well_defined
+    pattern = report["sign_pattern"].measured["pattern"]
+    if well_defined:
+        assert (d.condition_met or "none") == pattern
+    else:
+        assert d.condition_met is None
+
+
 def dominates(q, p):
     tol = DOMINANCE_TOL
     return ((q.fairness >= p.fairness - tol
@@ -125,20 +146,24 @@ def test_pareto_survivors_mutually_nondominated(cloud):
 
 
 @given(clouds())
+@example([FrontierPoint(1.0, 0.5, ("grid", "p", (), ())),
+          FrontierPoint(0.9, 0.5 + 0.9e-12, ("grid", "q", (), ())),
+          FrontierPoint(0.8, 0.5 + 1.5e-12, ("grid", "r", (), ()))])
 @settings(max_examples=60, deadline=None)
 def test_pareto_dropped_points_are_accounted_for(cloud):
+    # the tolerance rule is not transitive: a dropped point may be dominated
+    # only by another dropped point (r by q in the example), not by a survivor
     survivors = pareto_filter(cloud).points
     kept = set(survivors)
     for p in cloud:
         if p in kept:
             continue
-        covered = any(
-            dominates(s, p)
-            or (s.fairness == p.fairness
-                and (s.accuracy > p.accuracy
-                     or (s.accuracy == p.accuracy and s.params <= p.params)))
+        collapsed = any(
+            s.fairness == p.fairness
+            and (s.accuracy > p.accuracy
+                 or (s.accuracy == p.accuracy and s.params <= p.params))
             for s in survivors)
-        assert covered
+        assert collapsed or any(dominates(q, p) for q in cloud)
 
 
 @given(clouds())
