@@ -243,7 +243,9 @@ def fairness_optimal(model,
     density differences (the four orderings of the rate gaps), scores each by
     its realized gap, and keeps the best; a trivial constant classifier wins
     only when strictly fairer. Ties prefer fewer intervals, then the smaller
-    boundary.
+    boundary. A hypothesis whose region needs more than max_intervals
+    intervals could not be returned, so it is passed over; the constant
+    classifier, which is exactly fair, remains when every one is.
     """
     def lam1(x):
         return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
@@ -260,14 +262,17 @@ def fairness_optimal(model,
     )
     best = None
     for g in hypotheses:
-        region = sign_region(g, lo, hi, max_intervals)
+        try:
+            region = sign_region(g, lo, hi, max_intervals)
+        except ComplexityError:
+            continue
         key = (_region_unfairness(model, region), len(region.intervals),
                region.intervals)
         if best is None or key < best[0]:
             best = (key, region)
     # the constant-positive rule is exactly fair; use it only when the sign
     # candidates cannot match its gap
-    if _region_unfairness(model, FULL_LINE) < best[0][0]:
+    if best is None or _region_unfairness(model, FULL_LINE) < best[0][0]:
         return GroupwiseClassifier.from_shared(FULL_LINE)
     return GroupwiseClassifier.from_shared(best[1])
 

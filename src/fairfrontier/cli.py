@@ -225,7 +225,7 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
         cols["f_u"].append(d.f_u)
         cols["f_du"].append(d.f_du)
         cols["f_mu"].append(d.f_mu)
-        cols["well_defined"].append(ref.well_defined(clf))
+        cols["well_defined"].append(d.well_defined)
         cols["condition"].append(d.condition_met or "")
     return SweepTable(**{k: tuple(v) for k, v in cols.items()})
 
@@ -692,6 +692,15 @@ def _add_config_flags(sub, with_out: bool = True) -> None:
         sub.add_argument("--out", help="output directory")
 
 
+def _sample_count(text: str) -> int:
+    """--n as an int; float notation such as 2e5 is accepted."""
+    try:
+        return int(float(text))
+    except (OverflowError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"invalid sample count: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairfrontier",
@@ -721,8 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="compare analytic metrics against"
                                   " Monte-Carlo estimates")
     oracle.add_argument("--scenario", required=True)
-    oracle.add_argument("--n", type=lambda s: int(float(s)),
-                        default=1_000_000)
+    oracle.add_argument("--n", type=_sample_count, default=1_000_000)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--threshold", type=float,
                         help="shared boundary to test"

@@ -77,14 +77,15 @@ class Triangular:
         out = np.zeros_like(x)
         # an edge is absent when its denominator is 0: c == a (rising edge),
         # c == b (falling edge), or an edge so narrow that the product
-        # underflows, where dividing would give 0/0 = NaN
+        # underflows, where dividing would give 0/0 = NaN. Each edge divides
+        # only on its own span: off it, a denominator just above 0 overflows.
         rise, fall = (b - a) * (c - a), (b - a) * (b - c)
         if rise > 0.0:
             left = (x >= a) & (x < c)
-            out = np.where(left, 2.0 * (x - a) / rise, out)
+            np.divide(2.0 * (x - a), rise, out=out, where=left)
         if fall > 0.0:
             right = (x >= c) & (x <= b)
-            out = np.where(right, 2.0 * (b - x) / fall, out)
+            np.divide(2.0 * (b - x), fall, out=out, where=right)
         else:
             out = np.where(x == b, 2.0 / (b - a), out)
         return out
@@ -94,12 +95,13 @@ class Triangular:
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, a, b)
         rise, fall = (b - a) * (c - a), (b - a) * (b - c)  # as in pdf
+        # each edge squares the distance within its own span (see pdf)
         if rise > 0.0:
-            low = np.square(xc - a) / rise
+            low = np.square(np.minimum(xc, c) - a) / rise
         else:
             low = np.zeros_like(xc)
         if fall > 0.0:
-            high = 1.0 - np.square(b - xc) / fall
+            high = 1.0 - np.square(b - np.maximum(xc, c)) / fall
         else:
             high = np.ones_like(xc)
         return np.where(xc < c, low, high)

@@ -27,6 +27,10 @@ from .metrics import MetricWeights, accuracy, confusion_rates, unfairness
 
 DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
+# elements per band of _scores (256 KiB of float64, cache-sized) and per
+# chunk of pareto_filter's first pass; neither changes any result
+_BAND = 32_768
+_CHUNK = 65_536
 KINDS = ("shared_threshold", "per_group_threshold", "per_group_intervals")
 ORIENTS = ("positive_above", "positive_below", "both")
 
@@ -153,11 +157,48 @@ def _rate_arrays(model, grid, a: int, orient: str):
     return c1, 1.0 - c0
 
 
-def _scores(model, w, tpr0, tpr1, tnr0, tnr1):
-    f_u = w.omega1 * np.abs(tpr1 - tpr0) + w.omega2 * np.abs(tnr1 - tnr0)
-    acc = (w.p1 * (tpr1 * model.joint[(1, 1)] + tpr0 * model.joint[(0, 1)])
-           + w.p2 * (tnr1 * model.joint[(1, 0)] + tnr0 * model.joint[(0, 0)]))
-    return 1.0 - f_u, acc
+def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> int:
+    """Score every (row, column) rate pair into the flat fair and acc.
+
+    tpr0/tnr0 are (rows, 1) group-0 rates; tpr1/tnr1 are (1, cols) group-1
+    rates, or (rows, 1) when both groups share the row's threshold. Scores
+    are written row-major into fair[:rows * cols] and acc[:rows * cols],
+    band by band through one small scratch array, with the same floating-
+    point operations in the same order as the whole-table expression
+        f_u = omega1 * |tpr1 - tpr0| + omega2 * |tnr1 - tnr0|
+        acc = p1 * (tpr1 J11 + tpr0 J01) + p2 * (tnr1 J10 + tnr0 J00)
+    so every score is bit-identical to it. Returns rows * cols.
+    """
+    rows, cols = tpr0.shape[0], tpr1.shape[1]
+    j = model.joint
+    hit1 = (tpr1 * j[(1, 1)], tpr0 * j[(0, 1)])
+    hit0 = (tnr1 * j[(1, 0)], tnr0 * j[(0, 0)])
+    height = max(1, _BAND // cols)
+    scratch = np.empty(min(height, rows) * cols)
+    fair = fair[:rows * cols].reshape(rows, cols)
+    acc = acc[:rows * cols].reshape(rows, cols)
+
+    def band(x, lo, hi):
+        return x[lo:hi] if x.shape[0] == rows else x
+
+    for lo in range(0, rows, height):
+        hi = min(lo + height, rows)
+        f, a = fair[lo:hi], acc[lo:hi]
+        s = scratch[:(hi - lo) * cols].reshape(hi - lo, cols)
+        np.subtract(band(tpr1, lo, hi), tpr0[lo:hi], out=f)
+        np.abs(f, out=f)
+        np.multiply(w.omega1, f, out=f)
+        np.subtract(band(tnr1, lo, hi), tnr0[lo:hi], out=s)
+        np.abs(s, out=s)
+        np.multiply(w.omega2, s, out=s)
+        np.add(f, s, out=f)
+        np.subtract(1.0, f, out=f)
+        np.add(band(hit1[0], lo, hi), hit1[1][lo:hi], out=a)
+        np.multiply(w.p1, a, out=a)
+        np.add(band(hit0[0], lo, hi), hit0[1][lo:hi], out=s)
+        np.multiply(w.p2, s, out=s)
+        np.add(a, s, out=a)
+    return rows * cols
 
 
 def _parities(m: int, k: int, orient: str) -> tuple:
@@ -233,16 +274,20 @@ class Candidates(Sequence):
     Indexing (negative indices too) and iteration build equal FrontierPoints
     on demand: each block of the sweep decodes its own flat index into
     params. sweep_range is the grid range the sweep resolved.
+
+    sweep builds them: it scores every block into the two arrays it hands
+    over, and blocks lists one (count, decode) pair per block, in order.
     """
 
-    def __init__(self, blocks, sweep_range: tuple):
-        self.fairness = np.concatenate([b[0] for b in blocks])
-        self.accuracy = np.concatenate([b[1] for b in blocks])
+    def __init__(self, fairness: np.ndarray, accuracy: np.ndarray, blocks,
+                 sweep_range: tuple):
+        self.fairness = fairness
+        self.accuracy = accuracy
         self.fairness.flags.writeable = False
         self.accuracy.flags.writeable = False
         self.sweep_range = sweep_range
-        self._counts = tuple(b[2] for b in blocks)
-        self._decoders = tuple(b[3] for b in blocks)
+        self._counts = tuple(b[0] for b in blocks)
+        self._decoders = tuple(b[1] for b in blocks)
         self._ends = tuple(itertools.accumulate(self._counts))
 
     def __len__(self) -> int:
@@ -277,7 +322,8 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
 
     Candidates come out orientation-major, then row-major over the grid, and
     the fairness-optimal and accuracy-optimal classifiers always land at the
-    end, in that order.
+    end, in that order. The two score columns are allocated once, at their
+    final size, and each block scores straight into its own slice.
     """
     w = w or MetricWeights()
     count = _candidate_count(model, family)
@@ -288,58 +334,62 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
         )
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
+    optima = _appended_optima(model, family, w)
+    fair = np.empty(count + len(optima))
+    acc = np.empty(count + len(optima))
 
     block = {"shared_threshold": _shared_block,
              "per_group_threshold": _per_group_block,
              "per_group_intervals": _intervals_block}[family.kind]
-    blocks = [block(model, family, w, grid, combo)
-              for combo in family.combos()]
-    blocks.append(_points_block(_appended_optima(model, family, w)))
-    return Candidates(blocks, (float(lo), float(hi)))
+    blocks = []
+    start = 0
+    for combo in family.combos():
+        blocks.append(block(model, family, w, grid, combo,
+                            fair[start:], acc[start:]))
+        start += blocks[-1][0]
+    fair[start:] = [p.fairness for p in optima]
+    acc[start:] = [p.accuracy for p in optima]
+    blocks.append((len(optima), lambda k: optima[k].params))
+    return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
-def _points_block(points):
-    fair = np.array([p.fairness for p in points], dtype=float)
-    acc = np.array([p.accuracy for p in points], dtype=float)
-    return fair, acc, len(points), lambda k: points[k].params
-
-
-def _shared_block(model, family, w, grid, combo):
+def _shared_block(model, family, w, grid, combo, fair, acc):
     (orient,) = combo
     tpr0, tnr0 = _rate_arrays(model, grid, 0, orient)
     tpr1, tnr1 = _rate_arrays(model, grid, 1, orient)
-    fair, acc = _scores(model, w, tpr0, tpr1, tnr0, tnr1)
+    count = _scores(model, w, tpr0[:, None], tpr1[:, None],
+                    tnr0[:, None], tnr1[:, None], fair, acc)
     regions = [_region_of(t, orient) for t in grid.tolist()]
 
     def decode(k):
         return ("grid", orient, regions[k], regions[k])
-    return fair, acc, fair.size, decode
+    return count, decode
 
 
-def _per_group_block(model, family, w, grid, combo):
+def _per_group_block(model, family, w, grid, combo, fair, acc):
     o0, o1 = combo
     tpr0, tnr0 = _rate_arrays(model, grid, 0, o0)
     tpr1, tnr1 = _rate_arrays(model, grid, 1, o1)
-    # rows follow the group-0 threshold, columns the group-1 threshold
-    fair, acc = _scores(model, w,
-                        tpr0[:, None], tpr1[None, :],
-                        tnr0[:, None], tnr1[None, :])
-    return _pair_block(fair, acc, f"{o0}|{o1}",
+    return _pair_block(model, w, (tpr0, tnr0), (tpr1, tnr1), fair, acc,
+                       f"{o0}|{o1}",
                        [_region_of(t, o0) for t in grid.tolist()],
                        [_region_of(t, o1) for t in grid.tolist()])
 
 
-def _pair_block(fair, acc, tag, bounds0, bounds1):
-    """A (group-0 row, group-1 column) score table as a flat block."""
+def _pair_block(model, w, rates0, rates1, fair, acc, tag, bounds0, bounds1):
+    """Score every (group-0 row, group-1 column) pair as one flat block."""
+    (tpr0, tnr0), (tpr1, tnr1) = rates0, rates1
+    count = _scores(model, w, tpr0[:, None], tpr1[None, :],
+                    tnr0[:, None], tnr1[None, :], fair, acc)
     n1 = len(bounds1)
 
     def decode(k):
         i, j = divmod(k, n1)
         return ("grid", tag, bounds0[i], bounds1[j])
-    return fair.ravel(), acc.ravel(), fair.size, decode
+    return count, decode
 
 
-def _intervals_block(model, family, w, grid, combo):
+def _intervals_block(model, family, w, grid, combo, fair, acc):
     tables = {}
     for a, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
         cdf = np.asarray(model.conditional[(a, y)].cdf(grid))
@@ -350,12 +400,10 @@ def _intervals_block(model, family, w, grid, combo):
         tpr = np.array([_region_mass(tables[(a, 1)], r) for r in regions])
         tnr = np.array([1.0 - _region_mass(tables[(a, 0)], r) for r in regions])
         bounds = [_bounds_from_indices(grid, r) for r in regions]
-        per_group.append((bounds, tpr, tnr))
-    (b0, tpr0, tnr0), (b1, tpr1, tnr1) = per_group
-    fair, acc = _scores(model, w,
-                        tpr0[:, None], tpr1[None, :],
-                        tnr0[:, None], tnr1[None, :])
-    return _pair_block(fair, acc, f"{combo[0]}|{combo[1]}", b0, b1)
+        per_group.append((bounds, (tpr, tnr)))
+    (b0, rates0), (b1, rates1) = per_group
+    return _pair_block(model, w, rates0, rates1, fair, acc,
+                       f"{combo[0]}|{combo[1]}", b0, b1)
 
 
 def _appended_optima(model, family, w):
@@ -513,8 +561,16 @@ def _fairest(fairness, accuracy) -> tuple:
     A NaN fairness makes both NaN and -inf, which drops nothing.
     """
     f_max = fairness.max()
-    return float(f_max), float(accuracy[fairness == f_max].max(
-        initial=-math.inf))
+    a_top = np.max([a[f == f_max].max(initial=-math.inf)
+                    for _, f, a in _chunks(fairness, accuracy)])
+    return float(f_max), float(a_top)
+
+
+def _chunks(fairness, accuracy):
+    """(start, fairness, accuracy) views of _CHUNK candidates at a time, so
+    masks over them stay one size however many candidates there are."""
+    for lo in range(0, len(fairness), _CHUNK):
+        yield lo, fairness[lo:lo + _CHUNK], accuracy[lo:lo + _CHUNK]
 
 
 def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
@@ -540,7 +596,9 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     # also dominates every point a dropped one dominates, because a_top is
     # not below the dropped accuracy. The survivors are therefore unchanged.
     f_max, a_top = _fairest(f, a)
-    kept = np.flatnonzero(~((f + tol < f_max) & (a <= a_top)))
+    kept = np.concatenate([
+        lo + np.flatnonzero(~((fc + tol < f_max) & (ac <= a_top)))
+        for lo, fc, ac in _chunks(f, a)])
     order = kept[np.argsort(f[kept], kind="stable")]
     fs, as_ = f[order], a[order]
     suffix_max = np.maximum.accumulate(as_[::-1])[::-1]

@@ -61,6 +61,8 @@ class Decomposition:
 
     f_du depends only on the population (via the per-group reference optima);
     f_mu measures how far the classifier's rates drift from the reference.
+    well_defined says whether the classifier follows the reference wherever
+    the per-group optima agree; condition_met is only set when it does.
     """
 
     f_u: float
@@ -68,6 +70,7 @@ class Decomposition:
     f_mu: float
     equality_holds: bool
     condition_met: Optional[str] = None
+    well_defined: bool = False
 
     def __post_init__(self):
         if min(self.f_u, self.f_du, self.f_mu) < 0.0:
@@ -76,6 +79,8 @@ class Decomposition:
             raise ValidationError("f_u exceeds f_du + f_mu")
         if self.condition_met not in (None, "condition1", "condition2"):
             raise ValidationError(f"unknown condition {self.condition_met!r}")
+        if self.condition_met is not None and not self.well_defined:
+            raise ValidationError("condition_met needs well_defined")
 
 
 def confusion_rates(model, clf: GroupwiseClassifier) -> ConfusionRates:
@@ -164,10 +169,12 @@ class Reference:
                                - (cur.tpr[1] - star.tpr[1]))
                 + w.omega2 * abs((cur.tnr[0] - star.tnr[0])
                                  - (cur.tnr[1] - star.tnr[1])))
+        well_defined = self.well_defined(clf)
         return Decomposition(
             f_u=f_u, f_du=f_du, f_mu=f_mu,
             equality_holds=abs(f_u - (f_du + f_mu)) <= DECOMP_TOL,
-            condition_met=self.pattern if self.well_defined(clf) else None,
+            condition_met=self.pattern if well_defined else None,
+            well_defined=well_defined,
         )
 
 

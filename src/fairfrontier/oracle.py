@@ -15,6 +15,7 @@ from .metrics import MetricWeights
 BLOCKS = 8
 CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 MIN_SAMPLES = 1000
+MC_CAP = 100_000_000
 ORACLE_CAP = 100_000
 
 
@@ -44,12 +45,16 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     Draws are split into 8 fixed blocks, each with its own generator keyed
     (seed, block), and tallied as integers, so the result is identical under
     any execution schedule. A group that receives no samples yields estimates
-    flagged unreliable instead of an error.
+    flagged unreliable instead of an error. n must lie in [MIN_SAMPLES,
+    MC_CAP]; above the cap it raises ResourceError before drawing anything.
     """
     w = w or MetricWeights()
     n = int(n)
     if n < MIN_SAMPLES:
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MC_CAP:
+        raise ResourceError(
+            f"{n} samples requested (cap {MC_CAP}); lower n")
     seed = int(seed)
     key = _seed_key(seed)
 

@@ -205,7 +205,6 @@ def _decomposition_report(model, ref: Reference, clf: GroupwiseClassifier,
                           w: MetricWeights = None,
                           tol: float = 1e-9) -> TheoremReport:
     d = ref.decompose(model, clf, w)
-    well_defined = ref.well_defined(clf)
     pattern = ref.pattern or "none"
 
     residual = d.f_u - (d.f_du + d.f_mu)
@@ -213,13 +212,13 @@ def _decomposition_report(model, ref: Reference, clf: GroupwiseClassifier,
         Condition("subadditivity", residual <= tol,
                   {"f_u": d.f_u, "f_du": d.f_du, "f_mu": d.f_mu,
                    "residual": residual}),
-        Condition("well_defined", well_defined, {}),
+        Condition("well_defined", d.well_defined, {}),
         Condition("sign_pattern", pattern != "none", {"pattern": pattern}),
         Condition("equality", d.equality_holds,
                   {"abs_residual": abs(residual), "f_mu": d.f_mu}),
     ]
     notes = []
-    premises = well_defined and pattern != "none"
+    premises = d.well_defined and pattern != "none"
     if premises and d.f_mu <= tol:
         notes.append("classifier matches the reference inside the disputed "
                      "region too, so the strict model-unfairness clause is "

@@ -191,6 +191,15 @@ def test_fairness_optimal_identical_laws_reaches_zero():
     assert clf.shared
 
 
+def test_fairness_optimal_passes_over_a_too_complex_hypothesis():
+    # one of random_model(114)'s four sign hypotheses needs 5 intervals; it
+    # cannot be returned under the bound of 4, and must not abort the rest
+    model = random_model(114)
+    clf = fairness_optimal(model)
+    assert clf == fairness_optimal(model, max_intervals=8)
+    assert gap(model, clf) == 0.0
+
+
 def test_fairness_optimal_never_beaten_by_random_rules():
     model = scenario("example1")
     target = gap(model, fairness_optimal(model))

@@ -143,6 +143,21 @@ def test_config_seed_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "cfg_out").exists()
 
 
+def test_infinite_oracle_sample_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--scenario", "example1", "--n", "inf"])
+    assert exc.value.code == 2
+    assert "invalid sample count: 'inf'" in capsys.readouterr().err
+
+
+def test_oversized_oracle_sample_count_exits_3(capsys):
+    code = main(["oracle", "--scenario", "example1", "--n", "1e30"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cap" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_oversized_family_exits_3(tmp_path, capsys):
     code = main(["run", "--scenario", "example1", "--out", str(tmp_path),
                  "--family", "per-group-intervals", "--resolution", "801",

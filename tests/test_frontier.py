@@ -1,6 +1,8 @@
 """Sweeps, Pareto filtering, and frontier shape classification."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,3 +329,23 @@ def test_frontier_point_rebuilds_classifier():
     clf = sample.clf
     assert clf.positive_region(0).intervals == sample.params[2]
     assert clf.positive_region(1).intervals == sample.params[3]
+
+
+def test_sweep_and_filter_keep_one_copy_of_the_scores():
+    # tracemalloc counts numpy's buffers. The two float64 columns take 16 B
+    # a candidate; a sweep that scores into per-block tables and then copies
+    # them, or a filter whose masks grow with the candidate count, peaks
+    # near 32 B a candidate.
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", orientations="both",
+                        resolution=401)
+    pareto_filter(sweep(model, dataclasses.replace(family, resolution=5)))
+    tracemalloc.start()
+    try:
+        candidates = sweep(model, family)
+        pareto_filter(candidates, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 643_206
+    assert peak <= 16 * len(candidates) + 3 * 2**20

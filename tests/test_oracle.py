@@ -11,6 +11,7 @@ from fairfrontier import (FULL_LINE, CELLS, FrontierPoint,
                           accuracy, bayes_accuracy_optimal, confusion_rates,
                           dominance_oracle, mc_estimate, pareto_filter,
                           scenario, sweep, unfairness)
+from fairfrontier.oracle import MC_CAP
 
 T45 = GroupwiseClassifier.shared_threshold(4.5)
 
@@ -61,6 +62,11 @@ def test_mc_estimate_deterministic():
 def test_mc_estimate_rejects_tiny_n():
     with pytest.raises(InputError):
         mc_estimate(scenario("example1"), T45, n=999)
+
+
+def test_mc_estimate_refuses_more_than_the_cap():
+    with pytest.raises(ResourceError, match="cap"):
+        mc_estimate(scenario("example1"), T45, n=MC_CAP + 1)
 
 
 def test_mc_estimate_flags_empty_cells():

@@ -1,6 +1,7 @@
 """Property-based invariants over random inputs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
-                          IntervalSet, Mixture, Normal, Triangular,
-                          bayes_accuracy_optimal, check_decomposition_bound,
-                          decompose_unfairness, dominance_oracle, fairness,
-                          pareto_filter, sweep, unfairness,
-                          well_defined_check)
+                          IntervalSet, MetricWeights, Mixture, Normal,
+                          Triangular, bayes_accuracy_optimal,
+                          check_decomposition_bound, decompose_unfairness,
+                          dominance_oracle, fairness, pareto_filter, sweep,
+                          unfairness, well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _interval_region_count, _interval_regions)
+                                   _interval_region_count, _interval_regions,
+                                   _rate_arrays, _region_mass)
 from helpers import random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
@@ -122,6 +124,7 @@ def test_decomposition_paths_agree(mseed, cseed):
               for c in check_decomposition_bound(model, clf).conditions}
     well_defined = well_defined_check(clf, model).well_defined
     assert report["well_defined"].satisfied == well_defined
+    assert d.well_defined == well_defined
     pattern = report["sign_pattern"].measured["pattern"]
     if well_defined:
         assert (d.condition_met or "none") == pattern
@@ -179,6 +182,13 @@ def test_fast_filter_equals_quadratic_oracle(cloud):
     assert pareto_filter(cloud).points == dominance_oracle(cloud).points
 
 
+@given(clouds(), st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_chunked_first_pass_equals_quadratic_oracle(cloud, chunk):
+    with mock.patch("fairfrontier.frontier._CHUNK", chunk):
+        assert pareto_filter(cloud).points == dominance_oracle(cloud).points
+
+
 @given(st.integers(0, 300), st.sampled_from(KINDS), st.sampled_from(ORIENTS),
        st.data())
 @settings(max_examples=12, deadline=None)
@@ -200,6 +210,79 @@ def test_candidates_agree_with_their_points(mseed, kind, orient, data):
     frontier = pareto_filter(candidates).points
     assert frontier == pareto_filter(pts).points
     assert frontier == dominance_oracle(pts).points
+
+
+def allocating_scores(model, w, tpr0, tpr1, tnr0, tnr1):
+    """The whole-table score expression the in-place scorer must match."""
+    f_u = w.omega1 * np.abs(tpr1 - tpr0) + w.omega2 * np.abs(tnr1 - tnr0)
+    acc = (w.p1 * (tpr1 * model.joint[(1, 1)] + tpr0 * model.joint[(0, 1)])
+           + w.p2 * (tnr1 * model.joint[(1, 0)] + tnr0 * model.joint[(0, 0)]))
+    return 1.0 - f_u, acc
+
+
+def group_rates(model, family, grid, a, orient):
+    """(tpr, tnr) of group a over every region the family gives it."""
+    if family.kind != "per_group_intervals":
+        return _rate_arrays(model, grid, a, orient)
+    ext = {y: np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid),
+                              [1.0])) for y in (0, 1)}
+    regions = _interval_regions(grid, family.k, orient)
+    return (np.array([_region_mass(ext[1], r) for r in regions]),
+            np.array([1.0 - _region_mass(ext[0], r) for r in regions]))
+
+
+def allocating_columns(model, family, w, optima):
+    """Sweep columns built block by block from whole score tables, with the
+    appended optima last."""
+    grid = np.linspace(*model.quantile_range(0.9999), family.resolution)
+    fair, acc = [], []
+    for combo in family.combos():
+        shared = family.kind == "shared_threshold"
+        (tpr0, tnr0), (tpr1, tnr1) = (
+            group_rates(model, family, grid, group, orient)
+            for group, orient in enumerate(combo * 2 if shared else combo))
+        if shared:
+            tables = allocating_scores(model, w, tpr0, tpr1, tnr0, tnr1)
+        else:
+            tables = allocating_scores(model, w, tpr0[:, None], tpr1[None, :],
+                                       tnr0[:, None], tnr1[None, :])
+        fair.append(tables[0].ravel())
+        acc.append(tables[1].ravel())
+    fair.append([p.fairness for p in optima])
+    acc.append([p.accuracy for p in optima])
+    return np.concatenate(fair), np.concatenate(acc)
+
+
+@given(st.integers(0, 300), st.sampled_from(KINDS), st.sampled_from(ORIENTS),
+       st.integers(3, 12), st.integers(1, 200), st.floats(0.0, 1.0),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+# 7-row threshold tables in bands of 2 rows (band 16), a last band of 1
+@example(4, "per_group_threshold", "both", 7, 16, 0.3, 1.0, 1.0)
+# interval rows of 15 or 16 regions, each wider than a 10-element band
+@example(5, "per_group_intervals", "both", 4, 10, 0.7, 0.5, 1.5)
+@example(6, "shared_threshold", "both", 11, 3, 0.5, 2.0, 0.25)
+@settings(max_examples=25, deadline=None)
+def test_in_place_scores_equal_the_allocating_expression(
+        mseed, kind, orient, resolution, band, omega1, p1, p2):
+    model = random_model(mseed)
+    family = FamilySpec(kind, orientations=orient,
+                        resolution=min(resolution, 5)
+                        if kind == "per_group_intervals" else resolution)
+    w = MetricWeights(omega1, 1.0 - omega1, p1, p2)
+    # the optima are not scored by the kernel under test; stand-ins with
+    # distinct values check that they land last, and keep the property fast
+    optima = [FrontierPoint(0.25, 0.5, ("optimum", "fairness", (), ())),
+              FrontierPoint(0.125, 0.75, ("optimum", "accuracy", (), ()))]
+    with (mock.patch("fairfrontier.frontier._BAND", band),
+          mock.patch("fairfrontier.frontier._appended_optima",
+                     return_value=optima)):
+        candidates = sweep(model, family, w)
+    fair, acc = allocating_columns(model, family, w, optima)
+    for got, want in ((candidates.fairness, fair),
+                      (candidates.accuracy, acc)):
+        assert got.dtype == np.float64
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("resolution", [3, 4, 5, 6])
