@@ -23,7 +23,7 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
-from .frontier import FamilySpec, _swept_frontier
+from .frontier import FamilySpec, _swept_frontier, _whole
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -658,8 +658,12 @@ def _cmd_oracle(args) -> int:
             if e.unreliable:
                 print(f"{name} {key}: SKIP (no samples)")
                 continue
-            gap = abs(value - e.value)
-            ok = gap <= 3.0 * e.stderr + 1e-12
+            # a rate is judged against the binomial standard error of the
+            # analytic rate: the plug-in one is 0 when a cell's sample is
+            # all 0s or all 1s, and would fail any rate short of exact
+            stderr = (e.stderr if key in ("f_u", "acc")
+                      else math.sqrt(value * (1.0 - value) / e.n))
+            ok = abs(value - e.value) <= 3.0 * stderr + 1e-12
             failures += 0 if ok else 1
             print(f"{name} {key}: analytic={value:.6f} mc={e.value:.6f}"
                   f" stderr={e.stderr:.3e} {'PASS' if ok else 'FAIL'}")
@@ -693,10 +697,10 @@ def _add_config_flags(sub, with_out: bool = True) -> None:
 
 
 def _sample_count(text: str) -> int:
-    """--n as an int; float notation such as 2e5 is accepted."""
+    """--n as a whole number; float notation such as 2e5 is accepted."""
     try:
-        return int(float(text))
-    except (OverflowError, ValueError):
+        return _whole("--n", float(text))
+    except (ValueError, ValidationError):
         raise argparse.ArgumentTypeError(
             f"invalid sample count: {text!r}") from None
 

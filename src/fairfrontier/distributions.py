@@ -1,7 +1,10 @@
 """One-dimensional distribution families: Normal, Triangular, and Mixture.
 
-All densities and cumulatives are exact closed forms evaluated with vectorized
-numpy, so every caller can hand in either a scalar or an array. Sampling is
+All densities and cumulatives are exact closed forms, so every caller can hand
+in either a scalar or an array. Arrays are evaluated with vectorized numpy;
+Triangular also answers a single float in Python float arithmetic, with the
+same operations in the same order, because solver loops ask one value at a
+time and numpy's per-call dispatch would dwarf the arithmetic. Sampling is
 inverse-cdf based and keyed solely by (seed, n).
 """
 
@@ -73,13 +76,23 @@ class Triangular:
 
     def pdf(self, x):
         a, b, c = self.lower, self.upper, self.mode
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         # an edge is absent when its denominator is 0: c == a (rising edge),
         # c == b (falling edge), or an edge so narrow that the product
         # underflows, where dividing would give 0/0 = NaN. Each edge divides
         # only on its own span: off it, a denominator just above 0 overflows.
         rise, fall = (b - a) * (c - a), (b - a) * (b - c)
+        if isinstance(x, float):  # the array path below, one element
+            x = float(x)
+            if rise > 0.0 and a <= x < c:
+                return np.float64(2.0 * (x - a) / rise)
+            if fall > 0.0:
+                if c <= x <= b:
+                    return np.float64(2.0 * (b - x) / fall)
+            elif x == b:
+                return np.float64(2.0 / (b - a))
+            return np.float64(0.0)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
         if rise > 0.0:
             left = (x >= a) & (x < c)
             np.divide(2.0 * (x - a), rise, out=out, where=left)
@@ -92,9 +105,17 @@ class Triangular:
 
     def cdf(self, x):
         a, b, c = self.lower, self.upper, self.mode
+        rise, fall = (b - a) * (c - a), (b - a) * (b - c)  # as in pdf
+        if isinstance(x, float):  # the array path below, one element
+            x = float(x)
+            xc = a if x < a else b if x > b else x  # NaN stays NaN, as in clip
+            if xc < c:
+                d = xc - a
+                return np.float64(d * d / rise if rise > 0.0 else 0.0)
+            d = b - xc
+            return np.float64(1.0 - d * d / fall if fall > 0.0 else 1.0)
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, a, b)
-        rise, fall = (b - a) * (c - a), (b - a) * (b - c)  # as in pdf
         # each edge squares the distance within its own span (see pdf)
         if rise > 0.0:
             low = np.square(np.minimum(xc, c) - a) / rise
@@ -108,8 +129,17 @@ class Triangular:
 
     def ppf(self, q):
         a, b, c = self.lower, self.upper, self.mode
-        q = np.asarray(q, dtype=float)
         split = (c - a) / (b - a)
+        if isinstance(q, float):  # the array path below, one element
+            q = float(q)
+            if q <= split:
+                # np.maximum(q, 0.0): 0.0 for -0.0, NaN stays NaN
+                q = 0.0 if q <= 0.0 else q
+                return np.float64(a + math.sqrt(q * (b - a) * (c - a)))
+            r = 1.0 - q
+            r = 0.0 if r <= 0.0 else r
+            return np.float64(b - math.sqrt(r * (b - a) * (b - c)))
+        q = np.asarray(q, dtype=float)
         lo = a + np.sqrt(np.maximum(q, 0.0) * (b - a) * (c - a))
         hi = b - np.sqrt(np.maximum(1.0 - q, 0.0) * (b - a) * (b - c))
         return np.where(q <= split, lo, hi)
@@ -149,11 +179,9 @@ class Mixture:
         object.__setattr__(self, "components", tuple(comps))
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
         return sum(w * d.pdf(x) for w, d in self.components)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         return sum(w * d.cdf(x) for w, d in self.components)
 
     def ppf(self, q):

@@ -522,7 +522,7 @@ def _fair_polish(model, w, combo, u_grid, i, j):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def acc_at(u):
-        return float(_fair_line(model, w, combo, np.array([u]))[2][0])
+        return float(_fair_line(model, w, combo, u)[2])
 
     a, b = lo_u, hi_u
     c, d = b - phi * (b - a), a + phi * (b - a)

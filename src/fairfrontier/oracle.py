@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import _draw, _seed_key
 from .errors import InputError, ResourceError
-from .frontier import Frontier, _finish_frontier
+from .frontier import Frontier, _finish_frontier, _whole
 from .metrics import MetricWeights
 
 BLOCKS = 8
@@ -46,10 +46,11 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     (seed, block), and tallied as integers, so the result is identical under
     any execution schedule. A group that receives no samples yields estimates
     flagged unreliable instead of an error. n must lie in [MIN_SAMPLES,
-    MC_CAP]; above the cap it raises ResourceError before drawing anything.
+    MC_CAP]; above the cap it raises ResourceError before drawing anything,
+    and a fractional n raises ValidationError instead of being truncated.
     """
     w = w or MetricWeights()
-    n = int(n)
+    n = _whole("n", n)
     if n < MIN_SAMPLES:
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if n > MC_CAP:

@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from fairfrontier import FamilySpec, Frontier, InputError, build_frontier, scenario
+from fairfrontier import (FamilySpec, Frontier, InputError, build_frontier,
+                          confusion_rates, scenario)
+from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
 
@@ -150,6 +153,13 @@ def test_infinite_oracle_sample_count_is_a_usage_error(capsys):
     assert "invalid sample count: 'inf'" in capsys.readouterr().err
 
 
+def test_fractional_oracle_sample_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--scenario", "example1", "--n", "1000.9"])
+    assert exc.value.code == 2
+    assert "invalid sample count: '1000.9'" in capsys.readouterr().err
+
+
 def test_oversized_oracle_sample_count_exits_3(capsys):
     code = main(["oracle", "--scenario", "example1", "--n", "1e30"])
     assert code == 3
@@ -189,6 +199,34 @@ def test_oracle_subcommand_agrees(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "all agree" in out
+
+
+def test_oracle_agrees_when_a_cell_sample_is_all_ones(capsys):
+    # the optimum's tnr0 is 0.998957: all 1s in a 1,000-sample cell is likely,
+    # and its plug-in standard error is then 0
+    code = main(["oracle", "--scenario", "example1", "--n", "1e3"])
+    out = capsys.readouterr().out
+    assert "accuracy optimum tnr0: analytic=0.998957 mc=1.000000" in out
+    assert code == 0
+    assert "all agree" in out
+
+
+def test_oracle_fails_a_rate_ten_standard_errors_off(monkeypatch, capsys):
+    real = cli.mc_estimate
+
+    def shifted(model, clf, w, n, seed):
+        est = real(model, clf, w, n=n, seed=seed)
+        p, m = confusion_rates(model, clf).tpr[0], est.tpr[0].n
+        off = p + 10.0 * math.sqrt(p * (1.0 - p) / m)
+        return replace(est, tpr=(replace(est.tpr[0], value=off), est.tpr[1]))
+
+    monkeypatch.setattr(cli, "mc_estimate", shifted)
+    code = main(["oracle", "--scenario", "example1", "--n", "1e4",
+                 "--threshold", "4.5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    line = next(l for l in out.splitlines() if l.startswith("threshold"))
+    assert "tpr0" in line and line.endswith("FAIL")
 
 
 def test_emit_plot_rejects_empty_and_unknown(tmp_path):

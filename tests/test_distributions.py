@@ -33,6 +33,26 @@ def test_triangular_with_an_underflowing_edge_stays_finite(dist, edge):
     xs = np.r_[dist.lower, dist.mode, np.linspace(-0.6, 0.6, 13)]
     assert np.all(np.isfinite(dist.pdf(xs)))
     np.testing.assert_allclose(dist.cdf(xs), edge.cdf(xs), atol=1e-15)
+    for x in xs.tolist():  # the float path
+        assert math.isfinite(dist.pdf(x))
+        assert dist.cdf(x) == pytest.approx(edge.cdf(x), abs=1e-15)
+
+
+def test_triangular_float_path_equals_the_array_path_on_random_points():
+    # hypothesis favours round numbers, where a reordered operation often
+    # rounds the same; uniform draws show a last-digit difference at once
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + rng.uniform(1e-3, 6.0)
+        dist = Triangular(lo, hi, rng.uniform(lo, hi))
+        xs = rng.uniform(lo - 1.0, hi + 1.0, 10)
+        qs = rng.uniform(0.0, 1.0, 10)
+        for method, points in ((dist.pdf, xs), (dist.cdf, xs),
+                               (dist.ppf, qs)):
+            want = method(points)
+            got = np.array([method(p) for p in points.tolist()])
+            assert got.tobytes() == want.tobytes(), method.__name__
 
 
 def test_normal_cdf_at_mean():

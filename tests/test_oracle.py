@@ -8,6 +8,7 @@ import pytest
 from fairfrontier import (FULL_LINE, CELLS, FrontierPoint,
                           GroupConditionalModel, GroupwiseClassifier,
                           InputError, Normal, ResourceError, FamilySpec,
+                          ValidationError,
                           accuracy, bayes_accuracy_optimal, confusion_rates,
                           dominance_oracle, mc_estimate, pareto_filter,
                           scenario, sweep, unfairness)
@@ -62,6 +63,11 @@ def test_mc_estimate_deterministic():
 def test_mc_estimate_rejects_tiny_n():
     with pytest.raises(InputError):
         mc_estimate(scenario("example1"), T45, n=999)
+
+
+def test_mc_estimate_refuses_a_fractional_n():
+    with pytest.raises(ValidationError, match="whole number"):
+        mc_estimate(scenario("example1"), T45, n=1000.9)
 
 
 def test_mc_estimate_refuses_more_than_the_cap():

@@ -59,6 +59,14 @@ def mixtures(draw):
     return Mixture(tuple((r / sum(raw), d) for r, d in zip(raw, comps)))
 
 
+@st.composite
+def triangulars(draw):
+    lo = draw(st.floats(-10, 10))
+    hi = lo + draw(st.floats(1e-3, 6.0))
+    mode = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+    return Triangular(lo, hi, mode)
+
+
 def probe_points(*sets):
     pts = {0.0}
     for s in sets:
@@ -307,3 +315,35 @@ def test_mixture_ppf_inverts_cdf_and_is_monotone(mix, qs):
     assert np.all(np.abs(mix.cdf(x) - q) <= 1e-12)
     assert np.all(np.diff(x) >= 0.0)
     assert mix.ppf(float(q[0])) == x[0]
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.float64(got), np.float64(want)
+    return (np.isnan(got) and np.isnan(want)) or got.tobytes() == want.tobytes()
+
+
+@given(st.one_of(triangulars(), mixtures()),
+       st.lists(st.floats(-60, 60), max_size=20),
+       st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(Triangular(0.0, 0.5, 5e-324), [0.0, 1e-320, 0.25], [1e-320])
+@example(Triangular(-0.5, 0.0, -5e-324), [-1e-320, -0.25], [1.0 - 1e-16])
+@example(Triangular(-1e-310, 2.0, 0.0), [-5e-311, 1e-300], [1e-320])
+@settings(max_examples=100, deadline=None)
+def test_float_path_equals_the_array_path(dist, xs, qs):
+    # Triangular answers a float in Python float arithmetic; it must give
+    # the array path's element bit for bit, alone or inside a mixture
+    laws = ([d for _, d in dist.components] if isinstance(dist, Mixture)
+            else [dist])
+    xs = xs + [-math.inf, math.inf, math.nan]
+    qs = qs + [0.0, 1.0, math.nan]
+    for d in laws:
+        if isinstance(d, Triangular):
+            xs += [d.lower, d.mode, d.upper]
+            qs.append((d.mode - d.lower) / (d.upper - d.lower))
+    for method, points in ((dist.pdf, xs), (dist.cdf, xs), (dist.ppf, qs)):
+        want = method(np.array(points))
+        for p, w in zip(points, want):
+            got = method(p)
+            if isinstance(dist, Triangular):
+                assert type(got) is np.float64
+            assert same_bits(got, w), (method.__name__, p, got, w)
