@@ -23,7 +23,7 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
-from .frontier import FamilySpec, _swept_frontier, _whole
+from .frontier import KINDS, ORIENTS, FamilySpec, _swept_frontier, _whole
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -34,22 +34,10 @@ from .theorems import (_boundary_alignment_reports, _decomposition_report,
 
 ANALYSES = ("frontier", "decompose", "theorems")
 
-_FAMILY_NAMES = {
-    "shared-threshold": "shared_threshold",
-    "shared_threshold": "shared_threshold",
-    "per-group-threshold": "per_group_threshold",
-    "per_group_threshold": "per_group_threshold",
-    "per-group-intervals": "per_group_intervals",
-    "per_group_intervals": "per_group_intervals",
-}
-
-_ORIENT_NAMES = {
-    "above": "positive_above",
-    "below": "positive_below",
-    "both": "both",
-    "positive_above": "positive_above",
-    "positive_below": "positive_below",
-}
+_FAMILY_NAMES = {name: kind for kind in KINDS
+                 for name in (kind, kind.replace("_", "-"))}
+_ORIENT_NAMES = {name: orient for orient in ORIENTS
+                 for name in (orient, orient.removeprefix("positive_"))}
 
 
 @dataclass(frozen=True)
@@ -448,7 +436,7 @@ def _family_kind(token: str) -> str:
     except KeyError:
         raise ValidationError(
             f"unknown family {token!r}; choose from "
-            "shared-threshold, per-group-threshold, per-group-intervals")
+            + ", ".join(k.replace("_", "-") for k in KINDS))
 
 
 def _orientations(token) -> object:
@@ -483,12 +471,20 @@ def _read_config_file(path: str) -> dict:
     return payload
 
 
+def _config_section(payload: dict, key: str) -> dict:
+    section = payload.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValidationError(f"config \"{key}\" must be a JSON object")
+    return section
+
+
 def _load_config(args, default_analyses=("frontier",),
                  require_out: bool = True) -> RunConfig:
     payload = _read_config_file(args.config) if getattr(args, "config",
                                                         None) else {}
-    fam = payload.get("family", {}) or {}
-    wts = payload.get("weights", {}) or {}
+    fam, wts = (_config_section(payload, key) for key in ("family", "weights"))
 
     def pick(flag, fallback, default=None):
         return flag if flag is not None else (
@@ -506,7 +502,7 @@ def _load_config(args, default_analyses=("frontier",),
         kind=kind,
         orientations=orientations,
         resolution=pick(args.resolution, fam.get("resolution"), 801),
-        sweep_range=tuple(sweep_range) if sweep_range is not None else None,
+        sweep_range=sweep_range,
         k=pick(args.k, fam.get("k"), 2),
     )
     weights = MetricWeights(

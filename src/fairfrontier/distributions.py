@@ -71,6 +71,11 @@ class Triangular:
             raise ValidationError("Triangular parameters must be finite")
         if not a < b:
             raise ValidationError(f"Triangular needs lower < upper, got [{a}, {b}]")
+        # the edges' products and squares stay below width ** 2
+        width = float(b) - float(a)
+        if not math.isfinite(width * width):
+            raise ValidationError(f"Triangular [{a}, {b}] is too wide: its "
+                                  "squared width overflows")
         if not a <= c <= b:
             raise ValidationError(f"Triangular mode {c} outside [{a}, {b}]")
 
@@ -78,8 +83,9 @@ class Triangular:
         a, b, c = self.lower, self.upper, self.mode
         # an edge is absent when its denominator is 0: c == a (rising edge),
         # c == b (falling edge), or an edge so narrow that the product
-        # underflows, where dividing would give 0/0 = NaN. Each edge divides
-        # only on its own span: off it, a denominator just above 0 overflows.
+        # underflows, where dividing would give 0/0 = NaN. Each edge computes
+        # and divides only on its own span: off it, a denominator just above
+        # 0 overflows, and so does 2 * (x - a) for a point far from a.
         rise, fall = (b - a) * (c - a), (b - a) * (b - c)
         if isinstance(x, float):  # the array path below, one element
             x = float(x)
@@ -95,10 +101,10 @@ class Triangular:
         out = np.zeros_like(x)
         if rise > 0.0:
             left = (x >= a) & (x < c)
-            np.divide(2.0 * (x - a), rise, out=out, where=left)
+            out[left] = 2.0 * (x[left] - a) / rise
         if fall > 0.0:
             right = (x >= c) & (x <= b)
-            np.divide(2.0 * (b - x), fall, out=out, where=right)
+            out[right] = 2.0 * (b - x[right]) / fall
         else:
             out = np.where(x == b, 2.0 / (b - a), out)
         return out

@@ -16,6 +16,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -80,8 +81,12 @@ class FamilySpec:
         if self.resolution < 3:
             raise ValidationError("resolution must be >= 3")
         if self.sweep_range is not None:
-            lo, hi = (float(v) for v in self.sweep_range)
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            try:  # two numbers; anything else reads as NaN
+                lo, hi = (float(v) if isinstance(v, Real) else math.nan
+                          for v in self.sweep_range)
+            except (TypeError, ValueError, OverflowError):
+                lo = hi = math.nan
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValidationError(f"bad sweep range {self.sweep_range!r}")
             object.__setattr__(self, "sweep_range", (lo, hi))
         object.__setattr__(self, "k", _whole("k", self.k))
@@ -136,16 +141,10 @@ class Frontier:
     sweep_range: Optional[tuple] = None
 
 
-def _above_region(t: float) -> tuple:
-    return ((t, math.inf),)
-
-
-def _below_region(t: float) -> tuple:
-    return ((-math.inf, t),)
-
-
 def _region_of(t: float, orient: str) -> tuple:
-    return _above_region(t) if orient == "positive_above" else _below_region(t)
+    if orient == "positive_above":
+        return ((t, math.inf),)
+    return ((-math.inf, t),)
 
 
 def _rate_arrays(model, grid, a: int, orient: str):
@@ -201,56 +200,27 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> int:
     return rows * cols
 
 
-def _parities(m: int, k: int, orient: str) -> tuple:
-    """The starts_positive values a region with m boundaries may take."""
-    # a leftmost positive segment means positive below the first boundary,
-    # so the parity is pinned by the orientation; a positive start also
-    # spends one more of the k positive intervals
-    return tuple(
-        start for start in (True, False)
-        if ((m + 2) // 2 if start else (m + 1) // 2) <= k
-        and orient != ("positive_above" if start else "positive_below"))
-
-
 def _interval_region_count(resolution: int, k: int, orient: str) -> int:
-    return sum(comb(resolution, m) * len(_parities(m, k, orient))
-               for m in range(0, 2 * k + 1))
+    first = int(orient == "positive_above")
+    return sum(comb(resolution, m) for m in range(2 * k + first))
 
 
-def _interval_regions(grid, k: int, orient: str):
-    """All index-bound regions with at most k positive intervals.
+def _interval_regions(n: int, k: int, orient: str):
+    """All regions with at most k positive intervals, as index arrays.
 
-    Regions are tuples of (lo_idx, hi_idx) into an extended cdf table where
-    index 0 stands for -inf and len(grid)+1 for +inf.
+    Yields one (lo, hi) pair per boundary count m: row i holds one region's
+    interval bounds as indices into an extended grid where 0 stands for -inf
+    and n + 1 for +inf, rows in itertools.combinations order. A
+    positive_above region starts negative at -inf; a positive_below one
+    starts positive, and that segment counts toward k.
     """
-    n = len(grid)
-    out = []
-    for m in range(0, 2 * k + 1):
-        parities = _parities(m, k, orient)
-        for combo in itertools.combinations(range(n), m):
-            pts = (0,) + tuple(i + 1 for i in combo) + (n + 1,)
-            for starts_positive in parities:
-                first = 0 if starts_positive else 1
-                out.append(tuple((pts[i], pts[i + 1])
-                                 for i in range(first, m + 1, 2)))
-    return out
-
-
-def _region_mass(table_ext: np.ndarray, region) -> float:
-    return float(sum(table_ext[hi] - table_ext[lo] for lo, hi in region))
-
-
-def _edge_value(grid, idx: int) -> float:
-    if idx == 0:
-        return -math.inf
-    if idx == len(grid) + 1:
-        return math.inf
-    return float(grid[idx - 1])
-
-
-def _bounds_from_indices(grid, region) -> tuple:
-    return tuple((_edge_value(grid, lo), _edge_value(grid, hi))
-                 for lo, hi in region)
+    first = int(orient == "positive_above")
+    for m in range(2 * k + first):
+        pts = np.empty((comb(n, m), m + 2), dtype=np.intp)
+        pts[:, 0], pts[:, -1] = 0, n + 1
+        cuts = list(itertools.combinations(range(1, n + 1), m))
+        pts[:, 1:-1] = np.array(cuts, dtype=np.intp).reshape(len(pts), m)
+        yield pts[:, first:-1:2], pts[:, first + 1::2]
 
 
 def _candidate_count(model, family: FamilySpec) -> int:
@@ -338,14 +308,21 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     fair = np.empty(count + len(optima))
     acc = np.empty(count + len(optima))
 
-    block = {"shared_threshold": _shared_block,
-             "per_group_threshold": _per_group_block,
-             "per_group_intervals": _intervals_block}[family.kind]
+    tables = {}  # one (regions, tpr, tnr) per (group, orientation)
+
+    def table(a, orient):
+        if (a, orient) not in tables:
+            tables[(a, orient)] = _group_table(model, family, grid, a, orient)
+        return tables[(a, orient)]
+
+    score = (_shared_block if family.kind == "shared_threshold"
+             else _pair_block)
     blocks = []
     start = 0
     for combo in family.combos():
-        blocks.append(block(model, family, w, grid, combo,
-                            fair[start:], acc[start:]))
+        # a shared combo is one orientation, which both groups take
+        blocks.append(score(model, w, table(0, combo[0]), table(1, combo[-1]),
+                            fair[start:], acc[start:], "|".join(combo)))
         start += blocks[-1][0]
     fair[start:] = [p.fairness for p in optima]
     acc[start:] = [p.accuracy for p in optima]
@@ -353,57 +330,53 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
-def _shared_block(model, family, w, grid, combo, fair, acc):
-    (orient,) = combo
-    tpr0, tnr0 = _rate_arrays(model, grid, 0, orient)
-    tpr1, tnr1 = _rate_arrays(model, grid, 1, orient)
+def _group_table(model, family, grid, a: int, orient: str) -> tuple:
+    """(regions, tpr, tnr) of group a over every region the family gives it.
+
+    An interval region's mass adds its intervals' cdf differences one column
+    at a time, from 0 and left to right, so it is bit-identical to
+    float(sum(...)) over the region's intervals.
+    """
+    if family.kind != "per_group_intervals":
+        return ([_region_of(t, orient) for t in grid.tolist()],
+                *_rate_arrays(model, grid, a, orient))
+    ext = [np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid), [1.0]))
+           for y in (0, 1)]
+    edges = [-math.inf, *grid.tolist(), math.inf]
+    regions, mass = [], ([], [])
+    for lo, hi in _interval_regions(len(grid), family.k, orient):
+        regions += [tuple(zip(map(edges.__getitem__, los),
+                              map(edges.__getitem__, his)))
+                    for los, his in zip(lo.tolist(), hi.tolist())]
+        for y in (0, 1):
+            total = np.zeros(len(lo))
+            for j in range(lo.shape[1]):
+                total += ext[y][hi[:, j]] - ext[y][lo[:, j]]
+            mass[y].append(total)
+    return regions, np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
+
+
+def _shared_block(model, w, table0, table1, fair, acc, orient):
+    (regions, tpr0, tnr0), (_, tpr1, tnr1) = table0, table1
     count = _scores(model, w, tpr0[:, None], tpr1[:, None],
                     tnr0[:, None], tnr1[:, None], fair, acc)
-    regions = [_region_of(t, orient) for t in grid.tolist()]
 
     def decode(k):
         return ("grid", orient, regions[k], regions[k])
     return count, decode
 
 
-def _per_group_block(model, family, w, grid, combo, fair, acc):
-    o0, o1 = combo
-    tpr0, tnr0 = _rate_arrays(model, grid, 0, o0)
-    tpr1, tnr1 = _rate_arrays(model, grid, 1, o1)
-    return _pair_block(model, w, (tpr0, tnr0), (tpr1, tnr1), fair, acc,
-                       f"{o0}|{o1}",
-                       [_region_of(t, o0) for t in grid.tolist()],
-                       [_region_of(t, o1) for t in grid.tolist()])
-
-
-def _pair_block(model, w, rates0, rates1, fair, acc, tag, bounds0, bounds1):
+def _pair_block(model, w, table0, table1, fair, acc, tag):
     """Score every (group-0 row, group-1 column) pair as one flat block."""
-    (tpr0, tnr0), (tpr1, tnr1) = rates0, rates1
+    (regions0, tpr0, tnr0), (regions1, tpr1, tnr1) = table0, table1
     count = _scores(model, w, tpr0[:, None], tpr1[None, :],
                     tnr0[:, None], tnr1[None, :], fair, acc)
-    n1 = len(bounds1)
+    n1 = len(regions1)
 
     def decode(k):
         i, j = divmod(k, n1)
-        return ("grid", tag, bounds0[i], bounds1[j])
+        return ("grid", tag, regions0[i], regions1[j])
     return count, decode
-
-
-def _intervals_block(model, family, w, grid, combo, fair, acc):
-    tables = {}
-    for a, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        cdf = np.asarray(model.conditional[(a, y)].cdf(grid))
-        tables[(a, y)] = np.concatenate(([0.0], cdf, [1.0]))
-    per_group = []
-    for a, orient in ((0, combo[0]), (1, combo[1])):
-        regions = _interval_regions(grid, family.k, orient)
-        tpr = np.array([_region_mass(tables[(a, 1)], r) for r in regions])
-        tnr = np.array([1.0 - _region_mass(tables[(a, 0)], r) for r in regions])
-        bounds = [_bounds_from_indices(grid, r) for r in regions]
-        per_group.append((bounds, (tpr, tnr)))
-    (b0, rates0), (b1, rates1) = per_group
-    return _pair_block(model, w, rates0, rates1, fair, acc,
-                       f"{combo[0]}|{combo[1]}", b0, b1)
 
 
 def _appended_optima(model, family, w):

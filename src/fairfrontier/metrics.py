@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Optional
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
@@ -47,8 +48,9 @@ class MetricWeights:
 
     def __post_init__(self):
         weights = (self.omega1, self.omega2, self.p1, self.p2)
-        if not all(math.isfinite(v) for v in weights):
-            raise ValidationError(f"weights must be finite, got {weights}")
+        if not all(isinstance(v, Real) and math.isfinite(v) for v in weights):
+            raise ValidationError(
+                f"weights must be finite numbers, got {weights}")
         if min(weights) < 0.0:
             raise ValidationError("weights must be nonnegative")
         if abs(self.omega1 + self.omega2 - 1.0) > 1e-12:

@@ -11,9 +11,9 @@ from .distributions import _draw, _seed_key
 from .errors import InputError, ResourceError
 from .frontier import Frontier, _finish_frontier, _whole
 from .metrics import MetricWeights
+from .population import CELLS
 
 BLOCKS = 8
-CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 MIN_SAMPLES = 1000
 MC_CAP = 100_000_000
 ORACLE_CAP = 100_000
@@ -59,9 +59,9 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     seed = int(seed)
     key = _seed_key(seed)
 
-    cum = np.cumsum([model.joint[c] for c in CELL_ORDER])
-    count = {c: 0 for c in CELL_ORDER}
-    positive = {c: 0 for c in CELL_ORDER}
+    cum = np.cumsum([model.joint[c] for c in CELLS])
+    count = {c: 0 for c in CELLS}
+    positive = {c: 0 for c in CELLS}
     base, rem = divmod(n, BLOCKS)
     for b in range(BLOCKS):
         size = base + (1 if b < rem else 0)
@@ -71,7 +71,7 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
             np.random.Philox(key=[key, np.uint64(b)]))
         u = rng.random(size)
         idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
-        for ci, cell in enumerate(CELL_ORDER):
+        for ci, cell in enumerate(CELLS):
             m = int(np.count_nonzero(idx == ci))
             if m == 0:
                 continue

@@ -137,6 +137,27 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    {"family": {"range": [1]}},
+    {"family": {"range": [1, 2, 3]}},
+    {"family": {"range": ["a", "b"]}},
+    {"family": {"range": "12"}},
+    {"family": {"range": 5}},
+    {"weights": {"omega1": "x"}},
+    {"family": [1]},
+    {"weights": [1]},
+], ids=["range-one", "range-three", "range-strings", "range-string",
+        "range-int", "weight-string", "family-list", "weights-list"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, section):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1",
+                               "out": str(tmp_path / "cfg_out"), **section}))
+    assert main(["run", "--config", str(cfg), "--resolution", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "cfg_out").exists()
+
+
 def test_config_seed_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example1", "seed": 3,

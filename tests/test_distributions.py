@@ -176,6 +176,14 @@ def test_invalid_parameters_rejected():
         Triangular(0, 4, 9)
 
 
+def test_triangular_refuses_a_width_that_overflows():
+    # the width itself overflows, or its square (the edges' denominators)
+    with pytest.raises(ValidationError):
+        Triangular(-1e308, 1e308, 0.0)
+    with pytest.raises(ValidationError):
+        Triangular(-1e200, 1e200, 0.0)
+
+
 def test_evaluate_rejects_nonfinite_point():
     with pytest.raises(InputError):
         evaluate(Normal(0, 1), math.inf)

@@ -35,6 +35,10 @@ def test_family_spec_validation():
         FamilySpec("per_group_intervals", k=0)
     with pytest.raises(ValidationError):
         FamilySpec("shared_threshold", sweep_range=(4, 4))
+    # a range is two numbers: nothing else is unpacked or converted
+    for bad in ((1,), (1, 2, 3), ("a", "b"), "12", 5):
+        with pytest.raises(ValidationError):
+            FamilySpec("shared_threshold", sweep_range=bad)
     with pytest.raises(ValidationError):
         FamilySpec("shared_threshold", orientations="up")
     # fractions are refused, not truncated

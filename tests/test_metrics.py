@@ -67,6 +67,8 @@ def test_metric_weights_validation():
         MetricWeights(omega1=float("nan"), omega2=0.5)
     with pytest.raises(ValidationError):
         MetricWeights(p2=float("inf"))
+    with pytest.raises(ValidationError):
+        MetricWeights(omega1="x")
 
 
 def test_confusion_rates_validation():

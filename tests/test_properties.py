@@ -1,5 +1,6 @@
 """Property-based invariants over random inputs."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -15,8 +16,8 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           dominance_oracle, fairness, pareto_filter, sweep,
                           unfairness, well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _interval_region_count, _interval_regions,
-                                   _rate_arrays, _region_mass)
+                                   _group_table, _interval_region_count,
+                                   _interval_regions, _rate_arrays)
 from helpers import random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
@@ -228,15 +229,43 @@ def allocating_scores(model, w, tpr0, tpr1, tnr0, tnr1):
     return 1.0 - f_u, acc
 
 
+def enumerated_regions(n, k, orient):
+    """Every region with at most k positive intervals, one tuple at a time.
+
+    A region is a tuple of (lo, hi) indices into [-inf, *grid, inf]; a
+    positive_below region starts positive at -inf, a positive_above one
+    starts negative.
+    """
+    starts_positive = orient == "positive_below"
+    first = 0 if starts_positive else 1
+    out = []
+    for m in range(0, 2 * k + 1):
+        if ((m + 2) // 2 if starts_positive else (m + 1) // 2) > k:
+            continue
+        for combo in itertools.combinations(range(n), m):
+            pts = (0,) + tuple(i + 1 for i in combo) + (n + 1,)
+            out.append(tuple((pts[i], pts[i + 1])
+                             for i in range(first, m + 1, 2)))
+    return out
+
+
+def enumerated_rates(model, grid, k, a, orient):
+    """(regions, tpr, tnr) of group a, each mass a Python sum per region."""
+    ext = {y: np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid),
+                              [1.0])) for y in (0, 1)}
+    regions = enumerated_regions(len(grid), k, orient)
+
+    def mass(y, region):
+        return float(sum(ext[y][hi] - ext[y][lo] for lo, hi in region))
+    return (regions, np.array([mass(1, r) for r in regions]),
+            np.array([1.0 - mass(0, r) for r in regions]))
+
+
 def group_rates(model, family, grid, a, orient):
     """(tpr, tnr) of group a over every region the family gives it."""
     if family.kind != "per_group_intervals":
         return _rate_arrays(model, grid, a, orient)
-    ext = {y: np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid),
-                              [1.0])) for y in (0, 1)}
-    regions = _interval_regions(grid, family.k, orient)
-    return (np.array([_region_mass(ext[1], r) for r in regions]),
-            np.array([1.0 - _region_mass(ext[0], r) for r in regions]))
+    return enumerated_rates(model, grid, family.k, a, orient)[1:]
 
 
 def allocating_columns(model, family, w, optima):
@@ -293,17 +322,46 @@ def test_in_place_scores_equal_the_allocating_expression(
         assert np.array_equal(got, want)
 
 
+def index_rows(n, k, orient):
+    return [tuple(zip(los, his))
+            for lo, hi in _interval_regions(n, k, orient)
+            for los, his in zip(lo.tolist(), hi.tolist())]
+
+
 @pytest.mark.parametrize("resolution", [3, 4, 5, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("orient", ["positive_above", "positive_below",
                                     "both"])
 def test_interval_region_count_matches_enumeration(resolution, k, orient):
-    grid = np.linspace(0.0, 1.0, resolution)
-    regions = _interval_regions(grid, k, orient)
-    assert len(regions) == _interval_region_count(resolution, k, orient)
+    # a "both" sweep gives each group the regions of both orientations
+    orients = ORIENTS[:2] if orient == "both" else (orient,)
+    regions = [r for o in orients for r in index_rows(resolution, k, o)]
+    assert len(regions) == sum(_interval_region_count(resolution, k, o)
+                               for o in orients)
     assert len(set(regions)) == len(regions)
     for region in regions:
         assert len(region) <= k
+
+
+@pytest.mark.parametrize("resolution", range(3, 10))
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("orient", ORIENTS[:2])
+def test_index_arrays_equal_the_enumeration(resolution, k, orient):
+    # same region tuples in the same order, and bit-identical rates
+    model = random_model(10 * resolution + k)
+    grid = np.linspace(*model.quantile_range(0.9999), resolution)
+    edges = [-math.inf, *grid.tolist(), math.inf]
+    family = FamilySpec("per_group_intervals", orientations=orient,
+                        resolution=resolution, k=k)
+    for a in (0, 1):
+        regions, tpr, tnr = enumerated_rates(model, grid, k, a, orient)
+        assert index_rows(resolution, k, orient) == regions
+        got_regions, got_tpr, got_tnr = _group_table(model, family, grid, a,
+                                                      orient)
+        assert got_regions == [tuple((edges[lo], edges[hi]) for lo, hi in r)
+                               for r in regions]
+        assert got_tpr.tobytes() == tpr.tobytes()
+        assert got_tnr.tobytes() == tnr.tobytes()
 
 
 @given(mixtures(), st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1,
@@ -328,6 +386,9 @@ def same_bits(got, want) -> bool:
 @example(Triangular(0.0, 0.5, 5e-324), [0.0, 1e-320, 0.25], [1e-320])
 @example(Triangular(-0.5, 0.0, -5e-324), [-1e-320, -0.25], [1.0 - 1e-16])
 @example(Triangular(-1e-310, 2.0, 0.0), [-5e-311, 1e-300], [1e-320])
+# points far off the support, where 2 * (x - a) overflows
+@example(Triangular(0.0, 1.0, 0.5), [1e308, -1e308], [0.5])
+@example(Triangular(0.0, 1.0, 1.0), [-1e308, 1e308], [])
 @settings(max_examples=100, deadline=None)
 def test_float_path_equals_the_array_path(dist, xs, qs):
     # Triangular answers a float in Python float arithmetic; it must give
