@@ -23,7 +23,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
-from .frontier import KINDS, ORIENTS, FamilySpec, _swept_frontier, _whole
+from .frontier import (KINDS, ORIENTS, FamilySpec, _swept_frontier, _whole,
+                       build_frontier)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -418,7 +419,7 @@ def _theorems_text(model, cfg: RunConfig, ref: Reference,
         ("boundary alignment, matching indicators", indicated),
     ]
     if frontier is None:
-        frontier = _swept_frontier(model, cfg.family, w)[1]
+        frontier = build_frontier(model, cfg.family, w)
     sections.append(("frontier accuracy-jump conditions",
                      check_accuracy_jump(model, frontier)))
     head = (f"scenario: {cfg.scenario}\n"
@@ -514,8 +515,10 @@ def _load_config(args, default_analyses=("frontier",),
 
     requested = tuple(a for a in ANALYSES
                       if getattr(args, a.replace("-", "_"), False))
-    analyses = requested or tuple(payload.get("analyses", ())) \
-        or tuple(default_analyses)
+    listed = payload.get("analyses", [])
+    if not isinstance(listed, list):
+        raise ValidationError("config \"analyses\" must be a JSON list")
+    analyses = requested or tuple(listed) or tuple(default_analyses)
 
     out = pick(getattr(args, "out", None), payload.get("out"))
     if out is None:
@@ -523,6 +526,8 @@ def _load_config(args, default_analyses=("frontier",),
             raise ValidationError(
                 "output directory is required (--out or config \"out\")")
         out = "."
+    if not isinstance(out, str):
+        raise ValidationError("config \"out\" must be a path string")
     return RunConfig(
         scenario=str(scenario_id),
         family=family,

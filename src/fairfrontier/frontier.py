@@ -295,7 +295,13 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     end, in that order. The two score columns are allocated once, at their
     final size, and each block scores straight into its own slice.
     """
-    w = w or MetricWeights()
+    return _sweep(model, family, w or MetricWeights(), bounded=False)
+
+
+def _sweep(model, family: FamilySpec, w: MetricWeights,
+           bounded: bool) -> Candidates:
+    """sweep's candidates, or with bounded only the pair-block lines that
+    _open_lines leaves open against the fairest appended optimum."""
     count = _candidate_count(model, family)
     if count > CANDIDATE_CAP:
         raise ResourceError(
@@ -305,8 +311,8 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
     optima = _appended_optima(model, family, w)
-    fair = np.empty(count + len(optima))
-    acc = np.empty(count + len(optima))
+    pivot = (max(optima, key=lambda p: (p.fairness, p.accuracy))
+             if bounded else None)
 
     tables = {}  # one (regions, tpr, tnr) per (group, orientation)
 
@@ -315,14 +321,22 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
             tables[(a, orient)] = _group_table(model, family, grid, a, orient)
         return tables[(a, orient)]
 
-    score = (_shared_block if family.kind == "shared_threshold"
-             else _pair_block)
+    # a shared combo is one orientation, which both groups take
+    pairs = [(table(0, combo[0]), table(1, combo[-1]), "|".join(combo))
+             for combo in family.combos()]
+    if family.kind == "shared_threshold":
+        score, lines = _shared_block, [()] * len(pairs)
+    else:
+        score = _pair_block
+        lines = [_open_lines(model, w, t0, t1, pivot) for t0, t1, _ in pairs]
+        count = sum(len(rows) * len(cols) for rows, cols in lines)
+    fair = np.empty(count + len(optima))
+    acc = np.empty(count + len(optima))
     blocks = []
     start = 0
-    for combo in family.combos():
-        # a shared combo is one orientation, which both groups take
-        blocks.append(score(model, w, table(0, combo[0]), table(1, combo[-1]),
-                            fair[start:], acc[start:], "|".join(combo)))
+    for (t0, t1, tag), block_lines in zip(pairs, lines):
+        blocks.append(score(model, w, t0, t1, *block_lines,
+                            fair[start:], acc[start:], tag))
         start += blocks[-1][0]
     fair[start:] = [p.fairness for p in optima]
     acc[start:] = [p.accuracy for p in optima]
@@ -366,17 +380,80 @@ def _shared_block(model, w, table0, table1, fair, acc, orient):
     return count, decode
 
 
-def _pair_block(model, w, table0, table1, fair, acc, tag):
-    """Score every (group-0 row, group-1 column) pair as one flat block."""
-    (regions0, tpr0, tnr0), (regions1, tpr1, tnr1) = table0, table1
-    count = _scores(model, w, tpr0[:, None], tpr1[None, :],
-                    tnr0[:, None], tnr1[None, :], fair, acc)
+def _pair_block(model, w, table0, table1, rows, cols, fair, acc, tag):
+    """Score every (group-0 row, group-1 column) pair of rows x cols, given
+    as index arrays into the two tables, as one flat block."""
+    regions0 = [table0[0][i] for i in rows.tolist()]
+    regions1 = [table1[0][j] for j in cols.tolist()]
+    count = len(regions0) * len(regions1)
+    if count:  # _scores bands by the column count
+        _scores(model, w, table0[1][rows][:, None], table1[1][cols][None, :],
+                table0[2][rows][:, None], table1[2][cols][None, :], fair, acc)
     n1 = len(regions1)
 
     def decode(k):
         i, j = divmod(k, n1)
         return ("grid", tag, regions0[i], regions1[j])
     return count, decode
+
+
+# Relative slack of the accuracy bound. A score rounds each of its four
+# nonnegative products at most 4 times, so it is at most (1 + u)^4 times the
+# exact row term plus column term (u = 2**-53); the bound rounds each of its
+# terms at most 5 times, so before the slack it is at least (1 - u)^5 times
+# that sum. Any slack above 9u (1e-15) therefore covers both; 1e-14 is 90u.
+# The tiny absolute term covers products that underflow.
+_ACC_SLACK = 1e-14
+_ACC_FLOOR = np.finfo(float).tiny
+
+
+def _open_lines(model, w, table0, table1, pivot) -> tuple:
+    """(rows, cols) index arrays of a pair block's open lines: the group-0
+    rows, then the group-1 columns against the open rows, on which
+    _first_pass_drops, with pivot as the fairest point, may keep a pair.
+    All lines when pivot is None or a rate is not finite, since a NaN score
+    disables the first pass."""
+    (_, tpr0, tnr0), (_, tpr1, tnr1) = table0, table1
+    rows, cols = np.arange(len(tpr0)), np.arange(len(tpr1))
+    if pivot is None or not all(np.isfinite(x).all()
+                                for x in (tpr0, tnr0, tpr1, tnr1)):
+        return rows, cols
+    j = model.joint
+    r = w.p1 * tpr0 * j[(0, 1)] + w.p2 * tnr0 * j[(0, 0)]
+    c = w.p1 * tpr1 * j[(1, 1)] + w.p2 * tnr1 * j[(1, 0)]
+    rows = rows[_open_mask(w, pivot, (r, tpr0, tnr0), (c, tpr1, tnr1))]
+    if not len(rows):
+        return rows, cols[:0]
+    return rows, cols[_open_mask(w, pivot, (c, tpr1, tnr1),
+                                 (r[rows], tpr0[rows], tnr0[rows]))]
+
+
+def _open_mask(w, pivot, lines, others) -> np.ndarray:
+    """Which lines may pair with one of others into a kept candidate.
+
+    lines and others are (accuracy term, tpr, tnr) arrays of the two
+    groups. Accuracy is a row term plus a column term, so a line's accuracy
+    is at most its term plus the largest other term, up to the rounding
+    _ACC_SLACK covers. Its fairness is at most 1 - max(omega1 * d_tpr,
+    omega2 * d_tnr), d being the gap to the nearest other rate, with no
+    slack: float subtraction, multiplication and addition are monotone.
+    """
+    term, tpr, tnr = lines
+    other_term, other_tpr, other_tnr = others
+    acc_top = (term + other_term.max()) * (1.0 + _ACC_SLACK) + _ACC_FLOOR
+    gap = np.maximum(w.omega1 * _nearest_gap(tpr, other_tpr),
+                     w.omega2 * _nearest_gap(tnr, other_tnr))
+    return ~_first_pass_drops(1.0 - gap, acc_top,
+                              pivot.fairness, pivot.accuracy)
+
+
+def _nearest_gap(x, others):
+    """|x - y| for the y in others nearest each x, in float arithmetic."""
+    y = np.sort(others)
+    k = np.searchsorted(y, x)
+    below = y[np.maximum(k - 1, 0)]
+    above = y[np.minimum(k, len(y) - 1)]
+    return np.minimum(np.abs(x - below), np.abs(above - x))
 
 
 def _appended_optima(model, family, w):
@@ -546,6 +623,12 @@ def _chunks(fairness, accuracy):
         yield lo, fairness[lo:lo + _CHUNK], accuracy[lo:lo + _CHUNK]
 
 
+def _first_pass_drops(fairness, accuracy, f_top, a_top):
+    """Mask of the points the point (f_top, a_top) dominates by being
+    strictly fairer (beyond DOMINANCE_TOL) with accuracy no worse."""
+    return (fairness + DOMINANCE_TOL < f_top) & (accuracy <= a_top)
+
+
 def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     """Keep exactly the candidates no other candidate dominates.
 
@@ -568,9 +651,11 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     # than each dropped point with accuracy no worse, so it dominates it; it
     # also dominates every point a dropped one dominates, because a_top is
     # not below the dropped accuracy. The survivors are therefore unchanged.
+    # The argument holds for any candidate in the pivot's place, which is
+    # what lets build_frontier skip lines before scoring them.
     f_max, a_top = _fairest(f, a)
     kept = np.concatenate([
-        lo + np.flatnonzero(~((fc + tol < f_max) & (ac <= a_top)))
+        lo + np.flatnonzero(~_first_pass_drops(fc, ac, f_max, a_top))
         for lo, fc, ac in _chunks(f, a)])
     order = kept[np.argsort(f[kept], kind="stable")]
     fs, as_ = f[order], a[order]
@@ -639,10 +724,11 @@ def classify_shape(frontier: Frontier, jump_threshold: float = 0.05,
 
 
 def _swept_frontier(model, family: FamilySpec, w: MetricWeights = None,
-                    jump_threshold: float = 0.05,
-                    fairness_gap: float = None) -> tuple:
-    """(candidates, labelled frontier) of one family sweep."""
-    candidates = sweep(model, family, w)
+                    jump_threshold: float = 0.05, fairness_gap: float = None,
+                    bounded: bool = False) -> tuple:
+    """(candidates, labelled frontier) of one family sweep; bounded scores
+    only the lines _open_lines leaves open, as build_frontier does."""
+    candidates = _sweep(model, family, w or MetricWeights(), bounded)
     frontier = dataclasses.replace(pareto_filter(candidates, family),
                                    sweep_range=candidates.sweep_range)
     return candidates, classify_shape(frontier, jump_threshold, fairness_gap)
@@ -651,5 +737,19 @@ def _swept_frontier(model, family: FamilySpec, w: MetricWeights = None,
 def build_frontier(model, family: FamilySpec, w: MetricWeights = None,
                    jump_threshold: float = 0.05,
                    fairness_gap: float = None) -> Frontier:
-    """sweep -> pareto_filter -> classify_shape in one call."""
-    return _swept_frontier(model, family, w, jump_threshold, fairness_gap)[1]
+    """sweep -> pareto_filter -> classify_shape in one call, on fewer scores.
+
+    The result equals classify_shape of pareto_filter(sweep(...), family)
+    with sweep's sweep_range stamped, but per-group blocks score only their
+    open lines (_open_lines). The fairest appended optimum p is a candidate,
+    and pareto_filter's first pass, run with any candidate as its pivot,
+    drops only points p dominates, together with nothing p does not also
+    dominate, so removing them leaves the survivors unchanged. A line is
+    closed only when bounds on its accuracy (exact up to the rounding
+    _ACC_SLACK covers) and fairness (exact, by monotone rounding) put every
+    pair on it inside that drop region; each score that is computed uses
+    sweep's operations, so it is bit-identical. Shared-threshold families
+    are swept in full.
+    """
+    return _swept_frontier(model, family, w, jump_threshold, fairness_gap,
+                           bounded=True)[1]

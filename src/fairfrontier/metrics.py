@@ -33,6 +33,13 @@ class ConfusionRates:
         object.__setattr__(self, "tnr", tnr)
 
 
+def _finite(value) -> bool:
+    try:
+        return isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class MetricWeights:
     """Unfairness weights (must sum to 1) and accuracy weights.
@@ -48,7 +55,7 @@ class MetricWeights:
 
     def __post_init__(self):
         weights = (self.omega1, self.omega2, self.p1, self.p2)
-        if not all(isinstance(v, Real) and math.isfinite(v) for v in weights):
+        if not all(map(_finite, weights)):
             raise ValidationError(
                 f"weights must be finite numbers, got {weights}")
         if min(weights) < 0.0:

@@ -158,6 +158,22 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, section):
     assert not (tmp_path / "cfg_out").exists()
 
 
+@pytest.mark.parametrize("section, out_flag", [
+    ({"analyses": 5}, True),
+    ({"out": 5}, False),
+    ({"weights": {"p1": 10 ** 400}}, True),
+], ids=["analyses-int", "out-int", "weight-huge-int"])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, section, out_flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", **section}))
+    argv = ["run", "--config", str(cfg), "--resolution", "11"]
+    out = tmp_path / "cfg_out"
+    assert main(argv + (["--out", str(out)] if out_flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_seed_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example1", "seed": 3,

@@ -12,7 +12,8 @@ from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
                           build_frontier, classify_shape, dominance_oracle,
                           pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _fair_line,
-                                   _fair_roots)
+                                   _fair_roots, _first_pass_drops,
+                                   _group_table, _open_lines, _sweep)
 from helpers import random_model
 
 COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
@@ -353,3 +354,77 @@ def test_sweep_and_filter_keep_one_copy_of_the_scores():
         tracemalloc.stop()
     assert len(candidates) == 643_206
     assert peak <= 16 * len(candidates) + 3 * 2**20
+
+
+@pytest.mark.parametrize("model", [
+    scenario("example1"), scenario("example4_identical"), random_model(7)],
+    ids=["example1", "example4_identical", "random-7"])
+@pytest.mark.parametrize("family", [
+    FamilySpec("per_group_threshold", orientations="both", resolution=201),
+    FamilySpec("per_group_intervals", orientations="both", resolution=7)],
+    ids=["threshold", "intervals"])
+def test_closed_lines_hold_only_scores_the_first_pass_drops(model, family):
+    w = MetricWeights()
+    candidates = sweep(model, family, w)
+    pivot = max(candidates[-2], candidates[-1],
+                key=lambda p: (p.fairness, p.accuracy))
+    grid = np.linspace(*candidates.sweep_range, family.resolution)
+    start = closed = 0
+    for o0, o1 in family.combos():
+        t0 = _group_table(model, family, grid, 0, o0)
+        t1 = _group_table(model, family, grid, 1, o1)
+        n0, n1 = len(t0[0]), len(t1[0])
+        end = start + n0 * n1
+        dropped = _first_pass_drops(
+            candidates.fairness[start:end], candidates.accuracy[start:end],
+            pivot.fairness, pivot.accuracy).reshape(n0, n1)
+        start = end
+        rows, cols = _open_lines(model, w, t0, t1, pivot)
+        closed_rows = np.setdiff1d(np.arange(n0), rows)
+        assert dropped[closed_rows].all()
+        # a column is closed against the open rows only; the closed rows
+        # are dropped whole already
+        closed_cols = np.setdiff1d(np.arange(n1), cols)
+        assert dropped[:, closed_cols].all()
+        closed += len(closed_rows) + len(closed_cols)
+    assert start == len(candidates) - 2
+    assert closed > 0
+
+
+def test_zero_count_blocks_index_iterate_and_decode():
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", orientations="both",
+                        resolution=101)
+    w = MetricWeights()
+    full = sweep(model, family, w)
+    bounded = _sweep(model, family, w, bounded=True)
+    assert bounded._counts[1:] == (0, 0, 0, 2)
+    pts = list(bounded)
+    assert len(pts) == len(bounded) == bounded._counts[0] + 2
+    assert [bounded[i] for i in range(-len(pts), len(pts))] == pts + pts
+    with pytest.raises(IndexError):
+        bounded[len(pts)]
+    assert pts[-2:] == [full[-2], full[-1]]
+    # each scored candidate is the full sweep's at the same grid pair
+    grid = np.linspace(*full.sweep_range, family.resolution)
+    tables = [_group_table(model, family, grid, a, "positive_above")
+              for a in (0, 1)]
+    pivot = max(full[-2], full[-1], key=lambda p: (p.fairness, p.accuracy))
+    rows, cols = _open_lines(model, w, *tables, pivot)
+    flat = (rows[:, None] * family.resolution + cols[None, :]).ravel()
+    assert pts[:-2] == [full[i] for i in flat.tolist()]
+
+
+def test_build_frontier_scores_only_the_open_cells():
+    # the parent scored all 643,206 candidates into 16 B each (~10 MB)
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", orientations="both",
+                        resolution=401)
+    build_frontier(model, dataclasses.replace(family, resolution=5))
+    tracemalloc.start()
+    try:
+        build_frontier(model, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

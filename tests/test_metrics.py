@@ -71,6 +71,11 @@ def test_metric_weights_validation():
         MetricWeights(omega1="x")
 
 
+def test_metric_weights_refuse_ints_too_large_for_a_float():
+    with pytest.raises(ValidationError, match="finite"):
+        MetricWeights(p1=10 ** 400)
+
+
 def test_confusion_rates_validation():
     with pytest.raises(ValidationError):
         ConfusionRates(tpr=(0.5,), tnr=(0.5, 0.5))

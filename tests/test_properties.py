@@ -1,5 +1,6 @@
 """Property-based invariants over random inputs."""
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -10,15 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
-                          IntervalSet, MetricWeights, Mixture, Normal,
-                          Triangular, bayes_accuracy_optimal,
-                          check_decomposition_bound, decompose_unfairness,
+                          GroupConditionalModel, IntervalSet, MetricWeights,
+                          Mixture, Normal, Triangular, bayes_accuracy_optimal,
+                          build_frontier, check_decomposition_bound,
+                          classify_shape, decompose_unfairness,
                           dominance_oracle, fairness, pareto_filter, sweep,
                           unfairness, well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _group_table, _interval_region_count,
-                                   _interval_regions, _rate_arrays)
-from helpers import random_classifier, random_model
+                                   _appended_optima, _group_table,
+                                   _interval_region_count, _interval_regions,
+                                   _rate_arrays)
+from helpers import CELLS, random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
                    allow_infinity=False)
@@ -219,6 +222,53 @@ def test_candidates_agree_with_their_points(mseed, kind, orient, data):
     frontier = pareto_filter(candidates).points
     assert frontier == pareto_filter(pts).points
     assert frontier == dominance_oracle(pts).points
+
+
+@st.composite
+def frontier_weights(draw):
+    """MetricWeights with omega often at 0 or 1 and p1 or p2 often 0."""
+    omega1 = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    p1, p2 = (draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+              for _ in range(2))
+    return MetricWeights(omega1, 1.0 - omega1, p1, p2)
+
+
+@st.composite
+def normal_models(draw):
+    """One Normal per cell; its fairness optimum takes milliseconds where a
+    random_model mixture's can take a second."""
+    masses = [draw(st.integers(1, 10)) for _ in CELLS]
+    return GroupConditionalModel(
+        {cell: m / sum(masses) for cell, m in zip(CELLS, masses)},
+        {cell: Normal(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 3.0)))
+         for cell in CELLS})
+
+
+@given(normal_models(), st.booleans(),
+       st.sampled_from(ORIENTS + tuple(itertools.product(ORIENTS[:2],
+                                                         repeat=2))),
+       st.integers(3, 41), frontier_weights())
+@example(random_model(3), True, "both", 3, MetricWeights())
+@example(random_model(4), False, ("positive_above", "positive_below"), 41,
+         MetricWeights(1.0, 0.0, 0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_build_frontier_equals_the_full_pipeline(model, shared_laws, orient,
+                                                 resolution, w):
+    if shared_laws:  # both groups draw x from one law per label: plateaus
+        model = GroupConditionalModel(model.joint, {
+            (a, y): model.conditional[(0, y)] for a in (0, 1) for y in (0, 1)})
+    # every pipeline here appends the same optima; computing them once
+    # keeps the property fast
+    optima = _appended_optima(model, FamilySpec("per_group_threshold"), w)
+    for family in (FamilySpec("per_group_threshold", orient, resolution),
+                   FamilySpec("per_group_intervals", orient,
+                              min(resolution, 6))):
+        with mock.patch("fairfrontier.frontier._appended_optima",
+                        return_value=optima):
+            candidates = sweep(model, family, w)
+            full = dataclasses.replace(pareto_filter(candidates, family),
+                                       sweep_range=candidates.sweep_range)
+            assert build_frontier(model, family, w) == classify_shape(full)
 
 
 def allocating_scores(model, w, tpr0, tpr1, tnr0, tnr1):
