@@ -9,7 +9,6 @@ carry no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,8 +22,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError)
-from .frontier import (KINDS, ORIENTS, FamilySpec, _swept_frontier, _whole,
-                       build_frontier)
+from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _members,
+                       _swept_frontier, _whole, build_frontier)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -118,6 +117,7 @@ def _bool_str(flag) -> str:
 
 
 # -- CSV writers --------------------------------------------------------------
+# No field holds a comma, a quote or a newline, so rows are joined as they are.
 
 SWEEP_COLUMNS = ("source", "tag", "region0", "region1", "t0", "t1",
                  "fairness", "accuracy", "f_u", "f_du", "f_mu", "well_defined")
@@ -125,41 +125,54 @@ FRONTIER_COLUMNS = ("fairness", "accuracy", "source", "tag", "region0",
                     "region1", "t0", "t1", "on_jump")
 DECOMP_COLUMNS = ("t", "fairness", "accuracy", "f_u", "f_du", "f_mu",
                   "well_defined", "condition")
+_WRITE_BATCH = 32_768  # sweep.csv rows gathered and formatted at a time
 
 
 def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                      path: Path) -> None:
+    """One row per candidate, block by block: each distinct region measured
+    and formatted once, f_mu with Reference.decompose's operations."""
     star = ref.rates
-    f_du = unfairness(star, w)
-    cache = {}
+    f_du = _fmt(unfairness(star, w))
+    measured = ({}, {})
 
-    def group_stats(a: int, bounds) -> tuple:
-        key = (a, bounds)
-        hit = cache.get(key)
-        if hit is None:
-            region = IntervalSet(bounds)
-            tpr = positive_mass(model.conditional[(a, 1)], region)
-            tnr = 1.0 - positive_mass(model.conditional[(a, 0)], region)
-            hit = cache[key] = (tpr, tnr, ref.mismatch(region))
-        return hit
+    def columns(a: int, regions) -> tuple:
+        """(region, t, tpr - tpr*, tnr - tnr*, mismatch) of a's regions."""
+        for bounds in regions:
+            if bounds not in measured[a]:
+                region = IntervalSet(bounds)
+                tpr = positive_mass(model.conditional[(a, 1)], region)
+                tnr = 1.0 - positive_mass(model.conditional[(a, 0)], region)
+                measured[a][bounds] = (
+                    _region_str(bounds), _ray_threshold(bounds),
+                    tpr - star.tpr[a], tnr - star.tnr[a], ref.mismatch(region))
+        text, ray, *stats = zip(*map(measured[a].__getitem__, regions))
+        return (text, ray, *map(np.array, stats))
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for p in candidates:
-            source, tag, b0, b1 = p.params
-            tpr0, tnr0, m0 = group_stats(0, b0)
-            tpr1, tnr1, m1 = group_stats(1, b1)
-            f_mu = (w.omega1 * abs((tpr0 - star.tpr[0]) - (tpr1 - star.tpr[1]))
-                    + w.omega2 * abs((tnr0 - star.tnr[0])
-                                     - (tnr1 - star.tnr[1])))
-            writer.writerow((
-                source, tag, _region_str(b0), _region_str(b1),
-                _ray_threshold(b0), _ray_threshold(b1),
-                _fmt(p.fairness), _fmt(p.accuracy), _fmt(1.0 - p.fairness),
-                _fmt(f_du), _fmt(f_mu),
-                _bool_str(m0 + m1 <= DECOMP_TOL),
-            ))
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        start = 0
+        for block in candidates.blocks:
+            source, tag, regions0, regions1, _ = block
+            count = _block_len(block)
+            if count:
+                text0, ray0, dtpr0, dtnr0, m0 = columns(0, regions0)
+                text1, ray1, dtpr1, dtnr1, m1 = columns(1, regions1)
+            for lo in range(0, count, _WRITE_BATCH):
+                k = np.arange(lo, min(lo + _WRITE_BATCH, count))
+                i0, i1 = _members(block, k)
+                f_mu = (w.omega1 * np.abs(dtpr0[i0] - dtpr1[i1])
+                        + w.omega2 * np.abs(dtnr0[i0] - dtnr1[i1]))
+                fh.writelines(
+                    f"{source},{tag},{text0[r0]},{text1[r1]},{ray0[r0]},"
+                    f"{ray1[r1]},{fair:.17g},{acc:.17g},{1.0 - fair:.17g},"
+                    f"{f_du},{mu:.17g},{_bool_str(ok)}\n"
+                    for r0, r1, fair, acc, mu, ok in zip(
+                        i0.tolist(), i1.tolist(),
+                        candidates.fairness[start + k].tolist(),
+                        candidates.accuracy[start + k].tolist(), f_mu.tolist(),
+                        (m0[i0] + m1[i1] <= DECOMP_TOL).tolist()))
+            start += count
 
 
 def _write_frontier_csv(frontier, family: FamilySpec, path: Path) -> None:
@@ -178,16 +191,15 @@ def _write_frontier_csv(frontier, family: FamilySpec, path: Path) -> None:
                      f" drop={_fmt(j.accuracy_drop)} index={j.index}\n")
         for note in frontier.diagnostics:
             fh.write(f"# note {note}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FRONTIER_COLUMNS)
+        fh.write(",".join(FRONTIER_COLUMNS) + "\n")
         for i, p in enumerate(frontier.points):
             source, tag, b0, b1 = p.params
-            writer.writerow((
+            fh.write(",".join((
                 _fmt(p.fairness), _fmt(p.accuracy), source, tag,
                 _region_str(b0), _region_str(b1),
                 _ray_threshold(b0), _ray_threshold(b1),
                 _bool_str(i in on_jump),
-            ))
+            )) + "\n")
 
 
 def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
@@ -221,15 +233,14 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
 
 def _write_decomposition_csv(table: SweepTable, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DECOMP_COLUMNS)
+        fh.write(",".join(DECOMP_COLUMNS) + "\n")
         for i in range(len(table.t)):
-            writer.writerow((
+            fh.write(",".join((
                 _fmt(table.t[i]), _fmt(table.fairness[i]),
                 _fmt(table.accuracy[i]), _fmt(table.f_u[i]),
                 _fmt(table.f_du[i]), _fmt(table.f_mu[i]),
                 _bool_str(table.well_defined[i]), table.condition[i],
-            ))
+            )) + "\n")
 
 
 # -- SVG plots ----------------------------------------------------------------
@@ -540,13 +551,16 @@ def _load_config(args, default_analyses=("frontier",),
 # -- subcommands --------------------------------------------------------------
 
 
+def _out_dir(path: Path) -> Path:
+    """path, made a directory; main reports any OSError writing output."""
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     model = scenario(cfg.scenario)
-    try:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create output directory: {exc}")
+    _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
     ref = Reference.of(model)
@@ -623,9 +637,7 @@ def _cmd_check(args) -> int:
     text = _theorems_text(model, cfg, Reference.of(model))
     sys.stdout.write(text)
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "theorems.txt").write_text(text)
+        (_out_dir(Path(args.out)) / "theorems.txt").write_text(text)
     return 0
 
 
@@ -753,6 +765,9 @@ def main(argv=None) -> int:
         return 3
     except FairFrontierError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be made or written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -156,7 +156,7 @@ def _rate_arrays(model, grid, a: int, orient: str):
     return c1, 1.0 - c0
 
 
-def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> int:
+def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> None:
     """Score every (row, column) rate pair into the flat fair and acc.
 
     tpr0/tnr0 are (rows, 1) group-0 rates; tpr1/tnr1 are (1, cols) group-1
@@ -166,7 +166,7 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> int:
     point operations in the same order as the whole-table expression
         f_u = omega1 * |tpr1 - tpr0| + omega2 * |tnr1 - tnr0|
         acc = p1 * (tpr1 J11 + tpr0 J01) + p2 * (tnr1 J10 + tnr0 J00)
-    so every score is bit-identical to it. Returns rows * cols.
+    so every score is bit-identical to it.
     """
     rows, cols = tpr0.shape[0], tpr1.shape[1]
     j = model.joint
@@ -197,7 +197,6 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> int:
         np.add(band(hit0[0], lo, hi), hit0[1][lo:hi], out=s)
         np.multiply(w.p2, s, out=s)
         np.add(a, s, out=a)
-    return rows * cols
 
 
 def _interval_region_count(resolution: int, k: int, orient: str) -> int:
@@ -241,12 +240,13 @@ class Candidates(Sequence):
     """A sweep's candidates, stored as columns and read-only.
 
     fairness and accuracy hold one value per candidate in sweep order.
-    Indexing (negative indices too) and iteration build equal FrontierPoints
-    on demand: each block of the sweep decodes its own flat index into
-    params. sweep_range is the grid range the sweep resolved.
+    Indexing (negative indices too) builds equal FrontierPoints on demand.
+    sweep_range is the grid range the sweep resolved.
 
-    sweep builds them: it scores every block into the two arrays it hands
-    over, and blocks lists one (count, decode) pair per block, in order.
+    blocks lists the sweep's blocks in order, each as the data
+    (source, tag, regions0, regions1, product). A product block holds one
+    candidate per (group-0 region, group-1 region) pair, row-major; any
+    other block pairs regions0[k] with regions1[k].
     """
 
     def __init__(self, fairness: np.ndarray, accuracy: np.ndarray, blocks,
@@ -256,9 +256,8 @@ class Candidates(Sequence):
         self.fairness.flags.writeable = False
         self.accuracy.flags.writeable = False
         self.sweep_range = sweep_range
-        self._counts = tuple(b[0] for b in blocks)
-        self._decoders = tuple(b[1] for b in blocks)
-        self._ends = tuple(itertools.accumulate(self._counts))
+        self.blocks = tuple(blocks)
+        self._ends = tuple(itertools.accumulate(map(_block_len, self.blocks)))
 
     def __len__(self) -> int:
         return self._ends[-1]
@@ -271,20 +270,19 @@ class Candidates(Sequence):
         if not 0 <= i < n:
             raise IndexError(f"candidate index out of range for {n}")
         b = bisect.bisect_right(self._ends, i)
-        start = self._ends[b] - self._counts[b]
+        source, tag, regions0, regions1, _ = block = self.blocks[b]
+        i0, i1 = _members(block, i - self._ends[b] + _block_len(block))
         return FrontierPoint(float(self.fairness[i]), float(self.accuracy[i]),
-                             self._decoders[b](i - start))
+                             (source, tag, regions0[i0], regions1[i1]))
 
-    def __iter__(self):
-        # block by block over tolist() values: a bisect per element would
-        # slow every caller that streams all candidates
-        start = 0
-        for count, decode in zip(self._counts, self._decoders):
-            fair = self.fairness[start:start + count].tolist()
-            acc = self.accuracy[start:start + count].tolist()
-            for k in range(count):
-                yield FrontierPoint(fair[k], acc[k], decode(k))
-            start += count
+
+def _block_len(block) -> int:
+    return len(block[2]) * len(block[3]) if block[4] else len(block[2])
+
+
+def _members(block, k):
+    """Region indices (i0, i1) of a block's members k: an int or an array."""
+    return divmod(k, len(block[3])) if block[4] else (k, k)
 
 
 def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
@@ -324,10 +322,8 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     # a shared combo is one orientation, which both groups take
     pairs = [(table(0, combo[0]), table(1, combo[-1]), "|".join(combo))
              for combo in family.combos()]
-    if family.kind == "shared_threshold":
-        score, lines = _shared_block, [()] * len(pairs)
-    else:
-        score = _pair_block
+    lines = [()] * len(pairs)
+    if family.kind != "shared_threshold":
         lines = [_open_lines(model, w, t0, t1, pivot) for t0, t1, _ in pairs]
         count = sum(len(rows) * len(cols) for rows, cols in lines)
     fair = np.empty(count + len(optima))
@@ -335,12 +331,19 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     blocks = []
     start = 0
     for (t0, t1, tag), block_lines in zip(pairs, lines):
-        blocks.append(score(model, w, t0, t1, *block_lines,
-                            fair[start:], acc[start:], tag))
-        start += blocks[-1][0]
+        if block_lines:
+            blocks.append(_pair_block(model, w, t0, t1, tag, *block_lines,
+                                      fair[start:], acc[start:]))
+        else:  # row k's region in both groups
+            (regions, tpr0, tnr0), (_, tpr1, tnr1) = t0, t1
+            blocks.append(("grid", tag, regions, regions, False))
+            _scores(model, w, tpr0[:, None], tpr1[:, None],
+                    tnr0[:, None], tnr1[:, None], fair[start:], acc[start:])
+        start += _block_len(blocks[-1])
     fair[start:] = [p.fairness for p in optima]
     acc[start:] = [p.accuracy for p in optima]
-    blocks.append((len(optima), lambda k: optima[k].params))
+    blocks += [(source, tag, (r0,), (r1,), True)
+               for source, tag, r0, r1 in (p.params for p in optima)]
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
@@ -370,31 +373,15 @@ def _group_table(model, family, grid, a: int, orient: str) -> tuple:
     return regions, np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
 
 
-def _shared_block(model, w, table0, table1, fair, acc, orient):
-    (regions, tpr0, tnr0), (_, tpr1, tnr1) = table0, table1
-    count = _scores(model, w, tpr0[:, None], tpr1[:, None],
-                    tnr0[:, None], tnr1[:, None], fair, acc)
-
-    def decode(k):
-        return ("grid", orient, regions[k], regions[k])
-    return count, decode
-
-
-def _pair_block(model, w, table0, table1, rows, cols, fair, acc, tag):
+def _pair_block(model, w, table0, table1, tag, rows, cols, fair, acc):
     """Score every (group-0 row, group-1 column) pair of rows x cols, given
-    as index arrays into the two tables, as one flat block."""
+    as index arrays into the two tables, as one flat product block."""
     regions0 = [table0[0][i] for i in rows.tolist()]
     regions1 = [table1[0][j] for j in cols.tolist()]
-    count = len(regions0) * len(regions1)
-    if count:  # _scores bands by the column count
+    if len(rows) and len(cols):  # _scores bands by the column count
         _scores(model, w, table0[1][rows][:, None], table1[1][cols][None, :],
                 table0[2][rows][:, None], table1[2][cols][None, :], fair, acc)
-    n1 = len(regions1)
-
-    def decode(k):
-        i, j = divmod(k, n1)
-        return ("grid", tag, regions0[i], regions1[j])
-    return count, decode
+    return "grid", tag, regions0, regions1, True
 
 
 # Relative slack of the accuracy bound. A score rounds each of its four

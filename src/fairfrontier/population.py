@@ -150,7 +150,7 @@ def validate(model) -> ValidationReport:
                     f"joint mass residual {residual:.3g}"))
     for cell in CELLS:
         dist = cond[cell]
-        lo, hi = _effective_support(dist)
+        lo, hi = _finite_bracket((dist,))
         mass, _ = quad(lambda x: float(dist.pdf(x)), lo, hi, limit=200)
         ok = abs(mass - 1.0) <= 1e-8
         entries.append((f"pdf_mass_{_cell_key(*cell)}", ok,
@@ -159,28 +159,27 @@ def validate(model) -> ValidationReport:
     return ValidationReport(ok=ok, joint_residual=residual, entries=tuple(entries))
 
 
-def _effective_support(dist) -> tuple[float, float]:
-    if isinstance(dist, Triangular):
-        return dist.lower, dist.upper
-    if isinstance(dist, Normal):
-        return dist.mean - 10.0 * dist.stddev, dist.mean + 10.0 * dist.stddev
-    return _finite_bracket((dist,))
-
-
 def _validate_payload(payload) -> ValidationReport:
     entries = []
     residual = float("nan")
     if not isinstance(payload, dict):
         entries.append(("payload", False, "scenario payload must be a mapping"))
     else:
-        joint = payload.get("joint", {})
+        joint, dist = (payload.get(name, {}) for name in ("joint", "dist"))
+        for name, section in (("joint", joint), ("dist", dist)):
+            if not isinstance(section, dict):
+                entries.append((name, False, f"{name} must be a JSON object"))
         got = []
-        for a, y in CELLS:
+        for a, y in CELLS if isinstance(joint, dict) else ():
             key = _cell_key(a, y)
-            if key not in joint:
-                entries.append((f"joint.{key}", False, f"joint.{key} missing"))
-            else:
+            try:
                 got.append(float(joint[key]))
+            except KeyError:
+                entries.append((f"joint.{key}", False, f"joint.{key} missing"))
+            except (TypeError, ValueError, OverflowError):
+                entries.append((f"joint.{key}", False,
+                                f"joint.{key} = {joint[key]!r} is not a number"))
+            else:
                 if got[-1] < 0:
                     entries.append((f"joint.{key}", False,
                                     f"joint.{key} = {got[-1]} < 0"))
@@ -189,8 +188,7 @@ def _validate_payload(payload) -> ValidationReport:
             entries.append(("joint_sum", residual <= 1e-12,
                             f"joint mass {sum(got)!r} != 1" if residual > 1e-12
                             else "joint mass ok"))
-        dist = payload.get("dist", {})
-        for a, y in CELLS:
+        for a, y in CELLS if isinstance(dist, dict) else ():
             key = _cell_key(a, y)
             if key not in dist:
                 entries.append((f"dist.{key}", False, f"dist.{key} missing"))
@@ -223,7 +221,7 @@ def _dist_from_payload(spec, where: str):
             return Mixture(comps)
     except KeyError as exc:
         raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
     raise ValidationError(f"{where}: unknown kind {kind!r}")
 

@@ -7,11 +7,13 @@ from dataclasses import replace
 
 import pytest
 
-from fairfrontier import (FamilySpec, Frontier, InputError, build_frontier,
-                          confusion_rates, scenario)
+from fairfrontier import (FamilySpec, Frontier, InputError, MetricWeights,
+                          Reference, build_frontier, confusion_rates, scenario)
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
+from fairfrontier.frontier import _block_len, _sweep
+from helpers import random_model
 
 
 def read_csv(path):
@@ -55,6 +57,49 @@ def test_run_writes_frontier_artifacts(tmp_path, capsys):
 
     svg = (tmp_path / "frontier.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("seed, kind, orientations, bounded", [
+    (1, "shared_threshold", "positive_above", False),
+    (2, "shared_threshold", "positive_below", False),
+    (3, "per_group_threshold", "positive_above", False),
+    (4, "per_group_threshold", "positive_below", False),
+    (5, "per_group_threshold", ("positive_below", "positive_above"), False),
+    (6, "per_group_intervals", "positive_above", False),
+    (8, "per_group_intervals", "positive_below", False),
+    (10, "per_group_intervals", ("positive_above", "positive_below"), False),
+    (3, "per_group_threshold", "both", True),
+    (7, "per_group_intervals", "both", True),
+])
+def test_sweep_csv_rows_match_the_decomposition_oracle(
+        tmp_path, monkeypatch, seed, kind, orientations, bounded):
+    # a small prime batch splits the larger blocks across several batches;
+    # these bounded sweeps hold zero-count blocks
+    monkeypatch.setattr(cli, "_WRITE_BATCH", 7)
+    model = random_model(seed)
+    family = FamilySpec(kind, orientations=orientations, k=1,
+                        resolution=6 if kind == "per_group_intervals" else 17)
+    w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
+    c = _sweep(model, family, w, bounded)
+    ref = Reference.of(model)
+    cli._write_sweep_csv(model, c, w, ref, tmp_path / "sweep.csv")
+    rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == len(c)
+    assert max(map(_block_len, c.blocks)) > 2 * cli._WRITE_BATCH
+    for k, row in enumerate(rows):
+        p = c[k]
+        d = ref.decompose(model, p.clf, w)
+        assert (row["source"], row["tag"]) == p.params[:2]
+        assert (parse_region(row["region0"]),
+                parse_region(row["region1"])) == p.params[2:]
+        assert (row["t0"], row["t1"]) == tuple(map(cli._ray_threshold,
+                                                   p.params[2:]))
+        assert float(row["fairness"]) == c.fairness[k]
+        assert float(row["accuracy"]) == c.accuracy[k]
+        assert float(row["f_u"]) == 1.0 - c.fairness[k]
+        assert float(row["f_du"]) == d.f_du
+        assert float(row["f_mu"]) == d.f_mu
+        assert row["well_defined"] == ("true" if d.well_defined else "false")
 
 
 def test_run_decomposition_constant_data_part(tmp_path):
@@ -228,6 +273,27 @@ def test_check_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "boundary_alignment" in printed
     assert (tmp_path / "theorems.txt").read_text() == printed
+
+
+def test_check_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["check", "--scenario", "example1", "--resolution", "11",
+                 "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+
+
+def test_run_artifact_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    (tmp_path / "sweep.csv").mkdir()
+    code = main(["run", "--scenario", "example1", "--resolution", "11",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "sweep.csv") in err
 
 
 def test_oracle_subcommand_agrees(capsys):

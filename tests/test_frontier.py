@@ -11,8 +11,8 @@ from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
                           MetricWeights, ResourceError, ValidationError,
                           build_frontier, classify_shape, dominance_oracle,
                           pareto_filter, scenario, sweep)
-from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _fair_line,
-                                   _fair_roots, _first_pass_drops,
+from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
+                                   _fair_line, _fair_roots, _first_pass_drops,
                                    _group_table, _open_lines, _sweep)
 from helpers import random_model
 
@@ -398,9 +398,11 @@ def test_zero_count_blocks_index_iterate_and_decode():
     w = MetricWeights()
     full = sweep(model, family, w)
     bounded = _sweep(model, family, w, bounded=True)
-    assert bounded._counts[1:] == (0, 0, 0, 2)
+    counts = [_block_len(block) for block in bounded.blocks]
+    # the two appended optima are one 1 x 1 product block each
+    assert counts[1:] == [0, 0, 0, 1, 1]
     pts = list(bounded)
-    assert len(pts) == len(bounded) == bounded._counts[0] + 2
+    assert len(pts) == len(bounded) == counts[0] + 2
     assert [bounded[i] for i in range(-len(pts), len(pts))] == pts + pts
     with pytest.raises(IndexError):
         bounded[len(pts)]

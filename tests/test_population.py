@@ -8,6 +8,7 @@ from fairfrontier import (CELLS, PRESETS, GroupConditionalModel, InputError,
                           Normal, Triangular, ValidationError,
                           read_scenario_file, scenario, validate,
                           write_scenario_file)
+from fairfrontier.cli import main
 
 
 def test_example1_joint_and_conditionals():
@@ -155,3 +156,40 @@ def test_mixture_roundtrips_through_files(tmp_path):
     loaded = read_scenario_file(str(path))
     assert loaded.conditional == model.conditional
     assert json.loads(path.read_text())["label"] == "mixed"
+
+
+def _normal_payload(**changes):
+    keys = ("a0y0", "a0y1", "a1y0", "a1y1")
+    payload = {"joint": {k: 0.25 for k in keys},
+               "dist": {k: {"kind": "normal", "mean": 0, "stddev": 1}
+                        for k in keys}}
+    for section, value in changes.items():
+        if isinstance(value, dict):
+            payload[section].update(value)
+        else:
+            payload[section] = value
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _normal_payload(joint=3),
+    _normal_payload(joint=["a0y0", "a0y1", "a1y0", "a1y1"]),
+    _normal_payload(dist=3),
+    _normal_payload(dist="a0y0 a0y1 a1y0 a1y1"),
+    _normal_payload(joint={"a0y0": "x"}),
+    _normal_payload(joint={"a0y0": None}),
+    _normal_payload(joint={"a0y0": 10**400}),
+    _normal_payload(dist={"a0y0": {"kind": "normal", "mean": 10**400,
+                                   "stddev": 1}}),
+], ids=["joint-int", "joint-list", "dist-int", "dist-str", "cell-str",
+        "cell-null", "cell-huge", "mean-huge"])
+def test_malformed_scenario_payload_is_reported_not_raised(
+        tmp_path, capsys, payload):
+    report = validate(payload)
+    assert not report.ok and report.problems
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
