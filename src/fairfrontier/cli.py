@@ -12,8 +12,10 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -21,9 +23,9 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
-                     ValidationError)
+                     ValidationError, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _members,
-                       _swept_frontier, _whole, build_frontier)
+                       _swept_frontier, build_frontier)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -47,32 +49,16 @@ class RunConfig:
     scenario: str
     family: FamilySpec
     weights: MetricWeights
-    out: Path
+    out: Optional[Path]
     analyses: tuple = ("frontier",)
 
     def __post_init__(self):
-        if not self.scenario:
-            raise ValidationError("scenario is required")
         if not self.analyses:
             raise ValidationError("at least one analysis must be requested")
         unknown = [a for a in self.analyses if a not in ANALYSES]
         if unknown:
             raise ValidationError(
                 f"unknown analyses {unknown}; choose from {list(ANALYSES)}")
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Columns of a shared-boundary sweep, for decomposition CSV and plots."""
-
-    t: tuple
-    fairness: tuple
-    accuracy: tuple
-    f_u: tuple
-    f_du: tuple
-    f_mu: tuple
-    well_defined: tuple
-    condition: tuple
 
 
 # -- formatting ---------------------------------------------------------------
@@ -125,6 +111,8 @@ FRONTIER_COLUMNS = ("fairness", "accuracy", "source", "tag", "region0",
                     "region1", "t0", "t1", "on_jump")
 DECOMP_COLUMNS = ("t", "fairness", "accuracy", "f_u", "f_du", "f_mu",
                   "well_defined", "condition")
+# the columns of a shared-boundary sweep, for decomposition.csv and plots
+SweepTable = namedtuple("SweepTable", DECOMP_COLUMNS)
 _WRITE_BATCH = 32_768  # sweep.csv rows gathered and formatted at a time
 
 
@@ -214,33 +202,22 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
     if family.kind == "shared_threshold" and family.orientations[0] != "both":
         orient = family.orientations[0]
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
-    grid = np.linspace(lo, hi, family.resolution)
-    cols = {name: [] for name in DECOMP_COLUMNS}
-    for t in grid:
+    rows = []  # one per boundary, in DECOMP_COLUMNS order
+    for t in np.linspace(lo, hi, family.resolution).tolist():
         clf = GroupwiseClassifier.shared_threshold(
-            float(t), positive_above=orient == "positive_above")
+            t, positive_above=orient == "positive_above")
         d = ref.decompose(model, clf, w)
-        cols["t"].append(float(t))
-        cols["fairness"].append(1.0 - d.f_u)
-        cols["accuracy"].append(accuracy(model, clf, w))
-        cols["f_u"].append(d.f_u)
-        cols["f_du"].append(d.f_du)
-        cols["f_mu"].append(d.f_mu)
-        cols["well_defined"].append(d.well_defined)
-        cols["condition"].append(d.condition_met or "")
-    return SweepTable(**{k: tuple(v) for k, v in cols.items()})
+        rows.append((t, 1.0 - d.f_u, accuracy(model, clf, w), d.f_u, d.f_du,
+                     d.f_mu, d.well_defined, d.condition_met or ""))
+    return SweepTable(*zip(*rows))
 
 
 def _write_decomposition_csv(table: SweepTable, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(DECOMP_COLUMNS) + "\n")
-        for i in range(len(table.t)):
-            fh.write(",".join((
-                _fmt(table.t[i]), _fmt(table.fairness[i]),
-                _fmt(table.accuracy[i]), _fmt(table.f_u[i]),
-                _fmt(table.f_du[i]), _fmt(table.f_mu[i]),
-                _bool_str(table.well_defined[i]), table.condition[i],
-            )) + "\n")
+        for *values, ok, condition in zip(*table):
+            fh.write(",".join([*map(_fmt, values), _bool_str(ok), condition])
+                     + "\n")
 
 
 # -- SVG plots ----------------------------------------------------------------
@@ -416,7 +393,7 @@ def _theorems_text(model, cfg: RunConfig, ref: Reference,
     w = cfg.weights
     shared_opt = bayes_accuracy_optimal(model, "overall")
     located, indicated = _boundary_alignment_reports(
-        model, ref, ("boundary_location", "strict_indicator"))
+        model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
@@ -492,10 +469,8 @@ def _config_section(payload: dict, key: str) -> dict:
     return section
 
 
-def _load_config(args, default_analyses=("frontier",),
-                 require_out: bool = True) -> RunConfig:
-    payload = _read_config_file(args.config) if getattr(args, "config",
-                                                        None) else {}
+def _load_config(args, default_analyses=("frontier",)) -> RunConfig:
+    payload = _read_config_file(args.config) if args.config else {}
     fam, wts = (_config_section(payload, key) for key in ("family", "weights"))
 
     def pick(flag, fallback, default=None):
@@ -531,19 +506,14 @@ def _load_config(args, default_analyses=("frontier",),
         raise ValidationError("config \"analyses\" must be a JSON list")
     analyses = requested or tuple(listed) or tuple(default_analyses)
 
-    out = pick(getattr(args, "out", None), payload.get("out"))
-    if out is None:
-        if require_out:
-            raise ValidationError(
-                "output directory is required (--out or config \"out\")")
-        out = "."
-    if not isinstance(out, str):
+    out = pick(args.out, payload.get("out"))
+    if not isinstance(out, (str, type(None))):
         raise ValidationError("config \"out\" must be a path string")
     return RunConfig(
         scenario=str(scenario_id),
         family=family,
         weights=weights,
-        out=Path(out),
+        out=None if out is None else Path(out),
         analyses=analyses,
     )
 
@@ -559,6 +529,9 @@ def _out_dir(path: Path) -> Path:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    if cfg.out is None:
+        raise ValidationError(
+            "output directory is required (--out or config \"out\")")
     model = scenario(cfg.scenario)
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
@@ -606,24 +579,20 @@ def _cmd_scenarios(args) -> int:
         model = builder()
         cells = " ".join(
             f"a{a}y{y}={_fmt6(model.joint[(a, y)])}:"
-            f"{_describe(model.conditional[(a, y)])}"
+            f"{_describe(_dist_to_payload(model.conditional[(a, y)]))}"
             for a in (0, 1) for y in (0, 1))
         label = f" ({model.label})" if model.label else ""
         print(f"{name}{label}\n  {cells}")
     return 0
 
 
-def _describe(dist) -> str:
-    return _describe_payload(_dist_to_payload(dist))
-
-
-def _describe_payload(payload: dict) -> str:
+def _describe(payload: dict) -> str:
     payload = dict(payload)
     kind = payload.pop("kind")
     if kind == "mixture":
         inner = ",".join(
             f"{_fmt6(c['weight'])}*"
-            + _describe_payload({k: v for k, v in c.items() if k != "weight"})
+            + _describe({k: v for k, v in c.items() if k != "weight"})
             for c in payload["components"])
         return f"mixture({inner})"
     body = ",".join(f"{k}={_fmt6(v)}" for k, v in payload.items())
@@ -631,13 +600,12 @@ def _describe_payload(payload: dict) -> str:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_config(args, default_analyses=("theorems",),
-                       require_out=False)
+    cfg = _load_config(args, default_analyses=("theorems",))
     model = scenario(cfg.scenario)
     text = _theorems_text(model, cfg, Reference.of(model))
     sys.stdout.write(text)
-    if args.out is not None:
-        (_out_dir(Path(args.out)) / "theorems.txt").write_text(text)
+    if cfg.out is not None:
+        (_out_dir(cfg.out) / "theorems.txt").write_text(text)
     return 0
 
 
@@ -688,7 +656,7 @@ def _cmd_oracle(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_config_flags(sub, with_out: bool = True) -> None:
+def _add_config_flags(sub) -> None:
     sub.add_argument("--scenario",
                      help="preset name or scenario file path")
     sub.add_argument("--config", help="JSON config file; flags take priority")
@@ -705,14 +673,14 @@ def _add_config_flags(sub, with_out: bool = True) -> None:
     sub.add_argument("--omega2", type=float)
     sub.add_argument("--p1", type=float)
     sub.add_argument("--p2", type=float)
-    if with_out:
-        sub.add_argument("--out", help="output directory")
+    sub.add_argument("--out", help="output directory (check: also write"
+                                   " theorems.txt there)")
 
 
 def _sample_count(text: str) -> int:
     """--n as a whole number; float notation such as 2e5 is accepted."""
     try:
-        return _whole("--n", float(text))
+        return _whole(float(text), "--n")
     except (ValueError, ValidationError):
         raise argparse.ArgumentTypeError(
             f"invalid sample count: {text!r}") from None
@@ -739,8 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.set_defaults(func=_cmd_scenarios)
 
     check = subs.add_parser("check", help="print the theorem report")
-    _add_config_flags(check, with_out=False)
-    check.add_argument("--out", help="also write theorems.txt here")
+    _add_config_flags(check)
     check.set_defaults(func=_cmd_check)
 
     oracle = subs.add_parser("oracle",

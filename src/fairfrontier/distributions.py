@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, _number, _whole
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
@@ -36,9 +36,10 @@ class Normal:
     stddev: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mean):
-            raise ValidationError(f"Normal mean must be finite, got {self.mean}")
-        if not (np.isfinite(self.stddev) and self.stddev > 0):
+        object.__setattr__(self, "mean", _number(self.mean, "Normal mean"))
+        object.__setattr__(self, "stddev",
+                           _number(self.stddev, "Normal stddev"))
+        if not self.stddev > 0:
             raise ValidationError(f"Normal stddev must be > 0, got {self.stddev}")
 
     def pdf(self, x):
@@ -66,13 +67,14 @@ class Triangular:
     mode: float
 
     def __post_init__(self):
+        for name in ("lower", "upper", "mode"):
+            object.__setattr__(self, name, _number(getattr(self, name),
+                                                   f"Triangular {name}"))
         a, b, c = self.lower, self.upper, self.mode
-        if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(c)):
-            raise ValidationError("Triangular parameters must be finite")
         if not a < b:
             raise ValidationError(f"Triangular needs lower < upper, got [{a}, {b}]")
         # the edges' products and squares stay below width ** 2
-        width = float(b) - float(a)
+        width = b - a
         if not math.isfinite(width * width):
             raise ValidationError(f"Triangular [{a}, {b}] is too wide: its "
                                   "squared width overflows")
@@ -169,14 +171,15 @@ class Mixture:
                 raise ValidationError(
                     "Mixture components must be (weight, distribution) pairs"
                 )
-            if not (np.isfinite(w) and 0.0 < w <= 1.0):
+            w = _number(w, "Mixture weight")
+            if not 0.0 < w <= 1.0:
                 raise ValidationError(f"Mixture weight must be in (0, 1], got {w}")
             if isinstance(dist, Mixture):
                 if any(isinstance(d, Mixture) for _, d in dist.components):
                     raise ValidationError("Mixture nesting depth exceeds 2")
             elif not isinstance(dist, (Normal, Triangular)):
                 raise ValidationError(f"Unsupported mixture component: {dist!r}")
-            comps.append((float(w), dist))
+            comps.append((w, dist))
         if not comps:
             raise ValidationError("Mixture needs at least one component")
         total = sum(w for w, _ in comps)
@@ -282,7 +285,7 @@ def positive_mass(dist, region) -> float:
 
 def sample(dist, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` values, deterministic for fixed (seed, n)."""
-    n = int(n)
+    n = _whole(n, "sample size")
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(key=_seed_key(seed)))
@@ -291,7 +294,7 @@ def sample(dist, n: int, seed: int) -> np.ndarray:
 
 def _seed_key(seed) -> np.uint64:
     """seed as a Philox key word; seeds outside [0, 2**64) are refused."""
-    seed = int(seed)
+    seed = _whole(seed, "seed")
     if not 0 <= seed < 2**64:
         raise InputError(f"seed must be in [0, 2**64), got {seed}")
     return np.uint64(seed)

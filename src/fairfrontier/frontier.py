@@ -16,14 +16,14 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
-from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
-from .errors import InputError, ResourceError, ValidationError
+from .errors import (InputError, ResourceError, ValidationError, _number,
+                     _whole)
 from .metrics import MetricWeights, accuracy, confusion_rates, unfairness
 
 DOMINANCE_TOL = 1e-12
@@ -34,16 +34,6 @@ _BAND = 32_768
 _CHUNK = 65_536
 KINDS = ("shared_threshold", "per_group_threshold", "per_group_intervals")
 ORIENTS = ("positive_above", "positive_below", "both")
-
-
-def _whole(name: str, value) -> int:
-    """value as an int, refusing fractions instead of truncating them."""
-    try:
-        if int(value) == float(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +67,18 @@ class FamilySpec:
             raise ValidationError(f"bad orientations {self.orientations!r}")
         object.__setattr__(self, "orientations", slots)
         object.__setattr__(self, "resolution",
-                           _whole("resolution", self.resolution))
+                           _whole(self.resolution, "resolution"))
         if self.resolution < 3:
             raise ValidationError("resolution must be >= 3")
         if self.sweep_range is not None:
-            try:  # two numbers; anything else reads as NaN
-                lo, hi = (float(v) if isinstance(v, Real) else math.nan
-                          for v in self.sweep_range)
-            except (TypeError, ValueError, OverflowError):
+            try:
+                lo, hi = (_number(v, "sweep range") for v in self.sweep_range)
+            except (TypeError, ValueError):  # not two values
                 lo = hi = math.nan
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not lo < hi:
                 raise ValidationError(f"bad sweep range {self.sweep_range!r}")
             object.__setattr__(self, "sweep_range", (lo, hi))
-        object.__setattr__(self, "k", _whole("k", self.k))
+        object.__setattr__(self, "k", _whole(self.k, "k"))
         if self.k < 1:
             raise ValidationError("k must be >= 1")
 

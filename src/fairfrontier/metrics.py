@@ -3,15 +3,13 @@ data/model split of unfairness."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple, Optional
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal)
 from .distributions import positive_mass
-from .errors import ValidationError
+from .errors import ValidationError, _number
 
 DECOMP_TOL = 1e-9
 
@@ -33,13 +31,6 @@ class ConfusionRates:
         object.__setattr__(self, "tnr", tnr)
 
 
-def _finite(value) -> bool:
-    try:
-        return isinstance(value, Real) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class MetricWeights:
     """Unfairness weights (must sum to 1) and accuracy weights.
@@ -54,11 +45,9 @@ class MetricWeights:
     p2: float = 1.0
 
     def __post_init__(self):
-        weights = (self.omega1, self.omega2, self.p1, self.p2)
-        if not all(map(_finite, weights)):
-            raise ValidationError(
-                f"weights must be finite numbers, got {weights}")
-        if min(weights) < 0.0:
+        for name in ("omega1", "omega2", "p1", "p2"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if min(self.omega1, self.omega2, self.p1, self.p2) < 0.0:
             raise ValidationError("weights must be nonnegative")
         if abs(self.omega1 + self.omega2 - 1.0) > 1e-12:
             raise ValidationError("omega1 + omega2 must equal 1")

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _draw, _seed_key
-from .errors import InputError, ResourceError
-from .frontier import Frontier, _finish_frontier, _whole
+from .errors import InputError, ResourceError, _whole
+from .frontier import Frontier, _finish_frontier
 from .metrics import MetricWeights
 from .population import CELLS
 
@@ -50,14 +50,14 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     and a fractional n raises ValidationError instead of being truncated.
     """
     w = w or MetricWeights()
-    n = _whole("n", n)
+    n = _whole(n, "n")
     if n < MIN_SAMPLES:
         raise InputError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if n > MC_CAP:
         raise ResourceError(
             f"{n} samples requested (cap {MC_CAP}); lower n")
-    seed = int(seed)
     key = _seed_key(seed)
+    seed = int(key)
 
     cum = np.cumsum([model.joint[c] for c in CELLS])
     count = {c: 0 for c in CELLS}

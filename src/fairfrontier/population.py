@@ -8,6 +8,7 @@ reads from this object.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .distributions import Mixture, Normal, Triangular, _finite_bracket
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, _number
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -35,13 +36,14 @@ class GroupConditionalModel:
     label: str = ""
 
     def __post_init__(self):
-        joint = {cell: float(self.joint[cell]) for cell in CELLS if cell in self.joint}
+        joint = {cell: _number(self.joint[cell], f"joint{cell}")
+                 for cell in CELLS if cell in self.joint}
         cond = dict(self.conditional)
         missing = [c for c in CELLS if c not in joint or c not in cond]
         if missing:
             raise ValidationError(f"model is missing cells: {missing}")
         for cell, p in joint.items():
-            if not (np.isfinite(p) and p >= 0.0):
+            if not p >= 0.0:
                 raise ValidationError(f"joint{cell} must be >= 0, got {p}")
         total = sum(joint.values())
         if abs(total - 1.0) > 1e-12:
@@ -138,18 +140,15 @@ def validate(model) -> ValidationReport:
     Accepts either a constructed GroupConditionalModel or the dict payload of
     a scenario file, so malformed inputs can be diagnosed instead of raising.
     """
-    if isinstance(model, GroupConditionalModel):
-        joint = model.joint
-        cond = model.conditional
-    else:
-        return _validate_payload(model)
+    if not isinstance(model, GroupConditionalModel):
+        return _read_payload(model)[0]
 
     entries = []
-    residual = abs(sum(joint.values()) - 1.0)
+    residual = abs(sum(model.joint.values()) - 1.0)
     entries.append(("joint_sum", residual <= 1e-12,
                     f"joint mass residual {residual:.3g}"))
     for cell in CELLS:
-        dist = cond[cell]
+        dist = model.conditional[cell]
         lo, hi = _finite_bracket((dist,))
         mass, _ = quad(lambda x: float(dist.pdf(x)), lo, hi, limit=200)
         ok = abs(mass - 1.0) <= 1e-8
@@ -159,85 +158,104 @@ def validate(model) -> ValidationReport:
     return ValidationReport(ok=ok, joint_residual=residual, entries=tuple(entries))
 
 
-def _validate_payload(payload) -> ValidationReport:
-    entries = []
-    residual = float("nan")
+# -- scenario file format -------------------------------------------------
+
+
+def _read_payload(payload) -> tuple:
+    """(report, model) for a scenario payload; model is None unless ok.
+
+    Each field is read once, by the number rule in errors, and the model is
+    built from those reads, so its constructor's checks (such as a group
+    with zero mass) land in the same report as the field checks.
+    """
     if not isinstance(payload, dict):
-        entries.append(("payload", False, "scenario payload must be a mapping"))
-    else:
-        joint, dist = (payload.get(name, {}) for name in ("joint", "dist"))
-        for name, section in (("joint", joint), ("dist", dist)):
-            if not isinstance(section, dict):
-                entries.append((name, False, f"{name} must be a JSON object"))
-        got = []
-        for a, y in CELLS if isinstance(joint, dict) else ():
-            key = _cell_key(a, y)
-            try:
-                got.append(float(joint[key]))
-            except KeyError:
-                entries.append((f"joint.{key}", False, f"joint.{key} missing"))
-            except (TypeError, ValueError, OverflowError):
-                entries.append((f"joint.{key}", False,
-                                f"joint.{key} = {joint[key]!r} is not a number"))
-            else:
-                if got[-1] < 0:
-                    entries.append((f"joint.{key}", False,
-                                    f"joint.{key} = {got[-1]} < 0"))
-        if len(got) == len(CELLS):
-            residual = abs(sum(got) - 1.0)
-            entries.append(("joint_sum", residual <= 1e-12,
-                            f"joint mass {sum(got)!r} != 1" if residual > 1e-12
-                            else "joint mass ok"))
-        for a, y in CELLS if isinstance(dist, dict) else ():
-            key = _cell_key(a, y)
-            if key not in dist:
-                entries.append((f"dist.{key}", False, f"dist.{key} missing"))
+        entry = ("payload", False, "scenario payload must be a mapping")
+        return ValidationReport(False, math.nan, (entry,)), None
+    entries, cells = [], {"joint": {}, "dist": {}}
+    residual = math.nan
+    for name, read in (("joint", _number), ("dist", _dist_from_payload)):
+        section = payload.get(name, {})
+        if not isinstance(section, dict):
+            entries.append((name, False, f"{name} must be a JSON object"))
+            continue
+        for cell in CELLS:
+            key = f"{name}.{_cell_key(*cell)}"
+            if _cell_key(*cell) not in section:
+                entries.append((key, False, f"{key} missing"))
                 continue
             try:
-                _dist_from_payload(dist[key], f"dist.{key}")
-                entries.append((f"dist.{key}", True, "ok"))
+                cells[name][cell] = read(section[_cell_key(*cell)], key)
+                entries.append((key, True, "ok"))
             except ValidationError as exc:
-                entries.append((f"dist.{key}", False, str(exc)))
-    ok = all(passed for _, passed, _ in entries)
-    return ValidationReport(ok=ok, joint_residual=residual, entries=tuple(entries))
+                entries.append((key, False, str(exc)))
+    joint = cells["joint"]
+    if len(joint) == len(CELLS):
+        residual = abs(sum(joint.values()) - 1.0)
+        entries.append(("joint_sum", residual <= 1e-12,
+                        f"joint mass {sum(joint.values())!r} != 1"
+                        if residual > 1e-12 else "joint mass ok"))
+    model = None
+    if all(passed for _, passed, _ in entries):
+        try:
+            model = GroupConditionalModel(joint, cells["dist"],
+                                          str(payload.get("label", "")))
+        except ValidationError as exc:
+            entries.append(("model", False, str(exc)))
+    return ValidationReport(model is not None, residual, tuple(entries)), model
 
 
-# -- scenario file format -------------------------------------------------
+_LAWS = {"normal": (Normal, ("mean", "stddev")),
+         "triangular": (Triangular, ("lower", "upper", "mode"))}
+
+
+def _fields(spec: dict, where: str, names) -> list:
+    """spec's named fields as numbers, naming every missing or bad one."""
+    values, problems = [], []
+    for name in names:
+        try:
+            values.append(_number(spec[name], f"{where}.{name}"))
+        except KeyError:
+            problems.append(f"{where}: missing field {name!r}")
+        except ValidationError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return values
 
 
 def _dist_from_payload(spec, where: str):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError(f"{where}: expected an object with a 'kind' field")
     kind = spec["kind"]
+    if kind == "mixture":
+        parts = spec.get("components")
+        if not isinstance(parts, list):
+            raise ValidationError(f"{where}.components must be a JSON list")
+        comps = []
+        for i, part in enumerate(parts):
+            at = f"{where}.components[{i}]"
+            dist = _dist_from_payload(part, at)
+            comps.append((*_fields(part, at, ("weight",)), dist))
+        law, args = Mixture, (comps,)
+    elif kind in _LAWS:
+        law, names = _LAWS[kind]
+        args = _fields(spec, where, names)
+    else:
+        raise ValidationError(f"{where}: unknown kind {kind!r}")
     try:
-        if kind == "normal":
-            return Normal(float(spec["mean"]), float(spec["stddev"]))
-        if kind == "triangular":
-            return Triangular(float(spec["lower"]), float(spec["upper"]),
-                              float(spec["mode"]))
-        if kind == "mixture":
-            comps = [(float(c["weight"]), _dist_from_payload(c, f"{where}.components"))
-                     for c in spec["components"]]
-            return Mixture(comps)
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+        return law(*args)
+    except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}: unknown kind {kind!r}")
 
 
 def _dist_to_payload(dist) -> dict:
-    if isinstance(dist, Normal):
-        return {"kind": "normal", "mean": dist.mean, "stddev": dist.stddev}
-    if isinstance(dist, Triangular):
-        return {"kind": "triangular", "lower": dist.lower, "upper": dist.upper,
-                "mode": dist.mode}
-    comps = []
-    for w, d in dist.components:
-        entry = _dist_to_payload(d)
-        entry["weight"] = w
-        comps.append(entry)
-    return {"kind": "mixture", "components": comps}
+    if isinstance(dist, Mixture):
+        return {"kind": "mixture",
+                "components": [{**_dist_to_payload(d), "weight": w}
+                               for w, d in dist.components]}
+    kind = "normal" if isinstance(dist, Normal) else "triangular"
+    return {"kind": kind, **{name: getattr(dist, name)
+                             for name in _LAWS[kind][1]}}
 
 
 def read_scenario_file(path: str) -> GroupConditionalModel:
@@ -251,14 +269,10 @@ def read_scenario_file(path: str) -> GroupConditionalModel:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    report = _validate_payload(payload)
-    if not report.ok:
+    report, model = _read_payload(payload)
+    if model is None:
         raise ValidationError(f"{path}: " + "; ".join(report.problems))
-    joint = {(a, y): float(payload["joint"][_cell_key(a, y)]) for a, y in CELLS}
-    cond = {(a, y): _dist_from_payload(payload["dist"][_cell_key(a, y)],
-                                       f"dist.{_cell_key(a, y)}")
-            for a, y in CELLS}
-    return GroupConditionalModel(joint, cond, str(payload.get("label", "")))
+    return model
 
 
 def write_scenario_file(model: GroupConditionalModel, path: str) -> None:

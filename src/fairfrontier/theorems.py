@@ -239,20 +239,20 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     accuracy. Two reading of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    return _boundary_alignment_reports(model, Reference.of(model), (mode,),
-                                       tol)[0]
+    return _boundary_alignment_reports(model, (mode,), tol)[0]
 
 
-def _boundary_alignment_reports(model, ref: Reference, modes,
-                                tol: float = 1e-9) -> tuple:
-    """One boundary-alignment report per mode, all from one family search."""
+def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
+    """One boundary-alignment report per mode, all from one family search,
+    against the reference of the search's appended accuracy optimum."""
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
+    candidates = sweep(model, SEARCH_FAMILY)
+    ref = Reference.of(model, candidates[-1].clf)
     f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
-    candidates = sweep(model, SEARCH_FAMILY)
     f, a = candidates.fairness, candidates.accuracy
     target = accuracy(model, ref.optima)
     found = bool(np.any((1.0 - f <= tol) & (a >= target - tol)))

@@ -191,13 +191,19 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     {"weights": {"omega1": "x"}},
     {"family": [1]},
     {"weights": [1]},
+    {"family": {"resolution": "21"}},
+    {"family": {"k": True}},
+    {"family": {"range": [True, 2]}},
+    {"weights": {"omega1": True, "omega2": False}},
 ], ids=["range-one", "range-three", "range-strings", "range-string",
-        "range-int", "weight-string", "family-list", "weights-list"])
+        "range-int", "weight-string", "family-list", "weights-list",
+        "resolution-string", "k-bool", "range-bool", "weights-bool"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example1",
                                "out": str(tmp_path / "cfg_out"), **section}))
-    assert main(["run", "--config", str(cfg), "--resolution", "11"]) == 2
+    # no flag here: a flag would override the config value under test
+    assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "cfg_out").exists()
@@ -273,6 +279,23 @@ def test_check_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "boundary_alignment" in printed
     assert (tmp_path / "theorems.txt").read_text() == printed
+
+
+@pytest.mark.parametrize("with_out", [True, False])
+def test_check_config_out_writes_theorems(tmp_path, capsys, with_out):
+    out = tmp_path / "cfg_out"
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"scenario": "example1",
+                               "family": {"resolution": 11},
+                               **({"out": str(out)} if with_out else {})}))
+    assert main(["check", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert "boundary_alignment" in printed
+    if with_out:
+        assert (out / "theorems.txt").read_bytes() == printed.encode()
+    else:
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["check.json"]
 
 
 def test_check_out_naming_a_file_exits_2(tmp_path, capsys):

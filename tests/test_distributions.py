@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fairfrontier import (InputError, Mixture, Normal, Triangular,
-                          ValidationError, evaluate, positive_mass, sample)
+from fairfrontier import (FamilySpec, InputError, MetricWeights, Mixture,
+                          Normal, Triangular, ValidationError, evaluate,
+                          positive_mass, sample)
 
 FULL = ((-math.inf, math.inf),)
 
@@ -174,6 +175,36 @@ def test_invalid_parameters_rejected():
         Triangular(5, 1, 3)
     with pytest.raises(ValidationError):
         Triangular(0, 4, 9)
+
+
+# (constructor of one numeric field, an accepted value, whole values only)
+NUMBER_FIELDS = {
+    "resolution": (lambda v: FamilySpec("shared_threshold", resolution=v),
+                   801, True),
+    "k": (lambda v: FamilySpec("per_group_intervals", k=v), 1, True),
+    "sweep_range": (lambda v: FamilySpec("shared_threshold",
+                                         sweep_range=(0, v)), 1, False),
+    "weight": (lambda v: MetricWeights(p1=v), 1, False),
+    "normal": (lambda v: Normal(0, v), 1, False),
+    "triangular": (lambda v: Triangular(0, v, 0.5), 1, False),
+    "mixture": (lambda v: Mixture(((v, Normal(0, 1)),)), 1, False),
+}
+
+
+@pytest.mark.parametrize("build, value, whole", NUMBER_FIELDS.values(),
+                         ids=NUMBER_FIELDS)
+def test_numbers_follow_one_rule(build, value, whole):
+    # bools, strings and non-finite values are refused, as are fractions
+    # where a whole number is due; every real type of a good value passes
+    refused = [True, str(value), math.nan, math.inf]
+    if whole:
+        refused.append(value + 0.5)
+    for bad in refused:
+        with pytest.raises(ValidationError):
+            build(bad)
+    built = build(value)
+    for same in (float(value), np.float64(value), np.int64(value)):
+        assert build(same) == built
 
 
 def test_triangular_refuses_a_width_that_overflows():

@@ -171,6 +171,33 @@ def _normal_payload(**changes):
     return payload
 
 
+# JSON booleans and numeric strings are not numbers; read through float(),
+# this payload would sum to 1 and fail only later, on group A=1's mass
+MISTYPED_PAYLOAD = _normal_payload(
+    joint={"a0y0": True, "a0y1": "0", "a1y0": 0, "a1y1": 0},
+    dist={key: {"kind": "normal", "mean": "1", "stddev": True}
+          for key in ("a0y0", "a0y1", "a1y0", "a1y1")})
+ZERO_MASS_PAYLOAD = _normal_payload(
+    joint={"a0y0": 0.5, "a0y1": 0.5, "a1y0": 0, "a1y1": 0})
+
+
+def test_validate_names_each_mistyped_field():
+    report = validate(MISTYPED_PAYLOAD)
+    assert not report.ok
+    failing = {key: msg for key, passed, msg in report.entries if not passed}
+    assert set(failing) == {"joint.a0y0", "joint.a0y1", "dist.a0y0",
+                            "dist.a0y1", "dist.a1y0", "dist.a1y1"}
+    for key in ("a0y0", "a0y1", "a1y0", "a1y1"):
+        assert f"dist.{key}.mean" in failing[f"dist.{key}"]
+        assert f"dist.{key}.stddev" in failing[f"dist.{key}"]
+
+
+def test_validate_payload_reports_group_mass():
+    report = validate(ZERO_MASS_PAYLOAD)
+    assert not report.ok
+    assert report.problems == ("group A=1 has zero mass",)
+
+
 @pytest.mark.parametrize("payload", [
     _normal_payload(joint=3),
     _normal_payload(joint=["a0y0", "a0y1", "a1y0", "a1y1"]),
@@ -181,8 +208,10 @@ def _normal_payload(**changes):
     _normal_payload(joint={"a0y0": 10**400}),
     _normal_payload(dist={"a0y0": {"kind": "normal", "mean": 10**400,
                                    "stddev": 1}}),
+    MISTYPED_PAYLOAD,
+    ZERO_MASS_PAYLOAD,
 ], ids=["joint-int", "joint-list", "dist-int", "dist-str", "cell-str",
-        "cell-null", "cell-huge", "mean-huge"])
+        "cell-null", "cell-huge", "mean-huge", "mistyped", "group-zero-mass"])
 def test_malformed_scenario_payload_is_reported_not_raised(
         tmp_path, capsys, payload):
     report = validate(payload)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -16,11 +17,12 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           build_frontier, check_decomposition_bound,
                           classify_shape, decompose_unfairness,
                           dominance_oracle, fairness, pareto_filter, sweep,
-                          unfairness, well_defined_check)
+                          unfairness, validate, well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _group_table,
                                    _interval_region_count, _interval_regions,
                                    _rate_arrays)
+from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
@@ -458,3 +460,47 @@ def test_float_path_equals_the_array_path(dist, xs, qs):
             if isinstance(dist, Triangular):
                 assert type(got) is np.float64
             assert same_bits(got, w), (method.__name__, p, got, w)
+
+
+def number_leaves(node, path=""):
+    """(container, key, path) of every number in a JSON payload."""
+    if isinstance(node, dict):
+        items = [(k, v, f"{path}.{k}" if path else k) for k, v in node.items()]
+    else:
+        items = [(i, v, f"{path}[{i}]") for i, v in enumerate(node)]
+    for key, value, at in items:
+        if isinstance(value, (dict, list)):
+            yield from number_leaves(value, at)
+        elif isinstance(value, float):
+            yield node, key, at
+
+
+@given(st.integers(0, 300), st.booleans(), st.data(),
+       st.sampled_from([True, False, "1", "", None, math.nan, -math.inf,
+                        [1.0]]))
+@settings(max_examples=40, deadline=None)
+def test_payload_reads_back_and_names_a_mistyped_number(mseed, other_laws,
+                                                        data, bad):
+    model = random_model(mseed)
+    if other_laws:  # Triangulars, alone and inside mixtures
+        model = GroupConditionalModel(model.joint, {
+            cell: data.draw(st.one_of(triangulars(), mixtures()))
+            for cell in CELLS})
+    keys = {cell: f"a{cell[0]}y{cell[1]}" for cell in CELLS}
+    payload = json.loads(json.dumps({
+        "label": model.label,
+        "joint": {keys[c]: model.joint[c] for c in CELLS},
+        "dist": {keys[c]: _dist_to_payload(model.conditional[c])
+                 for c in CELLS}}))
+    report, back = _read_payload(payload)
+    assert report.ok and back == model
+    # any one number turned into a non-number fails at its own cell, and the
+    # message gives the field's full path
+    container, key, path = data.draw(st.sampled_from(
+        list(number_leaves(payload))))
+    container[key] = bad
+    report = validate(payload)
+    failing = {k: msg for k, passed, msg in report.entries if not passed}
+    cell = ".".join(path.split(".")[:2])  # e.g. dist.a0y1
+    assert not report.ok and list(failing) == [cell]
+    assert path in failing[cell]

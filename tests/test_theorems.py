@@ -213,6 +213,20 @@ def test_boundary_alignment_nonidentical_boundaries_differ():
     assert by_name(report, "complete_fairness_at_optimal_accuracy").satisfied
 
 
+def test_boundary_alignment_solves_the_bayes_optimum_once(monkeypatch):
+    from fairfrontier import frontier, metrics
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return bayes_accuracy_optimal(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "bayes_accuracy_optimal", counted)
+    monkeypatch.setattr(metrics, "bayes_accuracy_optimal", counted)
+    check_boundary_alignment(scenario("example4_identical"))
+    assert calls == [("per_group",)]
+
+
 def test_boundary_alignment_mode_validated():
     with pytest.raises(InputError):
         check_boundary_alignment(scenario("example1"), "indicator")
