@@ -23,9 +23,10 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
 from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
-                     ValidationError, _whole)
+                     ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _members,
-                       _swept_frontier, build_frontier)
+                       _sweep_range, build_frontier, classify_shape,
+                       pareto_filter, sweep)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
                       confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -419,13 +420,12 @@ def _theorems_text(model, cfg: RunConfig, ref: Reference,
 # -- config assembly ----------------------------------------------------------
 
 
-def _family_kind(token: str) -> str:
-    try:
+def _family_kind(token) -> str:
+    if isinstance(token, str) and token in _FAMILY_NAMES:
         return _FAMILY_NAMES[token]
-    except KeyError:
-        raise ValidationError(
-            f"unknown family {token!r}; choose from "
-            + ", ".join(k.replace("_", "-") for k in KINDS))
+    raise ValidationError(
+        f"unknown family {token!r}; choose from "
+        + ", ".join(k.replace("_", "-") for k in KINDS))
 
 
 def _orientations(token) -> object:
@@ -469,35 +469,49 @@ def _config_section(payload: dict, key: str) -> dict:
     return section
 
 
+# config key: (flag, keyword argument, reader) of each family field
+_FAMILY_FIELDS = {
+    "kind": ("family", "kind", _family_kind),
+    "orientations": ("orientations", "orientations", _orientations),
+    "resolution": ("resolution", "resolution",
+                   lambda v: _whole(v, "resolution")),
+    "range": ("range", "sweep_range", _sweep_range),
+    "k": ("k", "k", lambda v: _whole(v, "k")),
+}
+_WEIGHT_FIELDS = {name: (name, name, lambda v, name=name: _number(v, name))
+                  for name in ("omega1", "omega2", "p1", "p2")}
+
+
+def _merged(args, section: dict, fields: dict) -> dict:
+    """Keyword arguments of one config section: each config value read with
+    its field's reader, then replaced by the flag given for it, if any.
+
+    Each value is checked on its own, so a value that a flag overrides is
+    still refused when malformed; rules across fields are left to the
+    object built from the merged values.
+    """
+    kwargs = {}
+    for key, (flag, name, read) in fields.items():
+        for value in (section.get(key), getattr(args, flag)):
+            if value is not None:
+                kwargs[name] = read(value)
+    return kwargs
+
+
 def _load_config(args, default_analyses=("frontier",)) -> RunConfig:
     payload = _read_config_file(args.config) if args.config else {}
     fam, wts = (_config_section(payload, key) for key in ("family", "weights"))
 
-    def pick(flag, fallback, default=None):
-        return flag if flag is not None else (
-            fallback if fallback is not None else default)
+    def pick(flag, fallback):
+        return flag if flag is not None else fallback
 
     scenario_id = pick(args.scenario, payload.get("scenario"))
     if not scenario_id:
         raise ValidationError("scenario is required (--scenario or config)")
 
-    kind = _family_kind(pick(args.family, fam.get("kind"), "shared-threshold"))
-    orientations = _orientations(
-        pick(args.orientations, fam.get("orientations"), "above"))
-    sweep_range = pick(args.range, fam.get("range"))
-    family = FamilySpec(
-        kind=kind,
-        orientations=orientations,
-        resolution=pick(args.resolution, fam.get("resolution"), 801),
-        sweep_range=sweep_range,
-        k=pick(args.k, fam.get("k"), 2),
-    )
-    weights = MetricWeights(
-        omega1=pick(args.omega1, wts.get("omega1"), 0.5),
-        omega2=pick(args.omega2, wts.get("omega2"), 0.5),
-        p1=pick(args.p1, wts.get("p1"), 1.0),
-        p2=pick(args.p2, wts.get("p2"), 1.0),
-    )
+    family = FamilySpec(**{"kind": "shared_threshold",
+                           **_merged(args, fam, _FAMILY_FIELDS)})
+    weights = MetricWeights(**_merged(args, wts, _WEIGHT_FIELDS))
 
     requested = tuple(a for a in ANALYSES
                       if getattr(args, a.replace("-", "_"), False))
@@ -540,8 +554,8 @@ def _cmd_run(args) -> int:
 
     frontier = None
     if "frontier" in cfg.analyses:
-        candidates, frontier = _swept_frontier(model, cfg.family,
-                                               cfg.weights)
+        candidates = sweep(model, cfg.family, cfg.weights)
+        frontier = classify_shape(pareto_filter(candidates, cfg.family))
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
         _write_sweep_csv(model, candidates, cfg.weights, ref,

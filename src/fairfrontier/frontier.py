@@ -71,13 +71,8 @@ class FamilySpec:
         if self.resolution < 3:
             raise ValidationError("resolution must be >= 3")
         if self.sweep_range is not None:
-            try:
-                lo, hi = (_number(v, "sweep range") for v in self.sweep_range)
-            except (TypeError, ValueError):  # not two values
-                lo = hi = math.nan
-            if not lo < hi:
-                raise ValidationError(f"bad sweep range {self.sweep_range!r}")
-            object.__setattr__(self, "sweep_range", (lo, hi))
+            object.__setattr__(self, "sweep_range",
+                               _sweep_range(self.sweep_range))
         object.__setattr__(self, "k", _whole(self.k, "k"))
         if self.k < 1:
             raise ValidationError("k must be >= 1")
@@ -86,6 +81,17 @@ class FamilySpec:
         expand = {"both": ("positive_above", "positive_below")}
         return tuple(itertools.product(
             *(expand.get(s, (s,)) for s in self.orientations)))
+
+
+def _sweep_range(value) -> tuple:
+    """value as a (lo, hi) pair of finite numbers with lo < hi."""
+    try:
+        lo, hi = (_number(v, "sweep range") for v in value)
+    except (TypeError, ValueError):  # not two values
+        lo = hi = math.nan
+    if not lo < hi:
+        raise ValidationError(f"bad sweep range {value!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,21 +134,6 @@ class Frontier:
     diagnostics: tuple = ()
     resolution: Optional[int] = None
     sweep_range: Optional[tuple] = None
-
-
-def _region_of(t: float, orient: str) -> tuple:
-    if orient == "positive_above":
-        return ((t, math.inf),)
-    return ((-math.inf, t),)
-
-
-def _rate_arrays(model, grid, a: int, orient: str):
-    """(tpr, tnr) arrays for group a when its region is one ray per t."""
-    c1 = np.asarray(model.conditional[(a, 1)].cdf(grid))
-    c0 = np.asarray(model.conditional[(a, 0)].cdf(grid))
-    if orient == "positive_above":
-        return 1.0 - c1, c0
-    return c1, 1.0 - c0
 
 
 def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> None:
@@ -188,41 +179,46 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> None:
         np.add(a, s, out=a)
 
 
-def _interval_region_count(resolution: int, k: int, orient: str) -> int:
-    first = int(orient == "positive_above")
-    return sum(comb(resolution, m) for m in range(2 * k + first))
+def _boundary_counts(family: FamilySpec, orient: str) -> range:
+    """How many grid boundaries a region of one group may have: one for a
+    threshold, else every count that leaves at most k positive intervals."""
+    if family.kind != "per_group_intervals":
+        return range(1, 2)
+    return range(2 * family.k + int(orient == "positive_above"))
 
 
-def _interval_regions(n: int, k: int, orient: str):
-    """All regions with at most k positive intervals, as index arrays.
+def _region_count(family: FamilySpec, orient: str) -> int:
+    return sum(comb(family.resolution, m)
+               for m in _boundary_counts(family, orient))
+
+
+def _interval_regions(family: FamilySpec, orient: str):
+    """Every region the family gives a group, as index arrays.
 
     Yields one (lo, hi) pair per boundary count m: row i holds one region's
-    interval bounds as indices into an extended grid where 0 stands for -inf
-    and n + 1 for +inf, rows in itertools.combinations order. A
+    interval bounds as indices into the extended grid of the n-point grid,
+    where 0 stands for -inf and n + 1 for +inf, rows in
+    itertools.combinations order. A
     positive_above region starts negative at -inf; a positive_below one
-    starts positive, and that segment counts toward k.
+    starts positive, and that segment counts toward k. A threshold is the
+    one-boundary region, so its rows follow the grid.
     """
+    n = family.resolution
     first = int(orient == "positive_above")
-    for m in range(2 * k + first):
+    for m in _boundary_counts(family, orient):
         pts = np.empty((comb(n, m), m + 2), dtype=np.intp)
         pts[:, 0], pts[:, -1] = 0, n + 1
-        cuts = list(itertools.combinations(range(1, n + 1), m))
-        pts[:, 1:-1] = np.array(cuts, dtype=np.intp).reshape(len(pts), m)
+        cuts = itertools.chain.from_iterable(
+            itertools.combinations(range(1, n + 1), m))
+        pts[:, 1:-1] = np.fromiter(cuts, np.intp, len(pts) * m).reshape(
+            len(pts), m)
         yield pts[:, first:-1:2], pts[:, first + 1::2]
 
 
-def _candidate_count(model, family: FamilySpec) -> int:
-    combos = family.combos()
-    r = family.resolution
-    if family.kind == "shared_threshold":
-        return r * len(combos)
-    if family.kind == "per_group_threshold":
-        return r * r * len(combos)
-    total = 0
-    for o0, o1 in combos:
-        total += (_interval_region_count(r, family.k, o0)
-                  * _interval_region_count(r, family.k, o1))
-    return total
+def _candidate_count(family: FamilySpec) -> int:
+    # a shared combo is one orientation, whose regions both groups take
+    return sum(math.prod(_region_count(family, o) for o in combo)
+               for combo in family.combos())
 
 
 class Candidates(Sequence):
@@ -289,7 +285,7 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
            bounded: bool) -> Candidates:
     """sweep's candidates, or with bounded only the pair-block lines that
     _open_lines leaves open against the fairest appended optimum."""
-    count = _candidate_count(model, family)
+    count = _candidate_count(family)
     if count > CANDIDATE_CAP:
         raise ResourceError(
             f"family would generate {count} candidates (cap {CANDIDATE_CAP}); "
@@ -339,26 +335,25 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
 def _group_table(model, family, grid, a: int, orient: str) -> tuple:
     """(regions, tpr, tnr) of group a over every region the family gives it.
 
-    An interval region's mass adds its intervals' cdf differences one column
-    at a time, from 0 and left to right, so it is bit-identical to
-    float(sum(...)) over the region's intervals.
+    A region's mass adds its intervals' cdf differences one column at a
+    time, from 0 and left to right, and is clamped to [0, 1]; tnr is 1 minus
+    the label-0 mass. Each rate is therefore bit-identical to
+    confusion_rates' positive_mass of the region.
     """
-    if family.kind != "per_group_intervals":
-        return ([_region_of(t, orient) for t in grid.tolist()],
-                *_rate_arrays(model, grid, a, orient))
     ext = [np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid), [1.0]))
            for y in (0, 1)]
-    edges = [-math.inf, *grid.tolist(), math.inf]
+    edges = np.concatenate(([-math.inf], grid, [math.inf]))
     regions, mass = [], ([], [])
-    for lo, hi in _interval_regions(len(grid), family.k, orient):
-        regions += [tuple(zip(map(edges.__getitem__, los),
-                              map(edges.__getitem__, his)))
-                    for los, his in zip(lo.tolist(), hi.tolist())]
+    for lo, hi in _interval_regions(family, orient):
+        # one region tuple per row, built a column of bounds at a time
+        bounds = [zip(edges[lo[:, j]].tolist(), edges[hi[:, j]].tolist())
+                  for j in range(lo.shape[1])]
+        regions += zip(*bounds) if bounds else [()] * len(lo)
         for y in (0, 1):
             total = np.zeros(len(lo))
             for j in range(lo.shape[1]):
                 total += ext[y][hi[:, j]] - ext[y][lo[:, j]]
-            mass[y].append(total)
+            mass[y].append(np.clip(total, 0.0, 1.0, out=total))
     return regions, np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
 
 
@@ -502,10 +497,10 @@ def _fair_key(model, w, clf):
 
 
 def _fair_pair(model, w, combo, u_star):
-    thresholds = _fair_line(model, w, combo, np.array([u_star]))[0]
-    return GroupwiseClassifier(tuple(
-        IntervalSet(_region_of(float(t[0]), orient))
-        for t, orient in zip(thresholds, combo)))
+    t0, t1 = _fair_line(model, w, combo, np.array([u_star]))[0]
+    return GroupwiseClassifier.per_group_thresholds(
+        float(t0[0]), float(t1[0]),
+        tuple(orient == "positive_above" for orient in combo))
 
 
 def _fair_roots(model, w, combo, u_grid, gap):
@@ -610,12 +605,16 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
 
     Domination allows a 1e-12 slack on the "no worse" side and demands a
     strict win beyond the same slack on the other. Passing the generating
-    family stamps its grid metadata onto the result. A Candidates sweep is
-    filtered on its arrays; FrontierPoints are built only for survivors.
+    family stamps its resolution onto the result, and its sweep_range too
+    unless candidates is a Candidates sweep, whose resolved range is
+    stamped. A Candidates sweep is filtered on its arrays; FrontierPoints
+    are built only for survivors.
     """
+    sweep_range = family.sweep_range if family else None
     if isinstance(candidates, Candidates):
         pts = candidates
         f, a = candidates.fairness, candidates.accuracy
+        sweep_range = candidates.sweep_range
     else:
         pts = list(candidates)
         f = np.fromiter((p.fairness for p in pts), float, len(pts))
@@ -648,10 +647,8 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
 
     survivors = [pts[i] for i in order[~dominated].tolist()]
     return _finish_frontier(
-        survivors,
-        resolution=family.resolution if family else None,
-        sweep_range=family.sweep_range if family else None,
-    )
+        survivors, resolution=family.resolution if family else None,
+        sweep_range=sweep_range)
 
 
 # -- shape classification ----------------------------------------------------
@@ -699,33 +696,21 @@ def classify_shape(frontier: Frontier, jump_threshold: float = 0.05,
                                diagnostics=tuple(notes))
 
 
-def _swept_frontier(model, family: FamilySpec, w: MetricWeights = None,
-                    jump_threshold: float = 0.05, fairness_gap: float = None,
-                    bounded: bool = False) -> tuple:
-    """(candidates, labelled frontier) of one family sweep; bounded scores
-    only the lines _open_lines leaves open, as build_frontier does."""
-    candidates = _sweep(model, family, w or MetricWeights(), bounded)
-    frontier = dataclasses.replace(pareto_filter(candidates, family),
-                                   sweep_range=candidates.sweep_range)
-    return candidates, classify_shape(frontier, jump_threshold, fairness_gap)
-
-
-def build_frontier(model, family: FamilySpec, w: MetricWeights = None,
-                   jump_threshold: float = 0.05,
-                   fairness_gap: float = None) -> Frontier:
+def build_frontier(model, family: FamilySpec,
+                   w: MetricWeights = None) -> Frontier:
     """sweep -> pareto_filter -> classify_shape in one call, on fewer scores.
 
-    The result equals classify_shape of pareto_filter(sweep(...), family)
-    with sweep's sweep_range stamped, but per-group blocks score only their
-    open lines (_open_lines). The fairest appended optimum p is a candidate,
-    and pareto_filter's first pass, run with any candidate as its pivot,
-    drops only points p dominates, together with nothing p does not also
-    dominate, so removing them leaves the survivors unchanged. A line is
+    The result equals classify_shape(pareto_filter(sweep(...), family)),
+    but per-group blocks score only their open lines (_open_lines). The
+    fairest appended optimum p is a candidate, and pareto_filter's first
+    pass, run with any candidate as its pivot, drops only points p
+    dominates, together with nothing p does not also dominate, so
+    removing them leaves the survivors unchanged. A line is
     closed only when bounds on its accuracy (exact up to the rounding
     _ACC_SLACK covers) and fairness (exact, by monotone rounding) put every
     pair on it inside that drop region; each score that is computed uses
     sweep's operations, so it is bit-identical. Shared-threshold families
     are swept in full.
     """
-    return _swept_frontier(model, family, w, jump_threshold, fairness_gap,
-                           bounded=True)[1]
+    candidates = _sweep(model, family, w or MetricWeights(), bounded=True)
+    return classify_shape(pareto_filter(candidates, family))

@@ -315,7 +315,7 @@ def _prescribed_regions(model, branch: int, lo: float, hi: float):
 
 
 def check_accuracy_jump(model, frontier: Frontier, jump: Jump = None,
-                        tol: float = 1e-6, candidates=None) -> TheoremReport:
+                        tol: float = 1e-6) -> TheoremReport:
     """Inspect one accuracy discontinuity against the three jump conditions:
     aligned rate gaps, unbeatable accuracy at its fairness level, and the
     prescribed flipped-rule form for the lagging group.
@@ -346,18 +346,16 @@ def check_accuracy_jump(model, frontier: Frontier, jump: Jump = None,
         {"product_pre_jump": product_pre, "product_post_jump": product_post,
          "tpr_gap": dtpr, "tnr_gap": dtnr})]
 
-    pool = list(candidates) if candidates is not None else list(frontier.points)
     target_fu = 1.0 - pre.fairness
-    rivals = [p.accuracy for p in pool
+    rivals = [p.accuracy for p in frontier.points
               if abs((1.0 - p.fairness) - target_fu) <= tol
               and p.accuracy > pre.accuracy + 1e-12]
     conds.append(Condition(
         "max_accuracy_at_fairness_level", not rivals,
         {"accuracy": pre.accuracy,
          "best_rival_accuracy": max(rivals) if rivals else None,
-         "pool_size": len(pool)}))
+         "pool_size": len(frontier.points)}))
 
-    notes = []
     if frontier.sweep_range is None or not frontier.resolution:
         raise InputError("frontier lacks sweep metadata needed for the "
                          "prescribed-form comparison")
@@ -392,4 +390,4 @@ def check_accuracy_jump(model, frontier: Frontier, jump: Jump = None,
 
     concluded = all(c.satisfied for c in conds)
     return TheoremReport("accuracy_jump_conditions", tuple(conds), concluded,
-                         tol, tuple(notes))
+                         tol)

@@ -195,9 +195,11 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     {"family": {"k": True}},
     {"family": {"range": [True, 2]}},
     {"weights": {"omega1": True, "omega2": False}},
+    {"family": {"kind": ["per-group-threshold"]}},
 ], ids=["range-one", "range-three", "range-strings", "range-string",
         "range-int", "weight-string", "family-list", "weights-list",
-        "resolution-string", "k-bool", "range-bool", "weights-bool"])
+        "resolution-string", "k-bool", "range-bool", "weights-bool",
+        "kind-list"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, section):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example1",
@@ -220,6 +222,24 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, section, out_flag):
     argv = ["run", "--config", str(cfg), "--resolution", "11"]
     out = tmp_path / "cfg_out"
     assert main(argv + (["--out", str(out)] if out_flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, flag", [
+    ({"family": {"resolution": "21"}}, ["--resolution", "11"]),
+    ({"family": {"k": True}}, ["--k", "2"]),
+    ({"weights": {"omega1": "0.5"}}, ["--omega1", "0.5"]),
+    ({"family": {"kind": "bogus"}}, ["--family", "shared-threshold"]),
+], ids=["resolution-string", "k-bool", "omega1-string", "kind-unknown"])
+def test_overridden_config_value_is_still_checked(tmp_path, capsys, section,
+                                                  flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", **section}))
+    out = tmp_path / "cfg_out"
+    argv = ["run", "--config", str(cfg), "--out", str(out), *flag]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

@@ -9,8 +9,8 @@ import pytest
 
 from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
                           MetricWeights, ResourceError, ValidationError,
-                          build_frontier, classify_shape, dominance_oracle,
-                          pareto_filter, scenario, sweep)
+                          build_frontier, check_accuracy_jump, classify_shape,
+                          dominance_oracle, pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
                                    _fair_line, _fair_roots, _first_pass_drops,
                                    _group_table, _open_lines, _sweep)
@@ -324,6 +324,20 @@ def test_build_frontier_stamps_default_sweep_range():
     lo, hi = frontier.sweep_range
     assert lo == pytest.approx(model.quantile_range(0.9999)[0])
     assert hi == pytest.approx(model.quantile_range(0.9999)[1])
+
+
+def test_three_stages_keep_the_resolved_range():
+    # a defaulted range: sweep resolves it and pareto_filter stamps it, so
+    # the three public stages give build_frontier's frontier, metadata too
+    model = scenario("example1")
+    family = FamilySpec("shared_threshold", resolution=801)
+    frontier = classify_shape(pareto_filter(sweep(model, family), family))
+    assert frontier == build_frontier(model, family)
+    assert frontier.sweep_range == model.quantile_range(0.9999)
+    assert frontier.shape == "sharp_decline_accuracy"
+    # the prescribed-form condition is the one that needs the metadata
+    report = check_accuracy_jump(model, frontier)
+    assert report.conditions[-1].name == "prescribed_rule_form"
 
 
 def test_frontier_point_rebuilds_classifier():

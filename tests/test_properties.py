@@ -1,6 +1,5 @@
 """Property-based invariants over random inputs."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -12,16 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
-                          GroupConditionalModel, IntervalSet, MetricWeights,
-                          Mixture, Normal, Triangular, bayes_accuracy_optimal,
+                          GroupConditionalModel, GroupwiseClassifier,
+                          IntervalSet, MetricWeights, Mixture, Normal,
+                          Triangular, accuracy, bayes_accuracy_optimal,
                           build_frontier, check_decomposition_bound,
-                          classify_shape, decompose_unfairness,
-                          dominance_oracle, fairness, pareto_filter, sweep,
-                          unfairness, validate, well_defined_check)
+                          classify_shape, confusion_rates,
+                          decompose_unfairness, dominance_oracle, fairness,
+                          pareto_filter, sweep, unfairness, validate,
+                          well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _group_table,
-                                   _interval_region_count, _interval_regions,
-                                   _rate_arrays)
+                                   _interval_regions, _region_count)
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
 
@@ -267,9 +267,7 @@ def test_build_frontier_equals_the_full_pipeline(model, shared_laws, orient,
                               min(resolution, 6))):
         with mock.patch("fairfrontier.frontier._appended_optima",
                         return_value=optima):
-            candidates = sweep(model, family, w)
-            full = dataclasses.replace(pareto_filter(candidates, family),
-                                       sweep_range=candidates.sweep_range)
+            full = pareto_filter(sweep(model, family, w), family)
             assert build_frontier(model, family, w) == classify_shape(full)
 
 
@@ -302,21 +300,28 @@ def enumerated_regions(n, k, orient):
 
 
 def enumerated_rates(model, grid, k, a, orient):
-    """(regions, tpr, tnr) of group a, each mass a Python sum per region."""
+    """(regions, tpr, tnr) of group a, each mass a Python sum per region,
+    clamped to [0, 1] as positive_mass clamps it."""
     ext = {y: np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid),
                               [1.0])) for y in (0, 1)}
     regions = enumerated_regions(len(grid), k, orient)
 
     def mass(y, region):
-        return float(sum(ext[y][hi] - ext[y][lo] for lo, hi in region))
+        total = float(sum(ext[y][hi] - ext[y][lo] for lo, hi in region))
+        return min(max(total, 0.0), 1.0)
     return (regions, np.array([mass(1, r) for r in regions]),
             np.array([1.0 - mass(0, r) for r in regions]))
 
 
 def group_rates(model, family, grid, a, orient):
-    """(tpr, tnr) of group a over every region the family gives it."""
+    """(tpr, tnr) of group a over every region the family gives it; a
+    threshold's rates are confusion_rates' of its classifier."""
     if family.kind != "per_group_intervals":
-        return _rate_arrays(model, grid, a, orient)
+        above = orient == "positive_above"
+        rates = [confusion_rates(model, GroupwiseClassifier.shared_threshold(
+            t, positive_above=above)) for t in grid.tolist()]
+        return (np.array([r.tpr[a] for r in rates]),
+                np.array([r.tnr[a] for r in rates]))
     return enumerated_rates(model, grid, family.k, a, orient)[1:]
 
 
@@ -375,8 +380,9 @@ def test_in_place_scores_equal_the_allocating_expression(
 
 
 def index_rows(n, k, orient):
+    family = FamilySpec("per_group_intervals", resolution=n, k=k)
     return [tuple(zip(los, his))
-            for lo, hi in _interval_regions(n, k, orient)
+            for lo, hi in _interval_regions(family, orient)
             for los, his in zip(lo.tolist(), hi.tolist())]
 
 
@@ -387,9 +393,9 @@ def index_rows(n, k, orient):
 def test_interval_region_count_matches_enumeration(resolution, k, orient):
     # a "both" sweep gives each group the regions of both orientations
     orients = ORIENTS[:2] if orient == "both" else (orient,)
+    family = FamilySpec("per_group_intervals", resolution=resolution, k=k)
     regions = [r for o in orients for r in index_rows(resolution, k, o)]
-    assert len(regions) == sum(_interval_region_count(resolution, k, o)
-                               for o in orients)
+    assert len(regions) == sum(_region_count(family, o) for o in orients)
     assert len(set(regions)) == len(regions)
     for region in regions:
         assert len(region) <= k
@@ -414,6 +420,33 @@ def test_index_arrays_equal_the_enumeration(resolution, k, orient):
                                for r in regions]
         assert got_tpr.tobytes() == tpr.tobytes()
         assert got_tnr.tobytes() == tnr.tobytes()
+
+
+@given(st.integers(0, 300), st.sampled_from(KINDS), st.sampled_from(ORIENTS),
+       st.integers(3, 9), frontier_weights())
+# random_model(8)'s group-0 label-0 mixture cdf rounds to 1 + 2**-52 in its
+# upper tail, so its threshold rates hold only if masses are clamped
+@example(8, "per_group_threshold", "both", 5, MetricWeights())
+@settings(max_examples=25, deadline=None)
+def test_swept_scores_equal_the_scalar_api(mseed, kind, orient, resolution,
+                                           w):
+    model = random_model(mseed)
+    family = FamilySpec(kind, orientations=orient,
+                        resolution=min(resolution, 5)
+                        if kind == "per_group_intervals" else resolution)
+    # the appended optima are scored by the scalar API itself; leaving them
+    # out keeps the property fast on mixtures
+    with mock.patch("fairfrontier.frontier._appended_optima",
+                    return_value=[]):
+        candidates = sweep(model, family, w)
+    for p in candidates:
+        clf = p.clf
+        assert p.fairness == 1.0 - unfairness(confusion_rates(model, clf), w)
+        assert p.accuracy == accuracy(model, clf, w)
+    grid = np.linspace(*candidates.sweep_range, family.resolution)
+    for a, o in itertools.product((0, 1), ORIENTS[:2]):
+        for rates in _group_table(model, family, grid, a, o)[1:]:
+            assert np.all((rates >= 0.0) & (rates <= 1.0))
 
 
 @given(mixtures(), st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1,
