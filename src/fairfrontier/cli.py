@@ -155,12 +155,13 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                 fh.writelines(
                     f"{source},{tag},{text0[r0]},{text1[r1]},{ray0[r0]},"
                     f"{ray1[r1]},{fair:.17g},{acc:.17g},{1.0 - fair:.17g},"
-                    f"{f_du},{mu:.17g},{_bool_str(ok)}\n"
+                    f"{f_du},{mu:.17g},{ok}\n"
                     for r0, r1, fair, acc, mu, ok in zip(
                         i0.tolist(), i1.tolist(),
                         candidates.fairness[start + k].tolist(),
                         candidates.accuracy[start + k].tolist(), f_mu.tolist(),
-                        (m0[i0] + m1[i1] <= DECOMP_TOL).tolist()))
+                        np.where(m0[i0] + m1[i1] <= DECOMP_TOL,
+                                 "true", "false").tolist()))
             start += count
 
 

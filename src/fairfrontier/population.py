@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .distributions import Mixture, Normal, Triangular, _finite_bracket
-from .errors import InputError, ValidationError, _number
+from .errors import (ContractError, InputError, ResourceError,
+                     ValidationError, _number)
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -95,7 +94,13 @@ class GroupConditionalModel:
         """Interval holding the central ``central_mass`` of the pooled law."""
         if not 0.0 < central_mass < 1.0:
             raise InputError(f"central_mass must be in (0,1), got {central_mass}")
+        cells = tuple(cells)
+        if not cells or any(c not in CELLS for c in cells):
+            raise InputError(
+                f"cells must be a nonempty set of {CELLS}, got {cells!r}")
         weights = np.array([self.joint[c] for c in cells])
+        if not weights.sum() > 0.0:
+            raise InputError(f"cells {cells!r} hold no probability mass")
         weights = weights / weights.sum()
         dists = [self.conditional[c] for c in cells]
 
@@ -109,6 +114,8 @@ class GroupConditionalModel:
 
     def group_quantile_range(self, a: int,
                              central_mass: float = 0.9999) -> tuple[float, float]:
+        if a not in (0, 1):
+            raise InputError(f"group must be 0 or 1, got {a!r}")
         return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
 
     @staticmethod
@@ -117,7 +124,63 @@ class GroupConditionalModel:
             lo -= (hi - lo) + 1.0
         while cdf(hi) < q:
             hi += (hi - lo) + 1.0
-        return float(brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12))
+        return _brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+
+
+_BRENT_RTOL = 4 * math.ulp(1.0)  # 4 eps, scipy.optimize.brentq's default rtol
+_BRENT_ITER = 100  # and its default iteration cap
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float) -> float:
+    """A root of f between xpre and xcur, where f changes sign, by Brent's
+    method (Brent 1973, ch. 4).
+
+    The steps, formulas and operation order are those of scipy.optimize's
+    brentq.c with its default rtol and iteration cap, so the root is the
+    float brentq(f, xpre, xcur, xtol=xtol) returns, bit for bit. Unlike
+    brentq it raises instead of returning an unconverged point.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ContractError(f"no sign change of f on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # the root is in [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ResourceError(
+        f"Brent's method did not converge in {_BRENT_ITER} iterations")
 
 
 # -- validation -----------------------------------------------------------
@@ -142,6 +205,8 @@ def validate(model) -> ValidationReport:
     """
     if not isinstance(model, GroupConditionalModel):
         return _read_payload(model)[0]
+
+    from scipy.integrate import quad  # costs ~0.35 s at import; only used here
 
     entries = []
     residual = abs(sum(model.joint.values()) - 1.0)

@@ -1,14 +1,21 @@
 """Model construction, validation reporting, presets, and the file format."""
 
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
-from fairfrontier import (CELLS, PRESETS, GroupConditionalModel, InputError,
-                          Normal, Triangular, ValidationError,
-                          read_scenario_file, scenario, validate,
-                          write_scenario_file)
+from fairfrontier import (CELLS, PRESETS, ContractError, GroupConditionalModel,
+                          InputError, Normal, ResourceError, Triangular,
+                          ValidationError, read_scenario_file, scenario,
+                          validate, write_scenario_file)
+from fairfrontier import population
 from fairfrontier.cli import main
+from helpers import random_model
 
 
 def test_example1_joint_and_conditionals():
@@ -222,3 +229,89 @@ def test_malformed_scenario_payload_is_reported_not_raised(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.group_quantile_range(2),
+    lambda m: m.group_quantile_range(-1, 0.99),
+    lambda m: m.quantile_range(0.9, cells=()),
+    lambda m: m.quantile_range(0.9, cells=((0, 2),)),
+    lambda m: m.quantile_range(0.9, cells=[[0, 0]]),
+], ids=["group-2", "group-minus-1", "no-cells", "unknown-cell", "list-cell"])
+def test_quantile_range_rejects_bad_cell_sets(call):
+    with pytest.raises(InputError):
+        call(scenario("example1"))
+
+
+def test_quantile_range_rejects_cells_without_mass():
+    m = GroupConditionalModel(
+        joint={(0, 0): 0.0, (0, 1): 0.5, (1, 0): 0.25, (1, 1): 0.25},
+        conditional={cell: Normal(0, 1) for cell in CELLS})
+    with pytest.raises(InputError, match="no probability mass"):
+        m.quantile_range(0.9, cells=((0, 0),))
+
+
+# central masses whose tails are 5e-5, 5e-6, their complements and the
+# interior levels 0.05, 0.4, 0.6 and 0.95
+SOLVER_MASSES = (0.9999, 0.99999, 0.9, 0.2)
+
+
+@pytest.mark.parametrize("model", [scenario(name) for name in PRESETS]
+                         + [random_model(seed) for seed in range(20)],
+                         ids=lambda m: m.label)
+def test_brent_solver_equals_scipy_brentq(monkeypatch, model):
+    solve, levels = population._brentq, []
+
+    def both(f, lo, hi, xtol):
+        ours = solve(f, lo, hi, xtol)
+        assert type(ours) is float and ours == brentq(f, lo, hi, xtol=xtol)
+        levels.append(ours)
+        return ours
+
+    monkeypatch.setattr(population, "_brentq", both)
+    for mass in SOLVER_MASSES:
+        model.quantile_range(mass)
+        for a in (0, 1):
+            model.group_quantile_range(a, mass)
+    assert len(levels) == 3 * 2 * len(SOLVER_MASSES)
+
+
+def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
+    def step(x):
+        return -1.0 if x < math.pi else 1.0
+
+    with pytest.raises(RuntimeError):  # scipy gives up after 100 too
+        brentq(step, -1e300, 1e300, xtol=1e-12)
+    with pytest.raises(ResourceError, match="100 iterations"):
+        population._brentq(step, -1e300, 1e300, xtol=1e-12)
+    with pytest.raises(ContractError):
+        population._brentq(step, 4.0, 5.0, xtol=1e-12)
+
+
+IMPORT_CHECK = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from fairfrontier import FamilySpec, build_frontier, scenario
+from fairfrontier.cli import main
+build_frontier(scenario("example1"),
+               FamilySpec("per_group_threshold", "both", 801))
+codes = [main(["check", "--scenario", "example4_identical"]),
+         main(["oracle", "--scenario", "example1", "--n", "1e4"]),
+         main(["scenarios"]),
+         main(["run", "--scenario", "example3", "--frontier", "--decompose",
+               "--theorems", "--resolution", "21", "--out", sys.argv[2]])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.startswith("scipy."))]))
+"""
+
+
+def test_commands_import_no_scipy_optimize_or_integrate(tmp_path):
+    src = Path(population.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK, str(src), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert not [m for m in loaded
+                if m.startswith(("scipy.optimize", "scipy.integrate"))]
+    assert "scipy.special" in loaded
