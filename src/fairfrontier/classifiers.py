@@ -176,7 +176,12 @@ def sign_region(g, lo: float, hi: float,
     line.
     """
     xs = np.linspace(lo, hi, SIGN_GRID_POINTS)
-    pos = np.asarray(g(xs)) >= 0.0
+    return _sign_region(g, xs, np.asarray(g(xs)) >= 0.0, max_intervals)
+
+
+def _sign_region(g, xs: np.ndarray, pos: np.ndarray,
+                 max_intervals: int) -> IntervalSet:
+    # sign_region's work once the grid signs pos = g(xs) >= 0 are known
     flips = np.nonzero(pos[:-1] != pos[1:])[0]
     roots = [_bisect_root(g, xs[i], xs[i + 1], bool(pos[i])) for i in flips]
 
@@ -253,17 +258,21 @@ def fairness_optimal(model,
     def lam2(x):
         return 0.5 * (model.cell_pdf(x, 1, 0) - model.cell_pdf(x, 0, 0))
 
-    lo, hi = model.quantile_range(0.99999)
     hypotheses = (
-        lambda x: lam1(x) - lam2(x),
-        lambda x: lam2(x) - lam1(x),
-        lambda x: lam1(x) + lam2(x),
-        lambda x: -lam1(x) - lam2(x),
+        lambda l1, l2: l1 - l2,
+        lambda l1, l2: l2 - l1,
+        lambda l1, l2: l1 + l2,
+        lambda l1, l2: -l1 - l2,
     )
+    # the four share one grid, so lam1 and lam2 are sampled on it once
+    xs = np.linspace(*model.quantile_range(0.99999), SIGN_GRID_POINTS)
+    grid = lam1(xs), lam2(xs)
     best = None
-    for g in hypotheses:
+    for h in hypotheses:
+        def g(x, h=h):
+            return h(lam1(x), lam2(x))
         try:
-            region = sign_region(g, lo, hi, max_intervals)
+            region = _sign_region(g, xs, h(*grid) >= 0.0, max_intervals)
         except ComplexityError:
             continue
         key = (_region_unfairness(model, region), len(region.intervals),

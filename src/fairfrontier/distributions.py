@@ -2,10 +2,12 @@
 
 All densities and cumulatives are exact closed forms, so every caller can hand
 in either a scalar or an array. Arrays are evaluated with vectorized numpy;
-Triangular also answers a single float in Python float arithmetic, with the
-same operations in the same order, because solver loops ask one value at a
-time and numpy's per-call dispatch would dwarf the arithmetic. Sampling is
-inverse-cdf based and keyed solely by (seed, n).
+Normal and Triangular also answer a single float in Python float arithmetic,
+with the same operations in the same order (Normal's one transcendental step
+stays a ufunc call), because solver loops ask one value at a time and numpy's
+0-d dispatch would dwarf the arithmetic. Mixtures answer a float through
+their components. Sampling is inverse-cdf based and keyed solely by
+(seed, n).
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ from .errors import InputError, ValidationError, _number, _whole
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
+
+
+def _operand(x):
+    """A float stays a Python float, so one element costs float arithmetic
+    and a single ufunc call, which returns an np.float64 as a 0-d array
+    would; anything else becomes a float array."""
+    return float(x) if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
 class DensityPoint(NamedTuple):
@@ -43,16 +52,16 @@ class Normal:
             raise ValidationError(f"Normal stddev must be > 0, got {self.stddev}")
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
+        z = (_operand(x) - self.mean) / self.stddev
         return np.exp(-0.5 * z * z) / (self.stddev * _SQRT2PI)
 
     def cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
+        z = (_operand(x) - self.mean) / self.stddev
         # erfc keeps full relative precision in the far tails, unlike 1-erf
         return 0.5 * erfc(-z / _SQRT2)
 
     def ppf(self, q):
-        return self.mean + self.stddev * ndtri(np.asarray(q, dtype=float))
+        return self.mean + self.stddev * ndtri(_operand(q))
 
     def support(self) -> tuple[float, float]:
         return (-np.inf, np.inf)

@@ -7,6 +7,7 @@ reads from this object.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -104,6 +105,9 @@ class GroupConditionalModel:
         weights = weights / weights.sum()
         dists = [self.conditional[c] for c in cells]
 
+        # both tails start from one bracket, and the bracket checks and
+        # Brent's first two steps evaluate its ends again: each point once
+        @functools.cache
         def cdf(x):
             return float(sum(w * d.cdf(x) for w, d in zip(weights, dists)))
 

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fairfrontier import (EMPTY, FULL_LINE, ComplexityError,
-                          GroupwiseClassifier, InputError, IntervalSet,
-                          accuracy, bayes_accuracy_optimal, confusion_rates,
+from fairfrontier import (EMPTY, FULL_LINE, PRESETS, ComplexityError,
+                          GroupConditionalModel, GroupwiseClassifier,
+                          InputError, IntervalSet, Normal, accuracy,
+                          bayes_accuracy_optimal, confusion_rates,
                           fairness_optimal, scenario, sign_region, unfairness,
                           validate, well_defined_check)
-from helpers import random_classifier, random_model
+from fairfrontier.classifiers import _region_unfairness
+from helpers import random_classifier, random_model, valley_model
 
 
 def gap(model, clf):
@@ -180,12 +182,17 @@ def test_fairness_optimal_example1_is_constant_positive():
     assert accuracy(model, clf) == pytest.approx(0.625, abs=1e-12)
 
 
-def test_fairness_optimal_identical_laws_reaches_zero():
-    from fairfrontier import GroupConditionalModel, Normal
-    model = GroupConditionalModel(
+def identical_laws():
+    """Both groups share each label's law, so every hypothesis is 0."""
+    return GroupConditionalModel(
         joint={(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25},
         conditional={(0, 0): Normal(-1, 1), (1, 0): Normal(-1, 1),
-                     (0, 1): Normal(1, 1), (1, 1): Normal(1, 1)})
+                     (0, 1): Normal(1, 1), (1, 1): Normal(1, 1)},
+        label="identical-laws")
+
+
+def test_fairness_optimal_identical_laws_reaches_zero():
+    model = identical_laws()
     clf = fairness_optimal(model)
     assert gap(model, clf) == 0.0
     assert clf.shared
@@ -198,6 +205,40 @@ def test_fairness_optimal_passes_over_a_too_complex_hypothesis():
     clf = fairness_optimal(model)
     assert clf == fairness_optimal(model, max_intervals=8)
     assert gap(model, clf) == 0.0
+
+
+def fairness_optimal_one_grid_each(model):
+    """fairness_optimal as one sign_region per hypothesis, each sampling
+    lam1 and lam2 on its own grid; same key, same full-line fallback."""
+    def lam1(x):
+        return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
+
+    def lam2(x):
+        return 0.5 * (model.cell_pdf(x, 1, 0) - model.cell_pdf(x, 0, 0))
+
+    lo, hi = model.quantile_range(0.99999)
+    best = None
+    for g in (lambda x: lam1(x) - lam2(x), lambda x: lam2(x) - lam1(x),
+              lambda x: lam1(x) + lam2(x), lambda x: -lam1(x) - lam2(x)):
+        try:
+            region = sign_region(g, lo, hi)
+        except ComplexityError:
+            continue
+        key = (_region_unfairness(model, region), len(region.intervals),
+               region.intervals)
+        if best is None or key < best[0]:
+            best = (key, region)
+    if best is None or _region_unfairness(model, FULL_LINE) < best[0][0]:
+        return GroupwiseClassifier.from_shared(FULL_LINE)
+    return GroupwiseClassifier.from_shared(best[1])
+
+
+@pytest.mark.parametrize(
+    "model", [scenario(name) for name in PRESETS] + [valley_model()]
+    + [random_model(seed) for seed in range(20)] + [identical_laws()],
+    ids=lambda m: m.label)
+def test_fairness_optimal_shares_one_sign_grid(model):
+    assert fairness_optimal(model) == fairness_optimal_one_grid_each(model)
 
 
 def test_fairness_optimal_never_beaten_by_random_rules():

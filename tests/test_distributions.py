@@ -56,6 +56,23 @@ def test_triangular_float_path_equals_the_array_path_on_random_points():
             assert got.tobytes() == want.tobytes(), method.__name__
 
 
+def test_normal_float_path_equals_the_array_path_on_random_points():
+    # as for Triangular above; points reach 40 sd, where erfc's far tail
+    # and the pdf's exp underflow, and the edges add the infinities and NaN
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        dist = Normal(rng.uniform(-10.0, 10.0), rng.uniform(1e-3, 6.0))
+        xs = np.r_[dist.mean + dist.stddev * rng.uniform(-40.0, 40.0, 10),
+                   -math.inf, math.inf, math.nan]
+        qs = np.r_[rng.uniform(0.0, 1.0, 10), 0.0, 1.0, math.nan]
+        for method, points in ((dist.pdf, xs), (dist.cdf, xs),
+                               (dist.ppf, qs)):
+            want = method(points)
+            got = [method(p) for p in points.tolist()]
+            assert all(type(v) is np.float64 for v in got), method.__name__
+            assert np.array(got).tobytes() == want.tobytes(), method.__name__
+
+
 def test_normal_cdf_at_mean():
     assert evaluate(Normal(6, 2), 6).cumulative == pytest.approx(0.5, abs=1e-15)
 

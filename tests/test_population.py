@@ -276,6 +276,21 @@ def test_brent_solver_equals_scipy_brentq(monkeypatch, model):
     assert len(levels) == 3 * 2 * len(SOLVER_MASSES)
 
 
+def test_quantile_range_evaluates_each_point_once(monkeypatch):
+    # both tails share one bracket; its ends used to be evaluated again by
+    # the bracket checks and by Brent's first two steps (40 evaluations)
+    points, cdf = [], Normal.cdf
+
+    def counted(self, x):
+        points.append(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(Normal, "cdf", counted)
+    lo, hi = scenario("example1").quantile_range(0.9999)
+    assert len(points) % 4 == 0 and len(points) // 4 <= 34  # 4 Normal cells
+    assert (lo, hi) == (-7.705709397419595, 17.43803973811899)
+
+
 def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
     def step(x):
         return -1.0 if x < math.pi else 1.0

@@ -66,6 +66,12 @@ def mixtures(draw):
 
 
 @st.composite
+def normals(draw):
+    # down to sd 1e-3, so points in [-60, 60] reach far into both tails
+    return Normal(draw(st.floats(-10, 10)), draw(st.floats(1e-3, 10.0)))
+
+
+@st.composite
 def triangulars(draw):
     lo = draw(st.floats(-10, 10))
     hi = lo + draw(st.floats(1e-3, 6.0))
@@ -465,7 +471,7 @@ def same_bits(got, want) -> bool:
     return (np.isnan(got) and np.isnan(want)) or got.tobytes() == want.tobytes()
 
 
-@given(st.one_of(triangulars(), mixtures()),
+@given(st.one_of(normals(), triangulars(), mixtures()),
        st.lists(st.floats(-60, 60), max_size=20),
        st.lists(st.floats(0.0, 1.0), max_size=20))
 @example(Triangular(0.0, 0.5, 5e-324), [0.0, 1e-320, 0.25], [1e-320])
@@ -476,8 +482,9 @@ def same_bits(got, want) -> bool:
 @example(Triangular(0.0, 1.0, 1.0), [-1e308, 1e308], [])
 @settings(max_examples=100, deadline=None)
 def test_float_path_equals_the_array_path(dist, xs, qs):
-    # Triangular answers a float in Python float arithmetic; it must give
-    # the array path's element bit for bit, alone or inside a mixture
+    # Normal and Triangular answer a float in Python float arithmetic; they
+    # must give the array path's element bit for bit, alone or inside a
+    # mixture
     laws = ([d for _, d in dist.components] if isinstance(dist, Mixture)
             else [dist])
     xs = xs + [-math.inf, math.inf, math.nan]
@@ -491,6 +498,8 @@ def test_float_path_equals_the_array_path(dist, xs, qs):
         for p, w in zip(points, want):
             got = method(p)
             if isinstance(dist, Triangular):
+                assert type(got) is np.float64
+            if isinstance(dist, Normal):
                 assert type(got) is np.float64
             assert same_bits(got, w), (method.__name__, p, got, w)
 
