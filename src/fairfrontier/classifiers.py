@@ -70,19 +70,19 @@ class IntervalSet:
         return total
 
     def complement(self) -> "IntervalSet":
-        return _combine(self, EMPTY, lambda a, b: not a)
+        return _combine(self, EMPTY, lambda a, b: ~a)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a and b)
+        return _combine(self, other, lambda a, b: a & b)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a or b)
+        return _combine(self, other, lambda a, b: a | b)
 
     def symmetric_difference(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a != b)
+        return _combine(self, other, lambda a, b: a ^ b)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda a, b: a and not b)
+        return _combine(self, other, lambda a, b: a & ~b)
 
 
 EMPTY = IntervalSet(())
@@ -90,21 +90,16 @@ FULL_LINE = IntervalSet(((-math.inf, math.inf),))
 
 
 def _combine(a: IntervalSet, b: IntervalSet, keep: Callable) -> IntervalSet:
-    # Sweep over the common endpoint partition and test each half-open
-    # segment [lo, hi) at lo: membership changes only at endpoints and an
-    # endpoint rides with the segment on its right, so lo is exact even
-    # where a midpoint would round onto hi. Endpoints are preserved exactly.
+    # Test each half-open segment [lo, hi) between the sets' endpoints at
+    # lo: membership changes only at endpoints and an endpoint rides with
+    # the segment on its right, so lo is exact even where a midpoint would
+    # round onto hi. IntervalSet merges the kept segments that touch.
     pts = sorted({p for s in (a, b) for pair in s.intervals for p in pair
                   if np.isfinite(p)})
-    edges = [-math.inf] + pts + [math.inf]
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        if keep(bool(a.contains(lo)), bool(b.contains(lo))):
-            if out and out[-1][1] == lo:
-                out[-1][1] = hi
-            else:
-                out.append([lo, hi])
-    return IntervalSet(tuple((lo, hi) for lo, hi in out))
+    edges = np.array([-math.inf] + pts + [math.inf])
+    lo, hi = edges[:-1], edges[1:]
+    kept = keep(a.contains(lo), b.contains(lo))
+    return IntervalSet(tuple(zip(lo[kept], hi[kept])))
 
 
 @dataclass(frozen=True)

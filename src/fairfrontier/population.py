@@ -103,32 +103,33 @@ class GroupConditionalModel:
         if not weights.sum() > 0.0:
             raise InputError(f"cells {cells!r} hold no probability mass")
         weights = weights / weights.sum()
-        dists = [self.conditional[c] for c in cells]
+        laws = [self.conditional[c] for c in cells]
+        # Mixture() refuses a two-level Mixture as a component, which a cell
+        # may be; these weights pass its other checks by construction
+        pooled = object.__new__(Mixture)
+        object.__setattr__(pooled, "components", tuple(
+            (float(w), law) for w, law in zip(weights, laws) if w > 0.0))
 
-        # both tails start from one bracket, and the bracket checks and
-        # Brent's first two steps evaluate its ends again: each point once
-        @functools.cache
+        @functools.cache  # the mass check and Brent share the bracket ends
         def cdf(x):
-            return float(sum(w * d.cdf(x) for w, d in zip(weights, dists)))
+            return float(pooled.cdf(x))
 
+        # every cell's law, of mass 0 too, sets the bracket Brent starts
+        # from; each has cdf <= 1.8e-33 at its lower end and 1.0 at its
+        # upper end, so widening the bracket could add no mass
+        lo, hi = _finite_bracket(laws)
         tail = (1.0 - central_mass) / 2.0
-        lo_b, hi_b = _finite_bracket(dists)
-        return (self._pooled_quantile(cdf, tail, lo_b, hi_b),
-                self._pooled_quantile(cdf, 1.0 - tail, lo_b, hi_b))
+        if not (cdf(lo) <= tail and cdf(hi) >= 1.0 - tail):
+            raise InputError(f"central_mass {central_mass!r} exceeds the "
+                             f"pooled mass {cdf(hi)!r} of cells {cells!r}")
+        return tuple(_brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+                     for q in (tail, 1.0 - tail))
 
     def group_quantile_range(self, a: int,
                              central_mass: float = 0.9999) -> tuple[float, float]:
         if a not in (0, 1):
             raise InputError(f"group must be 0 or 1, got {a!r}")
         return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
-
-    @staticmethod
-    def _pooled_quantile(cdf, q: float, lo: float, hi: float) -> float:
-        while cdf(lo) > q:
-            lo -= (hi - lo) + 1.0
-        while cdf(hi) < q:
-            hi += (hi - lo) + 1.0
-        return _brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
 
 
 _BRENT_RTOL = 4 * math.ulp(1.0)  # 4 eps, scipy.optimize.brentq's default rtol
@@ -169,8 +170,10 @@ def _brentq(f, xpre: float, xcur: float, xtol: float) -> float:
             else:  # inverse quadratic extrapolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                den = dblk * dpre * (fblk - fpre)  # may underflow to 0
+                # then brentq.c's x/0 fails the test below, and it bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

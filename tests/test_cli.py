@@ -301,6 +301,19 @@ def test_check_subcommand(tmp_path, capsys):
     assert (tmp_path / "theorems.txt").read_text() == printed
 
 
+def test_check_at_a_huge_scale_exits_0(tmp_path, capsys):
+    # at stddev 1e300 the range solver's inverse quadratic denominator
+    # underflows to 0; dividing by it raised ZeroDivisionError
+    cells = {"a0y0": 0.0, "a0y1": 1e300, "a1y0": 0.0, "a1y1": 2e300}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "joint": {key: 0.25 for key in cells},
+        "dist": {key: {"kind": "normal", "mean": mean, "stddev": 1e300}
+                 for key, mean in cells.items()}}))
+    assert main(["check", "--scenario", str(path)]) == 0
+    assert "boundary_alignment" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("with_out", [True, False])
 def test_check_config_out_writes_theorems(tmp_path, capsys, with_out):
     out = tmp_path / "cfg_out"

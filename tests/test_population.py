@@ -6,15 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from fairfrontier import (CELLS, PRESETS, ContractError, GroupConditionalModel,
-                          InputError, Normal, ResourceError, Triangular,
-                          ValidationError, read_scenario_file, scenario,
-                          validate, write_scenario_file)
+                          InputError, Mixture, Normal, ResourceError,
+                          Triangular, ValidationError, read_scenario_file,
+                          scenario, validate, write_scenario_file)
 from fairfrontier import population
 from fairfrontier.cli import main
+from fairfrontier.distributions import _finite_bracket
 from helpers import random_model
 
 
@@ -301,6 +303,108 @@ def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
         population._brentq(step, -1e300, 1e300, xtol=1e-12)
     with pytest.raises(ContractError):
         population._brentq(step, 4.0, 5.0, xtol=1e-12)
+
+
+def scaled_model(scale: float) -> GroupConditionalModel:
+    """Four Normal cells of stddev ``scale``, with means 0, 1, 0, 2 scales."""
+    return GroupConditionalModel(
+        joint={cell: 0.25 for cell in CELLS},
+        conditional={cell: Normal(m * scale, scale)
+                     for cell, m in zip(CELLS, (0, 1, 0, 2))},
+        label=f"scale-{scale:g}")
+
+
+# from a stddev of 1e200 up, the inverse quadratic step's denominator
+# underflows to 0; brentq.c then divides by 0 in C arithmetic and bisects
+@pytest.mark.parametrize("k", (-300, -200, -100, -8, 0, 8, 100, 200, 300,
+                               305))
+def test_brent_solver_equals_scipy_brentq_at_every_scale(monkeypatch, k):
+    solve, levels = population._brentq, []
+
+    def both(f, lo, hi, xtol):
+        ours = solve(f, lo, hi, xtol)
+        assert type(ours) is float and ours == brentq(f, lo, hi, xtol=xtol)
+        levels.append(ours)
+        return ours
+
+    monkeypatch.setattr(population, "_brentq", both)
+    model = scaled_model(10.0 ** k)
+    for mass in SOLVER_MASSES[:3]:
+        model.quantile_range(mass)
+        for a in (0, 1):
+            model.group_quantile_range(a, mass)
+    assert len(levels) == 3 * 2 * 3
+
+
+def summed_quantile_range(model, central_mass, cells):
+    """The range from a hand-rolled normalized sum of the cells' cdfs, solved
+    from the bracket of every cell, as quantile_range computed it before the
+    pooled law was a Mixture."""
+    weights = np.array([model.joint[c] for c in cells])
+    weights = weights / weights.sum()
+    dists = [model.conditional[c] for c in cells]
+
+    def cdf(x):
+        return float(sum(w * d.cdf(x) for w, d in zip(weights, dists)))
+
+    tail = (1.0 - central_mass) / 2.0
+    lo, hi = _finite_bracket(dists)
+    return tuple(population._brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+                 for q in (tail, 1.0 - tail))
+
+
+_TWO_LEVEL = Mixture(((0.5, Mixture(((0.5, Normal(0, 1)),
+                                     (0.5, Normal(2, 1))))),
+                      (0.5, Normal(1, 2))))
+PINNED_MODELS = ([scenario(name) for name in PRESETS]
+                 + [random_model(seed) for seed in range(120)] + [
+    # a cell without mass still widens the bracket Brent starts from
+    GroupConditionalModel({(0, 0): 0.0, (0, 1): 0.5, (1, 0): 0.25,
+                           (1, 1): 0.25},
+                          {**scaled_model(1.0).conditional,
+                           (0, 0): Normal(-40, 5)}, "no-mass-a0y0"),
+    GroupConditionalModel({(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5,
+                           (1, 1): 0.0},
+                          scenario("example1").conditional, "no-mass-a1y1"),
+    GroupConditionalModel({cell: 0.25 for cell in CELLS},
+                          {**scenario("example1").conditional,
+                           (0, 0): _TWO_LEVEL}, "two-level-mixture")])
+
+
+@pytest.mark.parametrize("model", PINNED_MODELS, ids=lambda m: m.label)
+def test_pooled_mixture_range_equals_the_summed_cdf_range(model):
+    for mass in (0.1, 0.9, 0.9999, 0.99999):
+        for cells in (CELLS, ((0, 0), (0, 1)), ((1, 0), (1, 1)),
+                      ((0, 1), (1, 1))):
+            assert model.quantile_range(mass, cells) == \
+                summed_quantile_range(model, mass, cells)
+
+
+ABOVE_THE_MASS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fairfrontier import (CELLS, GroupConditionalModel, InputError, Mixture,
+                          Normal)
+short = Mixture([(0.5, Normal(0, 1)), (0.4999999999995, Normal(3, 1))])
+model = GroupConditionalModel(
+    {cell: 0.25 for cell in CELLS},
+    {(0, 0): short, (1, 0): short, (0, 1): Normal(1, 1), (1, 1): Normal(2, 1)})
+model.quantile_range(0.9999)
+try:
+    model.quantile_range(1 - 1e-13)
+except InputError as exc:
+    print(exc)
+"""
+
+
+def test_quantile_range_refuses_a_level_above_the_pooled_mass():
+    # Mixture accepts weights summing to 1 - 5e-13, so the pooled cdf never
+    # reaches 1 - 5e-14; widening the bracket toward it never ended
+    src = Path(population.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", ABOVE_THE_MASS, str(src)],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.startswith("central_mass 0.9999999999999 exceeds")
 
 
 IMPORT_CHECK = """

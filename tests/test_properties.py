@@ -115,6 +115,57 @@ def test_interval_algebra_identities(a, b):
     assert a.difference(b) == a.intersection(b.complement())
 
 
+def segment_loop(a, b, keep):
+    """IntervalSet's operations as a loop over the segments between both
+    sets' endpoints, merging kept runs by hand, as they were computed before
+    IntervalSet merged the kept segments itself."""
+    pts = sorted({p for s in (a, b) for pair in s.intervals for p in pair
+                  if np.isfinite(p)})
+    edges = [-math.inf] + pts + [math.inf]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        if keep(bool(a.contains(lo)), bool(b.contains(lo))):
+            if out and out[-1][1] == lo:
+                out[-1][1] = hi
+            else:
+                out.append([lo, hi])
+    return IntervalSet(tuple((lo, hi) for lo, hi in out))
+
+
+SEGMENT_RULES = {
+    "intersection": lambda a, b: a and b,
+    "union": lambda a, b: a or b,
+    "symmetric_difference": lambda a, b: a != b,
+    "difference": lambda a, b: a and not b,
+}
+
+# a small pool, so that the two sets share and touch endpoints, with both
+# zeros, whose sign the first set to name a point decides
+shared_endpoints = st.one_of(
+    st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, math.inf]),
+    finite)
+
+
+@st.composite
+def raw_interval_sets(draw):
+    # unsorted, overlapping, touching and empty pairs, which IntervalSet
+    # sorts, merges and drops
+    return IntervalSet(tuple(draw(st.lists(
+        st.tuples(shared_endpoints, shared_endpoints), max_size=6))))
+
+
+@given(raw_interval_sets(), raw_interval_sets())
+@example(IntervalSet(((-0.0, 1.0),)), IntervalSet(((0.0, 2.0),)))
+@example(IntervalSet(((0.0, 1.0), (-1.0, -0.0))), IntervalSet(((1.0, 2.0),)))
+@settings(max_examples=300, deadline=None)
+def test_interval_operations_equal_the_segment_loop(a, b):
+    for name, keep in SEGMENT_RULES.items():
+        want = segment_loop(a, b, keep)
+        assert repr(getattr(a, name)(b).intervals) == repr(want.intervals)
+    want = segment_loop(a, IntervalSet(()), lambda x, _: not x)
+    assert repr(a.complement().intervals) == repr(want.intervals)
+
+
 @given(st.lists(st.floats(0, 1), min_size=4, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_unfairness_stays_in_unit_interval(vals):
