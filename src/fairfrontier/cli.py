@@ -21,14 +21,13 @@ import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
-from .distributions import positive_mass
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _members,
                        _sweep_range, build_frontier, classify_shape,
                        pareto_filter, sweep)
-from .metrics import (DECOMP_TOL, MetricWeights, Reference, accuracy,
-                      confusion_rates, unfairness)
+from .metrics import (DECOMP_TOL, MetricWeights, Reference, _gap, _group_rates,
+                      accuracy, confusion_rates, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
 from .theorems import (_boundary_alignment_reports, _decomposition_report,
@@ -120,7 +119,7 @@ _WRITE_BATCH = 32_768  # sweep.csv rows gathered and formatted at a time
 def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                      path: Path) -> None:
     """One row per candidate, block by block: each distinct region measured
-    and formatted once, f_mu with Reference.decompose's operations."""
+    and formatted once."""
     star = ref.rates
     f_du = _fmt(unfairness(star, w))
     measured = ({}, {})
@@ -130,8 +129,7 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
         for bounds in regions:
             if bounds not in measured[a]:
                 region = IntervalSet(bounds)
-                tpr = positive_mass(model.conditional[(a, 1)], region)
-                tnr = 1.0 - positive_mass(model.conditional[(a, 0)], region)
+                tpr, tnr = _group_rates(model, a, region)
                 measured[a][bounds] = (
                     _region_str(bounds), _ray_threshold(bounds),
                     tpr - star.tpr[a], tnr - star.tnr[a], ref.mismatch(region))
@@ -150,8 +148,7 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
             for lo in range(0, count, _WRITE_BATCH):
                 k = np.arange(lo, min(lo + _WRITE_BATCH, count))
                 i0, i1 = _members(block, k)
-                f_mu = (w.omega1 * np.abs(dtpr0[i0] - dtpr1[i1])
-                        + w.omega2 * np.abs(dtnr0[i0] - dtnr1[i1]))
+                f_mu = _gap(w, dtpr0[i0], dtpr1[i1], dtnr0[i0], dtnr1[i1])
                 fh.writelines(
                     f"{source},{tag},{text0[r0]},{text1[r1]},{ray0[r0]},"
                     f"{ray1[r1]},{fair:.17g},{acc:.17g},{1.0 - fair:.17g},"

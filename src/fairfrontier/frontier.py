@@ -24,7 +24,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
 from .errors import (InputError, ResourceError, ValidationError, _number,
                      _whole)
-from .metrics import MetricWeights, accuracy, confusion_rates, unfairness
+from .metrics import (MetricWeights, _gap, _hits, accuracy, confusion_rates,
+                      unfairness)
 
 DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
@@ -142,41 +143,17 @@ def _scores(model, w, tpr0, tpr1, tnr0, tnr1, fair, acc) -> None:
     tpr0/tnr0 are (rows, 1) group-0 rates; tpr1/tnr1 are (1, cols) group-1
     rates, or (rows, 1) when both groups share the row's threshold. Scores
     are written row-major into fair[:rows * cols] and acc[:rows * cols],
-    band by band through one small scratch array, with the same floating-
-    point operations in the same order as the whole-table expression
-        f_u = omega1 * |tpr1 - tpr0| + omega2 * |tnr1 - tnr0|
-        acc = p1 * (tpr1 J11 + tpr0 J01) + p2 * (tnr1 J10 + tnr0 J00)
-    so every score is bit-identical to it.
+    band by band so that each band's temporaries stay small.
     """
     rows, cols = tpr0.shape[0], tpr1.shape[1]
-    j = model.joint
-    hit1 = (tpr1 * j[(1, 1)], tpr0 * j[(0, 1)])
-    hit0 = (tnr1 * j[(1, 0)], tnr0 * j[(0, 0)])
     height = max(1, _BAND // cols)
-    scratch = np.empty(min(height, rows) * cols)
     fair = fair[:rows * cols].reshape(rows, cols)
     acc = acc[:rows * cols].reshape(rows, cols)
-
-    def band(x, lo, hi):
-        return x[lo:hi] if x.shape[0] == rows else x
-
     for lo in range(0, rows, height):
-        hi = min(lo + height, rows)
-        f, a = fair[lo:hi], acc[lo:hi]
-        s = scratch[:(hi - lo) * cols].reshape(hi - lo, cols)
-        np.subtract(band(tpr1, lo, hi), tpr0[lo:hi], out=f)
-        np.abs(f, out=f)
-        np.multiply(w.omega1, f, out=f)
-        np.subtract(band(tnr1, lo, hi), tnr0[lo:hi], out=s)
-        np.abs(s, out=s)
-        np.multiply(w.omega2, s, out=s)
-        np.add(f, s, out=f)
-        np.subtract(1.0, f, out=f)
-        np.add(band(hit1[0], lo, hi), hit1[1][lo:hi], out=a)
-        np.multiply(w.p1, a, out=a)
-        np.add(band(hit0[0], lo, hi), hit0[1][lo:hi], out=s)
-        np.multiply(w.p2, s, out=s)
-        np.add(a, s, out=a)
+        rates = [x[lo:lo + height] if x.shape[0] == rows else x
+                 for x in (tpr0, tpr1, tnr0, tnr1)]
+        np.subtract(1.0, _gap(w, *rates), out=fair[lo:lo + height])
+        acc[lo:lo + height] = _hits(model, w, *rates)
 
 
 def _boundary_counts(family: FamilySpec, orient: str) -> range:
@@ -461,10 +438,7 @@ def _fair_line(model, w, combo, u):
         c0 = np.asarray(model.conditional[(a, 0)].cdf(t))
         thresholds.append(t)
         tnrs.append(c0 if orient == "positive_above" else 1.0 - c0)
-    acc = (w.p1 * u * (model.joint[(0, 1)] + model.joint[(1, 1)])
-           + w.p2 * (tnrs[0] * model.joint[(0, 0)]
-                     + tnrs[1] * model.joint[(1, 0)]))
-    return thresholds, tnrs[1] - tnrs[0], acc
+    return thresholds, tnrs[1] - tnrs[0], _hits(model, w, u, u, *tnrs)
 
 
 def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:

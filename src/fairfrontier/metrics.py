@@ -81,21 +81,37 @@ class Decomposition:
             raise ValidationError("condition_met needs well_defined")
 
 
+def _group_rates(model, a: int, region: IntervalSet) -> tuple:
+    """Group a's (tpr, tnr) on the positive region, from the cell cdfs."""
+    return (positive_mass(model.conditional[(a, 1)], region),
+            1.0 - positive_mass(model.conditional[(a, 0)], region))
+
+
+def _gap(w: MetricWeights, tpr0, tpr1, tnr0, tnr1):
+    """omega1 |tpr1 - tpr0| + omega2 |tnr1 - tnr0|, of floats or of arrays
+    that broadcast. On rates it is the Equalized-Odds gap; on the drifts
+    from a reference's rates it is F_MU, as |d1 - d0| == |d0 - d1|."""
+    return w.omega1 * abs(tpr1 - tpr0) + w.omega2 * abs(tnr1 - tnr0)
+
+
+def _hits(model, w: MetricWeights, tpr0, tpr1, tnr0, tnr1):
+    """p1 (tpr1 J11 + tpr0 J01) + p2 (tnr1 J10 + tnr0 J00), J being the
+    joint (A, Y) masses: the weighted accuracy, of floats or of arrays."""
+    j = model.joint
+    return (w.p1 * (tpr1 * j[(1, 1)] + tpr0 * j[(0, 1)])
+            + w.p2 * (tnr1 * j[(1, 0)] + tnr0 * j[(0, 0)]))
+
+
 def confusion_rates(model, clf: GroupwiseClassifier) -> ConfusionRates:
     """Closed-form TPR/TNR per group from the conditional cdfs."""
-    tpr = tuple(positive_mass(model.conditional[(a, 1)], clf.positive_region(a))
-                for a in (0, 1))
-    tnr = tuple(1.0 - positive_mass(model.conditional[(a, 0)],
-                                    clf.positive_region(a))
-                for a in (0, 1))
+    tpr, tnr = zip(*(_group_rates(model, a, clf.positive_region(a))
+                     for a in (0, 1)))
     return ConfusionRates(tpr=tpr, tnr=tnr)
 
 
 def unfairness(rates: ConfusionRates, w: MetricWeights = None) -> float:
     """Equalized-Odds gap: weighted rate differences across groups."""
-    w = w or MetricWeights()
-    return (w.omega1 * abs(rates.tpr[1] - rates.tpr[0])
-            + w.omega2 * abs(rates.tnr[1] - rates.tnr[0]))
+    return _gap(w or MetricWeights(), *rates.tpr, *rates.tnr)
 
 
 def fairness(rates: ConfusionRates, w: MetricWeights = None) -> float:
@@ -104,11 +120,8 @@ def fairness(rates: ConfusionRates, w: MetricWeights = None) -> float:
 
 def accuracy(model, clf: GroupwiseClassifier, w: MetricWeights = None) -> float:
     """Weighted share of correct predictions; plain accuracy at defaults."""
-    w = w or MetricWeights()
     rates = confusion_rates(model, clf)
-    hit1 = sum(rates.tpr[a] * model.joint[(a, 1)] for a in (0, 1))
-    hit0 = sum(rates.tnr[a] * model.joint[(a, 0)] for a in (0, 1))
-    return w.p1 * hit1 + w.p2 * hit0
+    return _hits(model, w or MetricWeights(), *rates.tpr, *rates.tnr)
 
 
 @dataclass(frozen=True)
@@ -163,10 +176,8 @@ class Reference:
         cur = confusion_rates(model, clf)
         f_u = unfairness(cur, w)
         f_du = unfairness(star, w)
-        f_mu = (w.omega1 * abs((cur.tpr[0] - star.tpr[0])
-                               - (cur.tpr[1] - star.tpr[1]))
-                + w.omega2 * abs((cur.tnr[0] - star.tnr[0])
-                                 - (cur.tnr[1] - star.tnr[1])))
+        f_mu = _gap(w, *(c - s for c, s in zip(cur.tpr + cur.tnr,
+                                               star.tpr + star.tnr)))
         well_defined = self.well_defined(clf)
         return Decomposition(
             f_u=f_u, f_du=f_du, f_mu=f_mu,

@@ -22,6 +22,7 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _group_table,
                                    _interval_regions, _region_count)
+from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
 
@@ -290,6 +291,33 @@ def frontier_weights(draw):
     p1, p2 = (draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
               for _ in range(2))
     return MetricWeights(omega1, 1.0 - omega1, p1, p2)
+
+
+rate_lists = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=8)
+
+
+@given(st.integers(0, 300), st.integers(0, 300), frontier_weights(),
+       rate_lists, rate_lists)
+@settings(max_examples=60, deadline=None)
+def test_score_rule_gives_floats_and_arrays_the_same_bits(mseed, cseed, w,
+                                                          rows, cols):
+    # rows are group-0 (tpr, tnr) pairs, cols group-1 ones; one array call
+    # scores every pair as _scores does, by broadcasting rows against cols
+    model = random_model(mseed)
+    tpr0, tnr0 = (np.array(x)[:, None] for x in zip(*rows))
+    tpr1, tnr1 = (np.array(x)[None, :] for x in zip(*cols))
+    gaps = _gap(w, tpr0, tpr1, tnr0, tnr1)
+    hits = _hits(model, w, tpr0, tpr1, tnr0, tnr1)
+    for (i, (p0, n0)), (j, (p1, n1)) in itertools.product(enumerate(rows),
+                                                          enumerate(cols)):
+        assert same_bits(_gap(w, p0, p1, n0, n1), gaps[i, j])
+        assert same_bits(_hits(model, w, p0, p1, n0, n1), hits[i, j])
+    clf = random_classifier(cseed)
+    rates = confusion_rates(model, clf)
+    for a in (0, 1):
+        assert (_group_rates(model, a, clf.positive_region(a))
+                == (rates.tpr[a], rates.tnr[a]))
 
 
 @st.composite
