@@ -241,11 +241,13 @@ def fairness_optimal(model,
 
     Tries the positive set of each signed combination of the per-label group
     density differences (the four orderings of the rate gaps), scores each by
-    its realized gap, and keeps the best; a trivial constant classifier wins
-    only when strictly fairer. Ties prefer fewer intervals, then the smaller
+    its realized gap, and keeps the best; a constant classifier wins only
+    when strictly fairer. Ties prefer fewer intervals, then the smaller
     boundary. A hypothesis whose region needs more than max_intervals
-    intervals could not be returned, so it is passed over; the constant
-    classifier, which is exactly fair, remains when every one is.
+    intervals could not be returned, so it is passed over; a constant
+    classifier, which is exactly fair, remains when every one is. The
+    constant is the more accurate one: EMPTY when P(Y=0) > P(Y=1), else
+    FULL_LINE.
     """
     def lam1(x):
         return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
@@ -274,9 +276,10 @@ def fairness_optimal(model,
                region.intervals)
         if best is None or key < best[0]:
             best = (key, region)
-    # the constant-positive rule is exactly fair; use it only when the sign
-    # candidates cannot match its gap
+    # the constant rules are exactly fair; use one only when the sign
+    # candidates cannot match their gap
     if best is None or _region_unfairness(model, FULL_LINE) < best[0][0]:
-        return GroupwiseClassifier.from_shared(FULL_LINE)
+        return GroupwiseClassifier.from_shared(
+            EMPTY if model.p_label(0) > model.p_label(1) else FULL_LINE)
     return GroupwiseClassifier.from_shared(best[1])
 

@@ -182,6 +182,16 @@ def test_fairness_optimal_example1_is_constant_positive():
     assert accuracy(model, clf) == pytest.approx(0.625, abs=1e-12)
 
 
+def test_fairness_optimal_takes_the_more_accurate_constant():
+    # no sign hypothesis of random_model(7) is exactly fair, and Y=0 is the
+    # majority label, so the constant-negative rule is the fairness optimum
+    model = random_model(7)
+    assert model.p_label(0) > model.p_label(1)
+    clf = fairness_optimal(model)
+    assert clf == GroupwiseClassifier.from_shared(EMPTY)
+    assert accuracy(model, clf) == model.p_label(0)
+
+
 def identical_laws():
     """Both groups share each label's law, so every hypothesis is 0."""
     return GroupConditionalModel(
@@ -209,7 +219,7 @@ def test_fairness_optimal_passes_over_a_too_complex_hypothesis():
 
 def fairness_optimal_one_grid_each(model):
     """fairness_optimal as one sign_region per hypothesis, each sampling
-    lam1 and lam2 on its own grid; same key, same full-line fallback."""
+    lam1 and lam2 on its own grid; same key, same constant fallback."""
     def lam1(x):
         return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
 
@@ -229,7 +239,8 @@ def fairness_optimal_one_grid_each(model):
         if best is None or key < best[0]:
             best = (key, region)
     if best is None or _region_unfairness(model, FULL_LINE) < best[0][0]:
-        return GroupwiseClassifier.from_shared(FULL_LINE)
+        return GroupwiseClassifier.from_shared(
+            EMPTY if model.p_label(0) > model.p_label(1) else FULL_LINE)
     return GroupwiseClassifier.from_shared(best[1])
 
 

@@ -281,6 +281,22 @@ def test_example1_shared_frontier_has_the_known_jump():
     assert jump.accuracy_drop == pytest.approx(0.2254257626080155, abs=1e-9)
 
 
+def test_shared_frontier_ends_on_the_more_accurate_constant():
+    # P(Y=0) > P(Y=1) here, so the exactly fair end of a shared frontier is
+    # the constant-negative rule, not a drop onto the constant-positive one
+    model = random_model(7)
+    assert model.p_label(0) == pytest.approx(0.7381, abs=1e-4)
+    for orient in ("positive_above", "positive_below", "both"):
+        frontier = build_frontier(model, FamilySpec(
+            "shared_threshold", orientations=orient, resolution=201))
+        last = frontier.points[-1]
+        assert (last.fairness, last.accuracy) == (1.0, model.p_label(0))
+        assert last.params == ("optimum", "fairness", (), ())
+        assert all(j.fairness_at < 1.0 for j in frontier.jumps)
+        if orient == "positive_below":
+            assert frontier.shape == "continuous"
+
+
 def test_example1_per_group_frontier_is_continuous():
     model = scenario("example1")
     family = FamilySpec("per_group_threshold", resolution=201,
