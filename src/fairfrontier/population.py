@@ -54,6 +54,20 @@ class GroupConditionalModel:
         for cell in CELLS:
             if not isinstance(cond[cell], (Normal, Triangular, Mixture)):
                 raise ValidationError(f"conditional{cell} is not a distribution")
+        # quantile_range solves inside the cells' bracket, so its width must
+        # be a float and each Normal's ends must lie off its mean
+        lo, hi = _finite_bracket(cond.values())
+        if not math.isfinite(hi - lo):
+            raise ValidationError(
+                f"the cells' quantile bracket [{lo!r}, {hi!r}] is wider "
+                "than the largest float; rescale the feature")
+        for cell in CELLS:
+            for law in _normals(cond[cell]):
+                if law.mean in _finite_bracket((law,)):
+                    raise ValidationError(
+                        f"conditional{cell}: stddev {law.stddev!r} is below "
+                        f"the float spacing at mean {law.mean!r} (mean +- 12 "
+                        "sd rounds to the mean); shift or rescale the feature")
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "conditional", cond)
 
@@ -130,6 +144,13 @@ class GroupConditionalModel:
         if a not in (0, 1):
             raise InputError(f"group must be 0 or 1, got {a!r}")
         return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
+
+
+def _normals(law) -> list:
+    """The Normal laws in law, a Mixture's components included."""
+    if isinstance(law, Mixture):
+        return [n for _, c in law.components for n in _normals(c)]
+    return [law] if isinstance(law, Normal) else []
 
 
 _BRENT_RTOL = 4 * math.ulp(1.0)  # 4 eps, scipy.optimize.brentq's default rtol

@@ -380,6 +380,49 @@ def test_pooled_mixture_range_equals_the_summed_cdf_range(model):
                 summed_quantile_range(model, mass, cells)
 
 
+def _scale_payload(laws):
+    return _normal_payload(dist={
+        key: {"kind": "normal", "mean": mean, "stddev": sd}
+        for key, (mean, sd) in zip(("a0y0", "a0y1", "a1y0", "a1y1"), laws)})
+
+
+# the first bracket's width overflows; the others' mean + 12 sd rounds back
+# onto the mean, so the bracket misses the upper tail
+@pytest.mark.parametrize("laws, problem", [
+    ([(0.0, 1e307)] * 4, "wider than the largest float"),
+    ([(1e18 + i, 1.0) for i in range(4)], "below the float spacing"),
+    ([(1e308, 1.0), (1e308, 2.0), (1e308, 1.0), (1e308, 3.0)],
+     "below the float spacing"),
+    ([(-1e308, 1.0), (-1e308, 2.0), (-1e308, 1.0), (-1e308, 3.0)],
+     "below the float spacing"),
+], ids=["stddev-1e307", "mean-1e18", "mean-1e308", "mean-minus-1e308"])
+def test_a_scale_the_bracket_cannot_hold_is_refused(tmp_path, capsys, laws,
+                                                    problem):
+    payload = _scale_payload(laws)
+    report = validate(payload)
+    failing = {key: msg for key, passed, msg in report.entries if not passed}
+    assert not report.ok and list(failing) == ["model"]
+    assert problem in failing["model"]
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", "--scenario", str(path)]) == 2
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("laws, central", [
+    ([(0.0, 1e306)] * 4, (-3.890591886413121e+306, 3.890591886413126e+306)),
+    ([(1e18 + i, 10.0) for i in range(4)],
+     (9.999999999999999e+17, 1.0000000000000001e+18)),
+], ids=["stddev-1e306", "mean-1e18-stddev-10"])
+def test_the_largest_scales_the_bracket_holds_keep_their_ranges(laws,
+                                                                central):
+    assert validate(_scale_payload(laws)).ok
+    model = GroupConditionalModel(
+        {cell: 0.25 for cell in CELLS},
+        {cell: Normal(mean, sd) for cell, (mean, sd) in zip(CELLS, laws)})
+    assert model.quantile_range() == central
+
+
 ABOVE_THE_MASS = """
 import sys
 sys.path.insert(0, sys.argv[1])
