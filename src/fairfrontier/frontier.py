@@ -29,9 +29,10 @@ from .metrics import (MetricWeights, _gap, _hits, accuracy, confusion_rates,
 
 DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
-# elements per band of _scores (256 KiB of float64, cache-sized) and per
-# chunk of pareto_filter's first pass; neither changes any result
-_BAND = 32_768
+# elements per band of _scores (128 KiB of float64, so its temporaries
+# stay cache-sized) and per chunk of pareto_filter's first pass; neither
+# changes any result
+_BAND = 16_384
 _CHUNK = 65_536
 KINDS = ("shared_threshold", "per_group_threshold", "per_group_intervals")
 ORIENTS = ("positive_above", "positive_below", "both")
