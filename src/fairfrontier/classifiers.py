@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import positive_mass
 from .errors import ComplexityError, InputError
 
 SIGN_GRID_POINTS = 4096
@@ -171,12 +170,7 @@ def sign_region(g, lo: float, hi: float,
     line.
     """
     xs = np.linspace(lo, hi, SIGN_GRID_POINTS)
-    return _sign_region(g, xs, np.asarray(g(xs)) >= 0.0, max_intervals)
-
-
-def _sign_region(g, xs: np.ndarray, pos: np.ndarray,
-                 max_intervals: int) -> IntervalSet:
-    # sign_region's work once the grid signs pos = g(xs) >= 0 are known
+    pos = np.asarray(g(xs)) >= 0.0
     flips = np.nonzero(pos[:-1] != pos[1:])[0]
     roots = [_bisect_root(g, xs[i], xs[i + 1], bool(pos[i])) for i in flips]
 
@@ -227,59 +221,13 @@ def bayes_accuracy_optimal(model, scope: str = "overall",
     raise InputError(f"scope must be 'overall' or 'per_group', got {scope!r}")
 
 
-def _region_unfairness(model, region: IntervalSet) -> float:
-    # local Equalized-Odds gap for a shared region, default weights 1/2, 1/2
-    tpr = [positive_mass(model.conditional[(a, 1)], region) for a in (0, 1)]
-    fpr = [positive_mass(model.conditional[(a, 0)], region) for a in (0, 1)]
-    return 0.5 * abs(tpr[1] - tpr[0]) + 0.5 * abs(fpr[1] - fpr[0])
-
-
-def fairness_optimal(model,
-                     max_intervals: int = DEFAULT_MAX_INTERVALS
-                     ) -> GroupwiseClassifier:
+def fairness_optimal(model) -> GroupwiseClassifier:
     """Shared classifier minimizing the Equalized-Odds gap.
 
-    Tries the positive set of each signed combination of the per-label group
-    density differences (the four orderings of the rate gaps), scores each by
-    its realized gap, and keeps the best; a constant classifier wins only
-    when strictly fairer. Ties prefer fewer intervals, then the smaller
-    boundary. A hypothesis whose region needs more than max_intervals
-    intervals could not be returned, so it is passed over; a constant
-    classifier, which is exactly fair, remains when every one is. The
-    constant is the more accurate one: EMPTY when P(Y=0) > P(Y=1), else
-    FULL_LINE.
+    A constant rule gives both groups the same rates (TPR 1 and TNR 0, or
+    TPR 0 and TNR 1), so its gap is exactly 0, the minimum, under any
+    weights. It is the more accurate of the two constants: EMPTY when
+    P(Y=0) > P(Y=1), else FULL_LINE.
     """
-    def lam1(x):
-        return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
-
-    def lam2(x):
-        return 0.5 * (model.cell_pdf(x, 1, 0) - model.cell_pdf(x, 0, 0))
-
-    hypotheses = (
-        lambda l1, l2: l1 - l2,
-        lambda l1, l2: l2 - l1,
-        lambda l1, l2: l1 + l2,
-        lambda l1, l2: -l1 - l2,
-    )
-    # the four share one grid, so lam1 and lam2 are sampled on it once
-    xs = np.linspace(*model.quantile_range(0.99999), SIGN_GRID_POINTS)
-    grid = lam1(xs), lam2(xs)
-    best = None
-    for h in hypotheses:
-        def g(x, h=h):
-            return h(lam1(x), lam2(x))
-        try:
-            region = _sign_region(g, xs, h(*grid) >= 0.0, max_intervals)
-        except ComplexityError:
-            continue
-        key = (_region_unfairness(model, region), len(region.intervals),
-               region.intervals)
-        if best is None or key < best[0]:
-            best = (key, region)
-    # the constant rules are exactly fair; use one only when the sign
-    # candidates cannot match their gap
-    if best is None or _region_unfairness(model, FULL_LINE) < best[0][0]:
-        return GroupwiseClassifier.from_shared(
-            EMPTY if model.p_label(0) > model.p_label(1) else FULL_LINE)
-    return GroupwiseClassifier.from_shared(best[1])
-
+    return GroupwiseClassifier.from_shared(
+        EMPTY if model.p_label(0) > model.p_label(1) else FULL_LINE)

@@ -9,9 +9,9 @@ from fairfrontier import (EMPTY, FULL_LINE, PRESETS, ComplexityError,
                           GroupConditionalModel, GroupwiseClassifier,
                           InputError, IntervalSet, Normal, accuracy,
                           bayes_accuracy_optimal, confusion_rates,
-                          fairness_optimal, scenario, sign_region, unfairness,
-                          validate, well_defined_check)
-from fairfrontier.classifiers import _region_unfairness
+                          fairness_optimal, positive_mass, scenario,
+                          sign_region, unfairness, validate,
+                          well_defined_check)
 from helpers import random_classifier, random_model, valley_model
 
 
@@ -208,18 +208,39 @@ def test_fairness_optimal_identical_laws_reaches_zero():
     assert clf.shared
 
 
+def test_fairness_optimal_identical_laws_takes_the_majority_constant():
+    # every sign hypothesis of these cells is identically 0, so a search
+    # over them finds the exactly fair FULL_LINE; Y=0 is the majority
+    # label, so the more accurate constant is EMPTY
+    model = GroupConditionalModel(
+        joint={(0, 0): 0.3, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.2},
+        conditional={(0, 0): Normal(-1, 1), (1, 0): Normal(-1, 1),
+                     (0, 1): Normal(1, 1), (1, 1): Normal(1, 1)})
+    clf = fairness_optimal(model)
+    assert clf == GroupwiseClassifier.from_shared(EMPTY)
+    assert gap(model, clf) == 0.0
+    assert accuracy(model, clf) == pytest.approx(0.6, abs=1e-12)
+
+
 def test_fairness_optimal_passes_over_a_too_complex_hypothesis():
     # one of random_model(114)'s four sign hypotheses needs 5 intervals; it
     # cannot be returned under the bound of 4, and must not abort the rest
     model = random_model(114)
     clf = fairness_optimal(model)
-    assert clf == fairness_optimal(model, max_intervals=8)
     assert gap(model, clf) == 0.0
 
 
+def _region_unfairness(model, region: IntervalSet) -> float:
+    # local Equalized-Odds gap for a shared region, default weights 1/2, 1/2
+    tpr = [positive_mass(model.conditional[(a, 1)], region) for a in (0, 1)]
+    fpr = [positive_mass(model.conditional[(a, 0)], region) for a in (0, 1)]
+    return 0.5 * abs(tpr[1] - tpr[0]) + 0.5 * abs(fpr[1] - fpr[0])
+
+
 def fairness_optimal_one_grid_each(model):
-    """fairness_optimal as one sign_region per hypothesis, each sampling
-    lam1 and lam2 on its own grid; same key, same constant fallback."""
+    """The search fairness_optimal once made: the fairest of four sign
+    hypotheses, one sign_region each, or the more accurate constant when
+    none is exactly fair. Kept as the reference the constant must match."""
     def lam1(x):
         return 0.5 * (model.cell_pdf(x, 1, 1) - model.cell_pdf(x, 0, 1))
 
