@@ -23,9 +23,9 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
-from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _members,
-                       _sweep_range, build_frontier, classify_shape,
-                       pareto_filter, sweep)
+from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
+                       _members, _sweep_range, build_frontier,
+                       classify_shape, pareto_filter, sweep)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, _gap, _group_rates,
                       accuracy, confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -195,8 +195,10 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
 
     Non-threshold families fall back to an ascending-positive boundary sweep
     at the family's resolution and range, since the decomposition curves are
-    functions of a single boundary.
+    functions of a single boundary. Each boundary is one candidate, so the
+    sweep's candidate cap bounds the resolution.
     """
+    _capped(family.resolution)
     orient = "positive_above"
     if family.kind == "shared_threshold" and family.orientations[0] != "both":
         orient = family.orientations[0]

@@ -86,13 +86,17 @@ class FamilySpec:
 
 
 def _sweep_range(value) -> tuple:
-    """value as a (lo, hi) pair of finite numbers with lo < hi."""
+    """value as a (lo, hi) pair of finite numbers with lo < hi whose width
+    hi - lo is finite too, so that a grid over it holds no NaN or inf."""
     try:
         lo, hi = (_number(v, "sweep range") for v in value)
     except (TypeError, ValueError):  # not two values
         lo = hi = math.nan
     if not lo < hi:
         raise ValidationError(f"bad sweep range {value!r}")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(
+            f"sweep range {value!r} is too wide: hi - lo overflows a float")
     return lo, hi
 
 
@@ -162,7 +166,9 @@ def _boundary_counts(family: FamilySpec, orient: str) -> range:
     threshold, else every count that leaves at most k positive intervals."""
     if family.kind != "per_group_intervals":
         return range(1, 2)
-    return range(2 * family.k + int(orient == "positive_above"))
+    # an n-point grid has no region of more than n boundaries
+    return range(min(2 * family.k + int(orient == "positive_above"),
+                     family.resolution + 1))
 
 
 def _region_count(family: FamilySpec, orient: str) -> int:
@@ -259,16 +265,22 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     return _sweep(model, family, w or MetricWeights(), bounded=False)
 
 
-def _sweep(model, family: FamilySpec, w: MetricWeights,
-           bounded: bool) -> Candidates:
-    """sweep's candidates, or with bounded only the pair-block lines that
-    _open_lines leaves open against the fairest appended optimum."""
-    count = _candidate_count(family)
+def _capped(count: int) -> int:
+    """count, or ResourceError when a family would generate more than
+    CANDIDATE_CAP candidates."""
     if count > CANDIDATE_CAP:
         raise ResourceError(
             f"family would generate {count} candidates (cap {CANDIDATE_CAP}); "
             "lower the resolution or k"
         )
+    return count
+
+
+def _sweep(model, family: FamilySpec, w: MetricWeights,
+           bounded: bool) -> Candidates:
+    """sweep's candidates, or with bounded only the pair-block lines that
+    _open_lines leaves open against the fairest appended optimum."""
+    count = _capped(_candidate_count(family))
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
     optima = _appended_optima(model, family, w)

@@ -284,6 +284,28 @@ def test_oversized_family_exits_3(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_oversized_decomposition_exits_3(tmp_path, capsys):
+    # the decomposition has one row per boundary, under the sweep's cap
+    code = main(["run", "--scenario", "example1", "--out", str(tmp_path),
+                 "--decompose", "--resolution", "10000001"])
+    assert code == 3
+    assert "cap" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_overflowing_sweep_range_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", "family": {
+        "range": [-1e308, 1e308], "resolution": 5}}))
+    out = tmp_path / "cfg_out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--frontier"] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert "too wide" in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_scenarios_subcommand(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,8 @@ from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
                           dominance_oracle, pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
                                    _fair_line, _fair_roots, _first_pass_drops,
-                                   _group_table, _open_lines, _sweep)
+                                   _group_table, _interval_regions,
+                                   _open_lines, _sweep)
 from helpers import random_model
 
 COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
@@ -161,6 +162,26 @@ def test_sweep_resource_cap():
                         orientations="both")
     with pytest.raises(ResourceError):
         sweep(model, family)
+
+
+def test_interval_regions_stop_at_the_grid_size():
+    # an n-point grid has no region of more than n boundaries, so a huge k
+    # adds no block past boundary count n
+    family = FamilySpec("per_group_intervals", resolution=5, k=10 ** 9)
+    for orient in ("positive_above", "positive_below"):
+        blocks = list(itertools.islice(_interval_regions(family, orient),
+                                       family.resolution + 2))
+        assert len(blocks) <= family.resolution + 1
+
+
+def test_sweep_range_wider_than_a_float_is_refused():
+    # linspace over (-1e308, 1e308) steps by inf and puts NaN on the grid
+    with pytest.raises(ValidationError, match="too wide"):
+        FamilySpec("shared_threshold", resolution=5,
+                   sweep_range=(-1e308, 1e308))
+    assert FamilySpec("shared_threshold", resolution=5,
+                      sweep_range=(-1e308, 7e307)).sweep_range == (
+                          -1e308, 7e307)
 
 
 def test_sweep_contains_known_threshold_point():
