@@ -24,8 +24,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
-                       _members, _sweep_range, build_frontier,
-                       classify_shape, pareto_filter, sweep)
+                       _candidate_count, _members, _sweep_range,
+                       build_frontier, classify_shape, pareto_filter, sweep)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, _gap, _group_rates,
                       accuracy, confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -149,6 +149,10 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                 k = np.arange(lo, min(lo + _WRITE_BATCH, count))
                 i0, i1 = _members(block, k)
                 f_mu = _gap(w, dtpr0[i0], dtpr1[i1], dtnr0[i0], dtnr1[i1])
+                # a sum that overflows is inf, so not well-defined, as in
+                # Reference.well_defined's float sum, which does not warn
+                with np.errstate(over="ignore"):
+                    defined = m0[i0] + m1[i1] <= DECOMP_TOL
                 fh.writelines(
                     f"{source},{tag},{text0[r0]},{text1[r1]},{ray0[r0]},"
                     f"{ray1[r1]},{fair:.17g},{acc:.17g},{1.0 - fair:.17g},"
@@ -157,8 +161,7 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                         i0.tolist(), i1.tolist(),
                         candidates.fairness[start + k].tolist(),
                         candidates.accuracy[start + k].tolist(), f_mu.tolist(),
-                        np.where(m0[i0] + m1[i1] <= DECOMP_TOL,
-                                 "true", "false").tolist()))
+                        np.where(defined, "true", "false").tolist()))
             start += count
 
 
@@ -195,10 +198,8 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
 
     Non-threshold families fall back to an ascending-positive boundary sweep
     at the family's resolution and range, since the decomposition curves are
-    functions of a single boundary. Each boundary is one candidate, so the
-    sweep's candidate cap bounds the resolution.
+    functions of a single boundary.
     """
-    _capped(family.resolution)
     orient = "positive_above"
     if family.kind == "shared_threshold" and family.orientations[0] != "both":
         orient = family.orientations[0]
@@ -547,6 +548,12 @@ def _cmd_run(args) -> int:
         raise ValidationError(
             "output directory is required (--out or config \"out\")")
     model = scenario(cfg.scenario)
+    # refuse an oversized analysis before anything is made or printed; a
+    # decomposition row is one candidate, so the cap bounds the resolution
+    if {"frontier", "theorems"} & set(cfg.analyses):
+        _capped(_candidate_count(cfg.family))
+    if "decompose" in cfg.analyses:
+        _capped(cfg.family.resolution)
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))

@@ -442,13 +442,17 @@ _PLATEAU_GAP = 1e-12
 
 
 def _fair_line(model, w, combo, u):
-    """Rates and thresholds of the equal-TPR threshold pairs at levels u."""
+    """Rates and thresholds of the equal-TPR threshold pairs at levels u.
+
+    u is an array, or a float that stays in float arithmetic throughout,
+    since the plateau's golden section asks one level at a time.
+    """
     thresholds = []
     tnrs = []
     for a, orient in ((0, combo[0]), (1, combo[1])):
         level = 1.0 - u if orient == "positive_above" else u
         t = model.conditional[(a, 1)].ppf(level)
-        c0 = np.asarray(model.conditional[(a, 0)].cdf(t))
+        c0 = model.conditional[(a, 0)].cdf(t)
         thresholds.append(t)
         tnrs.append(c0 if orient == "positive_above" else 1.0 - c0)
     return thresholds, tnrs[1] - tnrs[0], _hits(model, w, u, u, *tnrs)

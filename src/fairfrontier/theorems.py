@@ -14,8 +14,8 @@ import numpy as np
 
 from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
-from .frontier import (FamilySpec, Frontier, Jump, _fairest, classify_shape,
-                       sweep)
+from .frontier import (FamilySpec, Frontier, Jump, _fairest, _sweep,
+                       classify_shape)
 from .metrics import (MetricWeights, Reference, accuracy, confusion_rates,
                       unfairness)
 
@@ -244,11 +244,21 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
 
 def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
     """One boundary-alignment report per mode, all from one family search,
-    against the reference of the search's appended accuracy optimum."""
+    against the reference of the search's appended accuracy optimum.
+
+    The search is sweep's, bounded as in build_frontier: only the lines
+    that _open_lines leaves open against the pivot, the fairest appended
+    optimum, are scored. That is exact. The pivot is kept, and every
+    candidate left out is strictly less fair than it with accuracy no
+    better, so the pivot meets the search's test whenever a left-out
+    candidate would, and no left-out candidate is among the fairest, where
+    _fairest looks. The accuracy optimum is still appended last, so the
+    reference is the same.
+    """
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
-    candidates = sweep(model, SEARCH_FAMILY)
+    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), bounded=True)
     ref = Reference.of(model, candidates[-1].clf)
     f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})

@@ -277,20 +277,29 @@ def test_oversized_oracle_sample_count_exits_3(capsys):
 
 
 def test_oversized_family_exits_3(tmp_path, capsys):
-    code = main(["run", "--scenario", "example1", "--out", str(tmp_path),
-                 "--family", "per-group-intervals", "--resolution", "801",
-                 "--k", "4"])
-    assert code == 3
-    assert "cap" in capsys.readouterr().err
+    # the theorems build the family's frontier too; a refused run makes no
+    # output directory and prints nothing
+    out = tmp_path / "out"
+    for analysis in ("--frontier", "--theorems"):
+        code = main(["run", "--scenario", "example1", "--out", str(out),
+                     "--family", "per-group-intervals", "--resolution", "801",
+                     "--k", "4", analysis])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "cap" in captured.err and not captured.out
+        assert not out.exists()
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):
     # the decomposition has one row per boundary, under the sweep's cap
-    code = main(["run", "--scenario", "example1", "--out", str(tmp_path),
-                 "--decompose", "--resolution", "10000001"])
-    assert code == 3
-    assert "cap" in capsys.readouterr().err
-    assert not (tmp_path / "decomposition.csv").exists()
+    out = tmp_path / "out"
+    for resolution in ("10000001", "1000000000000"):
+        code = main(["run", "--scenario", "example1", "--out", str(out),
+                     "--decompose", "--resolution", resolution])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "cap" in captured.err and not captured.out
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -304,6 +313,28 @@ def test_overflowing_sweep_range_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "too wide" in captured.err and not captured.out
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
+    # region mismatch lengths near 1e308 sum to inf: not well-defined, as
+    # Reference.well_defined says, and no overflow warning
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", "family": {
+        "range": [-1e308, 7e307], "resolution": 5}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--frontier"]) == 0
+    model = scenario("example1")
+    ref = Reference.of(model)
+    c = _sweep(model, FamilySpec("shared_threshold", resolution=5,
+                                 sweep_range=(-1e308, 7e307)),
+               MetricWeights(), False)
+    rows = read_csv(out / "sweep.csv")
+    assert len(rows) == len(c)
+    assert [row["well_defined"] for row in rows] == [
+        "true" if ref.well_defined(p.clf) else "false" for p in c]
+    assert "false" in [row["well_defined"] for row in rows]
 
 
 def test_scenarios_subcommand(capsys):

@@ -7,14 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairfrontier import (FamilySpec, Frontier, FrontierPoint, InputError,
-                          MetricWeights, ResourceError, ValidationError,
-                          build_frontier, check_accuracy_jump, classify_shape,
-                          dominance_oracle, pareto_filter, scenario, sweep)
+from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
+                          InputError, MetricWeights, ResourceError,
+                          ValidationError, build_frontier, check_accuracy_jump,
+                          classify_shape, dominance_oracle, frontier,
+                          pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
                                    _fair_line, _fair_roots, _first_pass_drops,
                                    _group_table, _interval_regions,
                                    _open_lines, _sweep)
+from fairfrontier.metrics import _hits
 from helpers import random_model
 
 COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
@@ -154,6 +156,33 @@ def test_fair_roots_bisects_crossings_like_one_at_a_time():
         assert got[len(got) - len(want):] == want
         bisected += len(want)
     assert bisected == 6
+
+
+def test_fair_line_answers_a_float_level_in_scalars(monkeypatch):
+    # _fair_polish asks one level at a time: a float level stays out of 0-d
+    # arrays, the accuracy's operands included, and gives the one-element
+    # array path's values bit for bit
+    operands = []
+
+    def hits(model, w, *rates):
+        operands.extend(rates)
+        return _hits(model, w, *rates)
+
+    monkeypatch.setattr(frontier, "_hits", hits)
+    w = MetricWeights()
+    levels = (1e-7, 0.05, 0.3, 0.5, np.float64(0.77), 1.0 - 1e-7)
+    models = [scenario(name) for name in PRESETS]
+    models += [random_model(seed) for seed in range(10)]
+    for model in models:
+        for combo, u in itertools.product(COMBOS, levels):
+            operands.clear()
+            (t0, t1), gap, acc = _fair_line(model, w, combo, u)
+            assert not any(isinstance(x, np.ndarray)
+                           for x in (t0, t1, gap, acc, *operands))
+            (a0, a1), a_gap, a_acc = _fair_line(model, w, combo,
+                                                np.array([u]))
+            assert ([float(x).hex() for x in (t0, t1, gap, acc)]
+                    == [float(x[0]).hex() for x in (a0, a1, a_gap, a_acc)])
 
 
 def test_sweep_resource_cap():

@@ -5,14 +5,15 @@ import json
 
 import pytest
 
-from fairfrontier import (FULL_LINE, ContractError, FamilySpec,
+from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
                           GroupConditionalModel, GroupwiseClassifier,
-                          InputError, Jump, Normal, TheoremReport,
-                          bayes_accuracy_optimal, build_frontier,
-                          check_accuracy_jump, check_boundary_alignment,
-                          check_decomposition_bound,
+                          InputError, Jump, MetricWeights, Normal,
+                          TheoremReport, bayes_accuracy_optimal,
+                          build_frontier, check_accuracy_jump,
+                          check_boundary_alignment, check_decomposition_bound,
                           check_simultaneous_optimality, fairness_optimal,
-                          overpursuit_accuracy_bound, scenario)
+                          frontier, overpursuit_accuracy_bound, scenario,
+                          sweep, theorems)
 from helpers import random_classifier, random_model, valley_model
 
 
@@ -225,6 +226,42 @@ def test_boundary_alignment_solves_the_bayes_optimum_once(monkeypatch):
     monkeypatch.setattr(metrics, "bayes_accuracy_optimal", counted)
     check_boundary_alignment(scenario("example4_identical"))
     assert calls == [("per_group",)]
+
+
+@pytest.mark.parametrize("name", [*PRESETS,
+                                  *(f"random-{s}" for s in range(40))])
+def test_boundary_alignment_search_equals_the_full_sweep(name, monkeypatch):
+    # the search scores only its open lines; its reports must be those of
+    # the public sweep, which scores every candidate
+    model = (scenario(name) if name in PRESETS
+             else random_model(int(name.removeprefix("random-"))))
+    modes = ("boundary_location", "strict_indicator")
+    # both searches append the same optima, so they are solved once
+    optima = frontier._appended_optima(model, theorems.SEARCH_FAMILY,
+                                       MetricWeights())
+    monkeypatch.setattr(frontier, "_appended_optima", lambda *args: optima)
+    got = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
+    monkeypatch.setattr(theorems, "_sweep",
+                        lambda model, family, w, bounded: sweep(model, family))
+    want = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
+    assert got == want
+
+
+@pytest.mark.parametrize("name, count", [("example1", 4),
+                                         ("example4_identical", 10_306)])
+def test_boundary_alignment_scores_only_open_lines(name, count, monkeypatch):
+    # candidates searched, of the full sweep's 148,998; both hold the two
+    # appended optima
+    counts = []
+
+    def counted(*args, **kwargs):
+        candidates = frontier._sweep(*args, **kwargs)
+        counts.append(len(candidates))
+        return candidates
+
+    monkeypatch.setattr(theorems, "_sweep", counted)
+    check_boundary_alignment(scenario(name))
+    assert counts == [count]
 
 
 def test_boundary_alignment_mode_validated():
