@@ -390,11 +390,10 @@ def _render_report(title: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theorems_text(model, cfg: RunConfig, ref: Reference,
-                   frontier=None) -> str:
+def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
     w = cfg.weights
     shared_opt = bayes_accuracy_optimal(model, "overall")
-    located, indicated = _boundary_alignment_reports(
+    ref, (located, indicated) = _boundary_alignment_reports(
         model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
@@ -589,7 +588,7 @@ def _cmd_run(args) -> int:
         print("wrote decomposition.csv, sweep.svg, decomposition.svg")
 
     if "theorems" in cfg.analyses:
-        text = _theorems_text(model, cfg, ref, frontier)
+        text = _theorems_text(model, cfg, frontier)
         (cfg.out / "theorems.txt").write_text(text)
         print("wrote theorems.txt")
     return 0
@@ -623,7 +622,7 @@ def _describe(payload: dict) -> str:
 def _cmd_check(args) -> int:
     cfg = _load_config(args, default_analyses=("theorems",))
     model = scenario(cfg.scenario)
-    text = _theorems_text(model, cfg, Reference.of(model))
+    text = _theorems_text(model, cfg)
     sys.stdout.write(text)
     if cfg.out is not None:
         (_out_dir(cfg.out) / "theorems.txt").write_text(text)

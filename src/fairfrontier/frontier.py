@@ -172,8 +172,14 @@ def _boundary_counts(family: FamilySpec, orient: str) -> range:
 
 
 def _region_count(family: FamilySpec, orient: str) -> int:
-    return sum(comb(family.resolution, m)
-               for m in _boundary_counts(family, orient))
+    """How many regions the family gives a group; the sum stops once it
+    passes CANDIDATE_CAP, which _capped refuses either way."""
+    total = 0
+    for m in _boundary_counts(family, orient):
+        total += comb(family.resolution, m)
+        if total > CANDIDATE_CAP:
+            break
+    return total
 
 
 def _interval_regions(family: FamilySpec, orient: str):
@@ -270,8 +276,8 @@ def _capped(count: int) -> int:
     CANDIDATE_CAP candidates."""
     if count > CANDIDATE_CAP:
         raise ResourceError(
-            f"family would generate {count} candidates (cap {CANDIDATE_CAP}); "
-            "lower the resolution or k"
+            f"family would generate at least {count} candidates "
+            f"(cap {CANDIDATE_CAP}); lower the resolution or k"
         )
     return count
 

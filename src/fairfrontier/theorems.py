@@ -66,10 +66,6 @@ class TheoremReport:
         )
 
 
-def _boundary_points(clf: GroupwiseClassifier) -> tuple:
-    return clf.positive_region(0).boundary
-
-
 def check_simultaneous_optimality(model, clf: GroupwiseClassifier,
                                   tol: float = 1e-6) -> TheoremReport:
     """Necessary conditions for one shared classifier to be optimal for both
@@ -80,16 +76,18 @@ def check_simultaneous_optimality(model, clf: GroupwiseClassifier,
         raise ContractError(
             "simultaneous-optimality conditions apply to shared classifiers; "
             "got per-group regions")
-    boundary = _boundary_points(clf)
-    notes = []
-    if not boundary:
-        notes.append("empty decision boundary: boundary conditions are vacuous")
+    boundary = clf.positive_region(0).boundary
+    notes = () if boundary else (
+        "empty decision boundary: boundary conditions are vacuous",)
+    x = np.array(boundary, dtype=float)
+    f = {cell: model.cell_pdf(x, *cell) for cell in model.joint}
+    joint = {cell: model.joint[cell] * f[cell] for cell in f}
 
-    def max_over_boundary(fn) -> float:
-        return max((fn(b) for b in boundary), default=0.0)
+    def peak(values) -> float:  # the maximum over the boundary, 0 if empty
+        return float(np.max(values, initial=0.0))
 
-    label_gap = max_over_boundary(
-        lambda b: abs(model.label_pdf(b, 1) - model.label_pdf(b, 0)))
+    label_gap = peak(abs((joint[0, 1] + joint[1, 1]) / model.p_label(1)
+                         - (joint[0, 0] + joint[1, 0]) / model.p_label(0)))
     conds = [Condition(
         "boundary_label_density_balance", label_gap <= tol,
         {"max_abs_gap": label_gap, "boundary": list(boundary)})]
@@ -102,40 +100,24 @@ def check_simultaneous_optimality(model, clf: GroupwiseClassifier,
         {"tpr_gap": tpr_gap, "tnr_gap": tnr_gap,
          "tpr": list(rates.tpr), "tnr": list(rates.tnr)}))
 
-    def gap_identity(b: float) -> float:
-        pos = abs(model.cell_pdf(b, 0, 1) - model.cell_pdf(b, 1, 1))
-        neg = abs(model.cell_pdf(b, 0, 0) - model.cell_pdf(b, 1, 0))
-        return abs(pos - neg)
-
-    density_gap = max_over_boundary(gap_identity)
+    density_gap = peak(abs(abs(f[0, 1] - f[1, 1]) - abs(f[0, 0] - f[1, 0])))
     conds.append(Condition("density_gap_identity", density_gap <= tol,
                            {"max_abs_gap": density_gap}))
 
-    balanced = all(abs(model.joint[cell] - 0.25) <= 1e-12
-                   for cell in model.joint)
-    if balanced:
-        def marginal_spread(b: float) -> float:
-            vals = [model.joint_pdf(b, a, 0) + model.joint_pdf(b, a, 1)
-                    for a in (0, 1)]
-            vals += [model.joint_pdf(b, 0, y) + model.joint_pdf(b, 1, y)
-                     for y in (0, 1)]
-            return max(vals) - min(vals)
-
-        spread = max_over_boundary(marginal_spread)
+    if all(abs(p - 0.25) <= 1e-12 for p in model.joint.values()):
+        marginals = [joint[a, 0] + joint[a, 1] for a in (0, 1)]
+        marginals += [joint[0, y] + joint[1, y] for y in (0, 1)]
+        spread = peak(np.ptp(marginals, axis=0))
         conds.append(Condition("balanced_marginal_equality", spread <= tol,
                                {"max_spread": spread}))
 
-        def cell_gap(b: float) -> float:
-            return max(abs(model.cell_pdf(b, 0, 0) - model.cell_pdf(b, 0, 1)),
-                       abs(model.cell_pdf(b, 1, 0) - model.cell_pdf(b, 1, 1)))
-
-        gap = max_over_boundary(cell_gap)
+        gap = peak(np.maximum(abs(f[0, 0] - f[0, 1]), abs(f[1, 0] - f[1, 1])))
         conds.append(Condition("balanced_cell_equality", gap <= tol,
                                {"max_abs_gap": gap}))
 
     concluded = conds[0].satisfied and (conds[1].satisfied or conds[2].satisfied)
     return TheoremReport("simultaneous_optimality", tuple(conds), concluded,
-                         tol, tuple(notes))
+                         tol, notes)
 
 
 def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
@@ -162,11 +144,8 @@ def _overpursuit_report(model, ref: Reference, clf: GroupwiseClassifier,
             f"classifier does not over-pursue fairness: its unfairness "
             f"{f_u_clf!r} exceeds the fairness optimum's {f_u_fair!r}")
 
-    stars = ref.optima
-    acc_star = [accuracy(model,
-                         GroupwiseClassifier.from_shared(stars.positive_region(a)),
-                         w)
-                for a in (0, 1)]
+    acc_star = [accuracy(model, GroupwiseClassifier.from_shared(
+        ref.optima.positive_region(a)), w) for a in (0, 1)]
     acc_fair = accuracy(model, fair_clf, w)
     acc_clf = accuracy(model, clf, w)
     bound = min(acc_fair, max(acc_star))
@@ -236,15 +215,16 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
                              tol: float = 1e-9) -> TheoremReport:
     """When the data carries no unfairness of its own, matching per-group
     decision boundaries should make complete fairness attainable at optimal
-    accuracy. Two reading of "matching" are provided: same boundary point
+    accuracy. Two readings of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    return _boundary_alignment_reports(model, (mode,), tol)[0]
+    return _boundary_alignment_reports(model, (mode,), tol)[1][0]
 
 
 def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
-    """One boundary-alignment report per mode, all from one family search,
-    against the reference of the search's appended accuracy optimum.
+    """The reference of the search's appended accuracy optimum, and one
+    boundary-alignment report per mode against it, all from one family
+    search.
 
     The search is sweep's, bounded as in build_frontier: only the lines
     that _open_lines leaves open against the pivot, the fairest appended
@@ -299,7 +279,7 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
         reports.append(TheoremReport("boundary_alignment",
                                      (absent, match, search), concluded, tol,
                                      notes))
-    return tuple(reports)
+    return ref, tuple(reports)
 
 
 def _prescribed_regions(model, branch: int, lo: float, hi: float):
@@ -309,19 +289,14 @@ def _prescribed_regions(model, branch: int, lo: float, hi: float):
     (positive where its label-1 density loses), group 0 the plain one.
     Branch 2 swaps the roles.
     """
-    def plain(a):
+    def rule(a, y):  # where group a's label-y density wins
         return sign_region(
-            lambda x, a=a: model.cell_pdf(x, a, 1) - model.cell_pdf(x, a, 0),
-            lo, hi)
-
-    def flipped(a):
-        return sign_region(
-            lambda x, a=a: model.cell_pdf(x, a, 0) - model.cell_pdf(x, a, 1),
+            lambda x: model.cell_pdf(x, a, y) - model.cell_pdf(x, a, 1 - y),
             lo, hi)
 
     if branch == 1:
-        return plain(0), flipped(1)
-    return flipped(0), plain(1)
+        return rule(0, 1), rule(1, 0)
+    return rule(0, 0), rule(1, 1)
 
 
 def check_accuracy_jump(model, frontier: Frontier, jump: Jump = None,
@@ -371,32 +346,25 @@ def check_accuracy_jump(model, frontier: Frontier, jump: Jump = None,
                          "prescribed-form comparison")
     lo, hi = frontier.sweep_range
     step = (hi - lo) / (frontier.resolution - 1)
-    branches = []
-    if dtpr >= -tol and dtnr >= -tol:
-        branches.append(1)
-    if dtpr <= tol and dtnr <= tol:
-        branches.append(2)
+    branches = [b for b, ahead in ((1, dtpr >= -tol and dtnr >= -tol),
+                                   (2, dtpr <= tol and dtnr <= tol)) if ahead]
     if not branches:
         conds.append(Condition(
             "prescribed_rule_form", False,
             {"reason": "rate gaps point in opposite directions; no form "
                        "is prescribed", "branch": None}))
     else:
-        window = (lo, hi)
-        best = None
-        for branch in branches:
-            want0, want1 = _prescribed_regions(model, branch, lo, hi)
-            dist = max(
-                pre.clf.positive_region(0).symmetric_difference(want0)
-                .length(window),
-                pre.clf.positive_region(1).symmetric_difference(want1)
-                .length(window))
-            if best is None or dist < best[0]:
-                best = (dist, branch)
+        def distance(b):
+            want = _prescribed_regions(model, b, lo, hi)
+            return max(pre.clf.positive_region(a).symmetric_difference(
+                want[a]).length((lo, hi)) for a in (0, 1))
+
+        # a tie goes to branch 1, the smaller second key
+        dist, branch = min((distance(b), b) for b in branches)
         conds.append(Condition(
-            "prescribed_rule_form", best[0] <= step,
-            {"max_region_distance": best[0], "grid_step": step,
-             "branch": best[1]}))
+            "prescribed_rule_form", dist <= step,
+            {"max_region_distance": dist, "grid_step": step,
+             "branch": branch}))
 
     concluded = all(c.satisfied for c in conds)
     return TheoremReport("accuracy_jump_conditions", tuple(conds), concluded,

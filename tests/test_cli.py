@@ -280,14 +280,46 @@ def test_oversized_family_exits_3(tmp_path, capsys):
     # the theorems build the family's frontier too; a refused run makes no
     # output directory and prints nothing
     out = tmp_path / "out"
-    for analysis in ("--frontier", "--theorems"):
-        code = main(["run", "--scenario", "example1", "--out", str(out),
-                     "--family", "per-group-intervals", "--resolution", "801",
-                     "--k", "4", analysis])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert "cap" in captured.err and not captured.out
-        assert not out.exists()
+    for size in (("801", "4"), ("100000000", "100000000")):
+        for analysis in ("--frontier", "--theorems"):
+            code = main(["run", "--scenario", "example1", "--out", str(out),
+                         "--family", "per-group-intervals", "--resolution",
+                         size[0], "--k", size[1], analysis])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert "cap" in captured.err and not captured.out
+            assert not out.exists()
+
+
+def test_oversized_family_check_exits_3(capsys):
+    # the count stops once it passes the cap, so a huge family is refused
+    # at once instead of being counted term by term
+    code = main(["check", "--scenario", "example1", "--family",
+                 "per-group-intervals", "--resolution", "100000000",
+                 "--k", "100000000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "cap" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("family, solves", [("shared-threshold", 1),
+                                            ("per-group-threshold", 2)])
+def test_check_solves_the_per_group_optimum(monkeypatch, capsys, family,
+                                            solves):
+    # once for the boundary-alignment search, whose Reference the report
+    # reads, and once more for a per-group frontier's appended optima
+    from fairfrontier import classifiers, frontier, metrics
+    scopes = []
+
+    def counted(model, scope="overall", *args, **kwargs):
+        scopes.append(scope)
+        return classifiers.bayes_accuracy_optimal(model, scope, *args,
+                                                  **kwargs)
+
+    for module in (cli, frontier, metrics):
+        monkeypatch.setattr(module, "bayes_accuracy_optimal", counted)
+    assert main(["check", "--scenario", "example1", "--family", family]) == 0
+    assert scopes.count("per_group") == solves
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):

@@ -91,6 +91,77 @@ def test_simultaneous_optimality_rejects_per_group():
             GroupwiseClassifier.per_group_thresholds(2.0, 6.0))
 
 
+def closure_measures(model, clf):
+    """The simultaneous-optimality maxima taken one boundary point at a
+    time, through the model's scalar density queries: the reference the
+    array expressions must equal."""
+    boundary = clf.positive_region(0).boundary
+
+    def over(fn):
+        return max((fn(b) for b in boundary), default=0.0)
+
+    def f(b, a, y):
+        return model.cell_pdf(b, a, y)
+
+    def marginal_spread(b):
+        vals = [model.joint_pdf(b, a, 0) + model.joint_pdf(b, a, 1)
+                for a in (0, 1)]
+        vals += [model.joint_pdf(b, 0, y) + model.joint_pdf(b, 1, y)
+                 for y in (0, 1)]
+        return max(vals) - min(vals)
+
+    measures = {
+        "boundary_label_density_balance": over(
+            lambda b: abs(model.label_pdf(b, 1) - model.label_pdf(b, 0))),
+        "density_gap_identity": over(
+            lambda b: abs(abs(f(b, 0, 1) - f(b, 1, 1))
+                          - abs(f(b, 0, 0) - f(b, 1, 0))))}
+    if all(abs(p - 0.25) <= 1e-12 for p in model.joint.values()):
+        measures["balanced_marginal_equality"] = over(marginal_spread)
+        measures["balanced_cell_equality"] = over(
+            lambda b: max(abs(f(b, 0, 0) - f(b, 0, 1)),
+                          abs(f(b, 1, 0) - f(b, 1, 1))))
+    return measures
+
+
+def simultaneous_cases():
+    models = [scenario(name) for name in PRESETS]
+    models += [valley_model(), identical_laws_model()]
+    for model in models + [random_model(s) for s in range(40)]:
+        yield model, bayes_accuracy_optimal(model, "overall")
+    for model in models + [random_model(s) for s in range(0, 40, 8)]:
+        yield model, GroupwiseClassifier.from_shared(FULL_LINE)
+        for seed in range(20):
+            clf = random_classifier(seed)
+            # group 0's region alone, and its symmetric difference with
+            # group 1's, which has up to six boundary points
+            for region in (clf.positive_region(0),
+                           clf.positive_region(0).symmetric_difference(
+                               clf.positive_region(1))):
+                yield model, GroupwiseClassifier.from_shared(region)
+
+
+def test_simultaneous_optimality_maxima_equal_the_pointwise_ones():
+    sizes, balanced = set(), 0
+    for model, clf in simultaneous_cases():
+        report = check_simultaneous_optimality(model, clf)
+        want = closure_measures(model, clf)
+        assert [c.name for c in report.conditions] == [
+            *list(want)[:1], "rate_equality", *list(want)[1:]]
+        for name, value in want.items():
+            c = by_name(report, name)
+            got = c.measured.get("max_abs_gap", c.measured.get("max_spread"))
+            assert got == value, (model.label, clf, name)
+            assert c.satisfied == (value <= report.tolerance)
+        # plain bools and floats, so the report serializes
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert TheoremReport.from_dict(payload) == report
+        sizes.add(len(clf.positive_region(0).boundary))
+        balanced += "balanced_cell_equality" in want
+    assert {0, 1, 2, 3, 4, 5, 6} <= sizes
+    assert balanced > 0
+
+
 # -- over-pursuit accuracy bound ---------------------------------------------
 
 def test_overpursuit_equality_at_fairness_optimum():
@@ -300,6 +371,76 @@ def test_accuracy_jump_conditions_on_the_valley_model():
     assert not form.satisfied
     assert form.measured["branch"] == 2
     assert not report.conclusion_checked
+
+
+def swapped_groups(model):
+    return GroupConditionalModel(
+        joint={(1 - a, y): p for (a, y), p in model.joint.items()},
+        conditional={(1 - a, y): law
+                     for (a, y), law in model.conditional.items()})
+
+
+def test_accuracy_jump_branch_1_on_the_swapped_valley_model():
+    # with the groups swapped both gaps favour group 1, which prescribes
+    # flipping group 1's rule: the mirror of the valley model's branch 2
+    valley = check_accuracy_jump(
+        valley_model(), build_frontier(valley_model(), VALLEY_FAMILY))
+    model = swapped_groups(valley_model())
+    report = check_accuracy_jump(model, build_frontier(model, VALLEY_FAMILY))
+    form, mirror = (by_name(r, "prescribed_rule_form")
+                    for r in (report, valley))
+    assert (form.measured["branch"], mirror.measured["branch"]) == (1, 2)
+    assert (form.measured["max_region_distance"]
+            == mirror.measured["max_region_distance"])
+    assert form.satisfied == mirror.satisfied
+    assert report.conclusion_checked == valley.conclusion_checked
+
+
+def branch_distances(model, frontier, jump):
+    lo, hi = frontier.sweep_range
+    clf = frontier.points[jump.index].clf
+    return {branch: max(
+        clf.positive_region(a).symmetric_difference(want).length((lo, hi))
+        for a, want in enumerate(
+            theorems._prescribed_regions(model, branch, lo, hi)))
+        for branch in (1, 2)}
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+def test_accuracy_jump_takes_the_nearer_branch(branch):
+    # a jump whose pre-jump point takes one branch's prescribed form exactly;
+    # a tolerance this wide lets both branches' rate tests hold
+    model = valley_model()
+    lo, hi = VALLEY_FAMILY.sweep_range
+    regions = theorems._prescribed_regions(model, branch, lo, hi)
+    pre = frontier.FrontierPoint(0.9, 0.5, ("grid", "pre", *(
+        r.intervals for r in regions)))
+    post = frontier.FrontierPoint(1.0, 0.2, ("grid", "post", (), ()))
+    jump = Jump(0.9, 0.3, "accuracy", 0)
+    front = frontier.Frontier((pre, post), "sharp_decline_accuracy", (jump,),
+                              resolution=VALLEY_FAMILY.resolution,
+                              sweep_range=(lo, hi))
+    dist = branch_distances(model, front, jump)
+    assert dist[branch] == 0.0 < dist[3 - branch]
+    form = by_name(check_accuracy_jump(model, front, tol=1.0),
+                   "prescribed_rule_form")
+    assert form.measured["branch"] == branch
+    assert form.measured["max_region_distance"] == 0.0
+
+
+def test_accuracy_jump_tie_goes_to_branch_1():
+    # the valley jump's point is as far from both forms, so once a wide
+    # tolerance lets both branches apply, they tie and branch 1 is reported
+    model = valley_model()
+    front = build_frontier(model, VALLEY_FAMILY)
+    (jump,) = front.jumps
+    dist = branch_distances(model, front, jump)
+    assert dist[1] == dist[2]
+    default, wide = (by_name(check_accuracy_jump(model, front, tol=tol),
+                             "prescribed_rule_form") for tol in (1e-6, 1.0))
+    assert (default.measured["branch"], wide.measured["branch"]) == (2, 1)
+    assert (wide.measured["max_region_distance"]
+            == default.measured["max_region_distance"] == dist[1])
 
 
 def test_accuracy_jump_conditions_on_example1():
