@@ -622,6 +622,7 @@ def _describe(payload: dict) -> str:
 def _cmd_check(args) -> int:
     cfg = _load_config(args, default_analyses=("theorems",))
     model = scenario(cfg.scenario)
+    _capped(_candidate_count(cfg.family))  # before any optimum is solved
     text = _theorems_text(model, cfg)
     sys.stdout.write(text)
     if cfg.out is not None:

@@ -1,13 +1,16 @@
 """One-dimensional distribution families: Normal, Triangular, and Mixture.
 
-All densities and cumulatives are exact closed forms, so every caller can hand
-in either a scalar or an array. Arrays are evaluated with vectorized numpy;
-Normal and Triangular also answer a single float in Python float arithmetic,
-with the same operations in the same order (Normal's one transcendental step
-stays a ufunc call), because solver loops ask one value at a time and numpy's
-0-d dispatch would dwarf the arithmetic. Mixtures answer a float through
-their components. Sampling is inverse-cdf based and keyed solely by
-(seed, n).
+All densities and cumulatives are closed forms, so every caller can hand in
+either a scalar or an array. Normal's cdf and ppf rest on this module's own
+``erfc`` and ``ndtri``: a rational fit of erfcx times an exp whose argument
+is split so that it is exact, and Wichura's AS241 quantile; both are within
+a few ulps of the true values (tests/accuracy_normal.py measures them).
+Arrays are evaluated with vectorized numpy; Normal and Triangular also
+answer a single float in Python float arithmetic, with the same operations
+in the same order (Normal's transcendental steps, exp and log, stay ufunc
+calls), because solver loops ask one value at a time and numpy's 0-d
+dispatch would dwarf the arithmetic. Mixtures answer a float through their
+components. Sampling is inverse-cdf based and keyed solely by (seed, n).
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import InputError, ValidationError, _number, _whole
 
@@ -30,6 +32,159 @@ def _operand(x):
     and a single ufunc call, which returns an np.float64 as a 0-d array
     would; anything else becomes a float array."""
     return float(x) if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
+def _ratio(t, num, den):
+    """num(t) / den(t), coefficients highest degree first, by Horner's
+    rule: in place on an array, the same steps in float arithmetic on a
+    float, whose first step 0.0 * t + c is c."""
+    if isinstance(t, float):
+        p = q = 0.0
+        for c in num:
+            p = p * t + c
+        for c in den:
+            q = q * t + c
+        return p / q
+    p = _horner(t, num)
+    p /= _horner(t, den)
+    return p
+
+
+def _horner(t, coefs):
+    """_ratio's polynomial on an array, in place after the first step."""
+    acc = coefs[0] * t
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= t
+    acc += coefs[-1]
+    return acc
+
+
+# erfcx(t) = exp(t * t) * erfc(t) on [0, 28] as a ratio of degrees 10 and 11,
+# fitted for least relative error (about 1e-18) by
+# tests/accuracy_normal.py --fit
+_ERFCX_NUM = (1.4521166161545574e-05, 0.0003188916160666721,
+              0.0034393610016914215, 0.023693868889326765, 0.11463955199531266,
+              0.4054742565561685, 1.0603718799606778, 2.0271799188361648,
+              2.7236525946341863, 2.3440708140422286, 1.0)
+_ERFCX_DEN = (2.573809688266499e-05, 0.0005652206729197412,
+              0.006108977700476615, 0.04227889949527574, 0.20622850058082498,
+              0.7393999439512633, 1.9780409587306649, 3.932133982415295,
+              5.673177027957234, 5.641892812131202, 3.4724499811377414, 1.0)
+# Veltkamp's split: with c = t * _SPLIT, c - (c - t) is t's leading 26 bits,
+# whose square is exact
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def erfc(x):
+    """Complementary error function, exp(-t*t) * erfcx(t) at t = |x| and
+    2 minus that below 0; an np.float64 for a float.
+
+    t * t = head * head + d exactly up to rounding of the tiny d, so the exp
+    of -t * t loses none of the digits a rounded square would (about t * t
+    ulps), and exp(-d) is a cubic in d, |d| < 2e-5. erfc(28) underflows
+    to 0, so t stops there, and NaN stays NaN.
+    """
+    x = _operand(x)
+    if not isinstance(x, float) and x.ndim == 0:
+        x = float(x)  # in place steps need an array, so a 0-d one is a float
+    if isinstance(x, float):
+        t = abs(x)
+        if t > 28.0:
+            t = 28.0
+    else:
+        t = np.abs(x)
+        np.minimum(t, 28.0, out=t)
+    c = t * _SPLIT
+    a = c - t
+    head = c - a
+    d = t - head
+    d *= t + head
+    s = d * (-1.0 / 6.0) + 0.5  # exp(-d) = 1 - d (1 - d (1/2 - d / 6))
+    s *= d
+    s -= 1.0
+    s *= d
+    s += 1.0
+    # a - c is -head; negating head instead would flip a NaN's sign, and a
+    # product of two NaNs keeps the sign of whichever operand the loop
+    # takes first, which differs between an array's body and its remainder
+    g = a - c
+    g *= head
+    e = _ratio(t, _ERFCX_NUM, _ERFCX_DEN)
+    e *= s
+    if isinstance(x, float):
+        e *= float(np.exp(g))
+        return np.float64(2.0 - e if x < 0.0 else e)
+    e *= np.exp(g, out=g)
+    np.subtract(2.0, e, out=e, where=x < 0.0)
+    return e
+
+
+# Wichura, Algorithm AS241 (PPND16), Applied Statistics 37 (1988): ratios of
+# degree 7 for |p - 0.5| <= 0.425, then in r = sqrt(-log(min(p, 1 - p)))
+# on r <= 5 and beyond
+_AS241 = {
+    "central": (
+        (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+         6.7265770927008700853e+4, 4.5921953931549871457e+4,
+         1.3731693765509461125e+4, 1.9715909503065514427e+3,
+         1.3314166789178437745e+2, 3.3871328727963666080e+0),
+        (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+         3.9307895800092710610e+4, 2.1213794301586595867e+4,
+         5.3941960214247511077e+3, 6.8718700749205790830e+2,
+         4.2313330701600911252e+1, 1.0)),
+    "intermediate": (
+        (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+         2.41780725177450611770e-1, 1.27045825245236838258e+0,
+         3.64784832476320460504e+0, 5.76949722146069140550e+0,
+         4.63033784615654529590e+0, 1.42343711074968357734e+0),
+        (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+         1.51986665636164571966e-2, 1.48103976427480074590e-1,
+         6.89767334985100004550e-1, 1.67638483018380384940e+0,
+         2.05319162663775882187e+0, 1.0)),
+    "far": (
+        (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+         1.24266094738807843860e-3, 2.65321895265761230930e-2,
+         2.96560571828504891230e-1, 1.78482653991729133580e+0,
+         5.46378491116411436990e+0, 6.65790464350110377720e+0),
+        (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+         1.84631831751005468180e-5, 7.86869131145613259100e-4,
+         1.48753612908506148525e-2, 1.36929880922735805310e-1,
+         5.99832206555887937690e-1, 1.0)),
+}
+
+
+def ndtri(p):
+    """Standard normal quantile by AS241; an np.float64 for a float.
+
+    -inf at 0, inf at 1, NaN outside [0, 1] and for NaN.
+    """
+    p = _operand(p)
+    if isinstance(p, float):
+        if not 0.0 < p < 1.0:
+            return np.float64(-math.inf if p == 0.0 else
+                              math.inf if p == 1.0 else math.nan)
+        q = p - 0.5
+        if abs(q) <= 0.425:
+            return np.float64(q * _ratio(0.180625 - q * q, *_AS241["central"]))
+        r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
+        x = (_ratio(r - 1.6, *_AS241["intermediate"]) if r <= 5.0
+             else _ratio(r - 5.0, *_AS241["far"]))
+        return np.float64(math.copysign(x, q))
+    out = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, np.nan))
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _ratio(0.180625 - qc * qc, *_AS241["central"])
+    tail = ~central & (p > 0.0) & (p < 1.0)
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    x = _ratio(r - 1.6, *_AS241["intermediate"])
+    far = r > 5.0
+    if far.any():
+        x[far] = _ratio(r[far] - 5.0, *_AS241["far"])
+    out[tail] = np.copysign(x, q[tail])
+    return out[()]
 
 
 class DensityPoint(NamedTuple):
@@ -61,7 +216,7 @@ class Normal:
         return 0.5 * erfc(-z / _SQRT2)
 
     def ppf(self, q):
-        return self.mean + self.stddev * ndtri(_operand(q))
+        return self.mean + self.stddev * ndtri(q)
 
     def support(self) -> tuple[float, float]:
         return (-np.inf, np.inf)

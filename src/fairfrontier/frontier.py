@@ -24,7 +24,7 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
 from .errors import (InputError, ResourceError, ValidationError, _number,
                      _whole)
-from .metrics import (MetricWeights, _gap, _hits, accuracy, confusion_rates,
+from .metrics import (MetricWeights, _gap, _hits, confusion_rates,
                       unfairness)
 
 DOMINANCE_TOL = 1e-12
@@ -294,10 +294,14 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
              if bounded else None)
 
     tables = {}  # one (regions, tpr, tnr) per (group, orientation)
+    cdfs = {}  # one pair of cell cdf columns per group, for both orientations
 
     def table(a, orient):
         if (a, orient) not in tables:
-            tables[(a, orient)] = _group_table(model, family, grid, a, orient)
+            if a not in cdfs:
+                cdfs[a] = _cell_cdfs(model, grid, a)
+            tables[(a, orient)] = _group_table(model, family, grid, a, orient,
+                                               cdfs[a])
         return tables[(a, orient)]
 
     # a shared combo is one orientation, which both groups take
@@ -328,16 +332,23 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
-def _group_table(model, family, grid, a: int, orient: str) -> tuple:
+def _cell_cdfs(model, grid, a: int) -> list:
+    """Group a's label-0 and label-1 cdf at -inf, the grid and inf."""
+    return [np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid), [1.0]))
+            for y in (0, 1)]
+
+
+def _group_table(model, family, grid, a: int, orient: str,
+                 cdfs=None) -> tuple:
     """(regions, tpr, tnr) of group a over every region the family gives it.
 
     A region's mass adds its intervals' cdf differences one column at a
     time, from 0 and left to right, and is clamped to [0, 1]; tnr is 1 minus
     the label-0 mass. Each rate is therefore bit-identical to
-    confusion_rates' positive_mass of the region.
+    confusion_rates' positive_mass of the region. cdfs is _cell_cdfs'
+    answer, when the caller has it.
     """
-    ext = [np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid), [1.0]))
-           for y in (0, 1)]
+    ext = cdfs or _cell_cdfs(model, grid, a)
     edges = np.concatenate(([-math.inf], grid, [math.inf]))
     regions, mass = [], ([], [])
     for lo, hi in _interval_regions(family, orient):
@@ -435,7 +446,8 @@ def _appended_optima(model, family, w):
                       ("accuracy", bayes_accuracy_optimal(model, scope))):
         rates = confusion_rates(model, clf)
         out.append(FrontierPoint(
-            1.0 - unfairness(rates, w), accuracy(model, clf, w),
+            1.0 - unfairness(rates, w),
+            _hits(model, w, *rates.tpr, *rates.tnr),
             ("optimum", name,
              clf.positive_region(0).intervals,
              clf.positive_region(1).intervals)))
@@ -445,6 +457,18 @@ def _appended_optima(model, family, w):
 FAIR_TOL = 1e-10
 _FAIR_LEVELS = 2049
 _PLATEAU_GAP = 1e-12
+# the golden section on a plateau stops once its bracket in u (a TPR level
+# in [0, 1], so the width has no unit) is this narrow: accuracy is flat at
+# its argmax, so a narrower bracket moves it by no more than rounding
+_POLISH_WIDTH = 1e-9
+
+
+def _half_line(model, a, orient, u):
+    """Group a's thresholds at TPR levels u, and their TNRs."""
+    level = 1.0 - u if orient == "positive_above" else u
+    t = model.conditional[(a, 1)].ppf(level)
+    c0 = model.conditional[(a, 0)].cdf(t)
+    return t, (c0 if orient == "positive_above" else 1.0 - c0)
 
 
 def _fair_line(model, w, combo, u):
@@ -453,15 +477,9 @@ def _fair_line(model, w, combo, u):
     u is an array, or a float that stays in float arithmetic throughout,
     since the plateau's golden section asks one level at a time.
     """
-    thresholds = []
-    tnrs = []
-    for a, orient in ((0, combo[0]), (1, combo[1])):
-        level = 1.0 - u if orient == "positive_above" else u
-        t = model.conditional[(a, 1)].ppf(level)
-        c0 = model.conditional[(a, 0)].cdf(t)
-        thresholds.append(t)
-        tnrs.append(c0 if orient == "positive_above" else 1.0 - c0)
-    return thresholds, tnrs[1] - tnrs[0], _hits(model, w, u, u, *tnrs)
+    (t0, tnr0), (t1, tnr1) = (_half_line(model, a, orient, u)
+                              for a, orient in enumerate(combo))
+    return [t0, t1], tnr1 - tnr0, _hits(model, w, u, u, tnr0, tnr1)
 
 
 def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:
@@ -476,9 +494,13 @@ def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:
     u_grid = np.linspace(1e-7, 1.0 - 1e-7, _FAIR_LEVELS)
     best = fairness_optimal(model)
     best_key = _fair_key(model, w, best)
+    # each group's half of the grid line serves the two combos it is in
+    tnrs = {(a, orient): _half_line(model, a, orient, u_grid)[1]
+            for a in (0, 1) for orient in ORIENTS[:2]}
     for combo in itertools.product(ORIENTS[:2], repeat=2):
-        gap = _fair_line(model, w, combo, u_grid)[1]
-        for u_star in _fair_roots(model, w, combo, u_grid, gap):
+        tnr0, tnr1 = tnrs[0, combo[0]], tnrs[1, combo[1]]
+        acc = _hits(model, w, u_grid, u_grid, tnr0, tnr1)
+        for u_star in _fair_roots(model, w, combo, u_grid, tnr1 - tnr0, acc):
             clf = _fair_pair(model, w, combo, u_star)
             key = _fair_key(model, w, clf)
             if key < best_key:
@@ -490,27 +512,31 @@ def _fair_key(model, w, clf):
     rates = confusion_rates(model, clf)
     f_u = unfairness(rates, w)
     over = f_u > FAIR_TOL
-    return (over, f_u if over else 0.0, -accuracy(model, clf, w))
+    return (over, f_u if over else 0.0,
+            -_hits(model, w, *rates.tpr, *rates.tnr))
 
 
 def _fair_pair(model, w, combo, u_star):
-    t0, t1 = _fair_line(model, w, combo, np.array([u_star]))[0]
+    t0, t1 = _fair_line(model, w, combo, u_star)[0]
     return GroupwiseClassifier.per_group_thresholds(
-        float(t0[0]), float(t1[0]),
+        float(t0), float(t1),
         tuple(orient == "positive_above" for orient in combo))
 
 
-def _fair_roots(model, w, combo, u_grid, gap):
+def _fair_roots(model, w, combo, u_grid, gap, acc=None):
     """Levels u where the TNR gap vanishes: one per plateau, one per crossing.
 
     Each run of samples with |gap| <= _PLATEAU_GAP, even a one-sample run, is
     a plateau for _fair_polish; sign flips next to one are rounding noise.
     The other sign flips are real crossings, bisected together as one array.
+    acc is the line's accuracy at u_grid when the caller has solved it.
     """
     near_zero = np.abs(gap) <= _PLATEAU_GAP
     starts = np.nonzero(near_zero & ~np.r_[False, near_zero[:-1]])[0]
     ends = np.nonzero(near_zero & ~np.r_[near_zero[1:], False])[0]
-    roots = [_fair_polish(model, w, combo, u_grid, i, j)
+    if acc is None and len(starts):
+        acc = _fair_line(model, w, combo, u_grid)[2]
+    roots = [_fair_polish(model, w, combo, u_grid, acc, i, j)
              for i, j in zip(starts, ends)]
     crossing = np.nonzero((gap[:-1] * gap[1:] < 0)
                           & ~near_zero[:-1] & ~near_zero[1:])[0]
@@ -529,12 +555,11 @@ def _fair_roots(model, w, combo, u_grid, gap):
     return roots + [float(u) for u in 0.5 * (lo_u + hi_u)]
 
 
-def _fair_polish(model, w, combo, u_grid, i, j):
+def _fair_polish(model, w, combo, u_grid, acc, i, j):
     """Accuracy argmax over a plateau of vanishing gap, golden-sectioned."""
-    acc = _fair_line(model, w, combo, u_grid[i:j + 1])[2]
-    k = i + int(np.argmax(acc))
-    lo_u = u_grid[max(k - 1, i)]
-    hi_u = u_grid[min(k + 1, j)]
+    k = i + int(np.argmax(acc[i:j + 1]))
+    lo_u = float(u_grid[max(k - 1, i)])
+    hi_u = float(u_grid[min(k + 1, j)])
     if lo_u == hi_u:
         return float(u_grid[k])
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -545,7 +570,7 @@ def _fair_polish(model, w, combo, u_grid, i, j):
     a, b = lo_u, hi_u
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = acc_at(c), acc_at(d)
-    for _ in range(70):
+    while b - a > _POLISH_WIDTH:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 from fairfrontier import (FamilySpec, Frontier, InputError, MetricWeights,
-                          Reference, build_frontier, confusion_rates, scenario)
+                          Reference, build_frontier, confusion_rates, scenario,
+                          write_scenario_file)
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
@@ -298,6 +299,33 @@ def test_oversized_family_check_exits_3(capsys):
                  "per-group-intervals", "--resolution", "100000000",
                  "--k", "100000000"])
     assert code == 3
+    captured = capsys.readouterr()
+    assert "cap" in captured.err and not captured.out
+
+
+def test_oversized_family_check_solves_no_optimum(tmp_path, monkeypatch,
+                                                  capsys):
+    # check refuses the family before its first report, as run does: the
+    # boundary-alignment search on a mixture model took 0.86 s before the
+    # frontier refused it
+    from fairfrontier import classifiers, frontier, metrics, theorems
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(args)
+        raise AssertionError("an optimum was solved")
+
+    for module in (cli, classifiers, frontier, metrics, theorems):
+        for name in ("bayes_accuracy_optimal", "fairness_optimal",
+                     "_per_group_fairness_optimum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, solve)
+    path = tmp_path / "random0.json"
+    write_scenario_file(random_model(0), path)
+    code = main(["check", "--scenario", str(path), "--family",
+                 "per-group-intervals", "--resolution", "100000000",
+                 "--k", "100000000"])
+    assert code == 3 and not solved
     captured = capsys.readouterr()
     assert "cap" in captured.err and not captured.out
 

@@ -8,6 +8,7 @@ import pytest
 from fairfrontier import (FamilySpec, InputError, MetricWeights, Mixture,
                           Normal, Triangular, ValidationError, evaluate,
                           positive_mass, sample)
+from fairfrontier.distributions import erfc, ndtri
 
 FULL = ((-math.inf, math.inf),)
 
@@ -71,6 +72,64 @@ def test_normal_float_path_equals_the_array_path_on_random_points():
             got = [method(p) for p in points.tolist()]
             assert all(type(v) is np.float64 for v in got), method.__name__
             assert np.array(got).tobytes() == want.tobytes(), method.__name__
+
+
+def test_erfc_and_ndtri_against_mpmath():
+    # the committed tests/accuracy_normal.py measures 10**6 points; this is
+    # its point mix, 10**4 of each, against the same oracle
+    pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    from accuracy_normal import erfc_points, ndtri_points, ulp_errors
+    xs = erfc_points(10_000, seed=1)
+    errs = ulp_errors("erfc", xs, {"ours": erfc(xs),
+                                   "scipy": special.erfc(xs)})
+    for stat in (np.max, lambda e: np.percentile(e, 99)):
+        assert stat(errs["ours"]) <= stat(errs["scipy"])
+    ps = ndtri_points(10_000, seed=1)
+    errs = ulp_errors("ndtri", ps, {"ours": ndtri(ps)})["ours"]
+    assert np.percentile(errs, 99) <= 4.0 and errs.max() <= 8.0
+
+
+def both_paths(function, points):
+    """function at each point as a float and as one array, which must agree
+    bit for bit, with an np.float64 for each float."""
+    as_array = function(np.array(points))
+    as_floats = [function(p) for p in points]
+    assert all(type(v) is np.float64 for v in as_floats)
+    assert np.array(as_floats).tobytes() == as_array.tobytes()
+    return as_array
+
+
+def test_erfc_at_its_edges():
+    # erfc underflows past 26.55 through the subnormals to 0 near 27.23;
+    # nothing here may warn (pytest turns warnings into errors)
+    got = both_paths(erfc, [0.0, -0.0, math.inf, -math.inf, math.nan,
+                            26.6, 27.3, 1e300, -26.6, -1e300, 5e-324])
+    assert got.tolist()[:4] == [1.0, 1.0, 0.0, 2.0] and math.isnan(got[4])
+    assert 0.0 < got[5] < 2.0 ** -1022
+    assert got.tolist()[6:] == [0.0, 0.0, 2.0, 2.0, 1.0]
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(26.5, 27.25, 301)
+    got = both_paths(erfc, xs.tolist())
+    with mp.workprec(128):
+        for x, y in zip(xs.tolist(), got.tolist()):
+            true = mp.erfc(x)
+            ulp = mp.ldexp(1, max(int(mp.frexp(true)[1]) - 53, -1074))
+            assert abs(y - true) <= 8 * ulp, x
+
+
+def test_ndtri_at_its_edges():
+    got = both_paths(ndtri, [0.0, 1.0, math.nan, 5e-324, 1.0 - 2.0 ** -53,
+                             -0.5, 1.5, -math.inf, math.inf, 1e300, -5e-324])
+    assert got.tolist()[:2] == [-math.inf, math.inf]
+    assert np.isnan(got[[2, 5, 6, 7, 8, 9, 10]]).all()
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(128):
+        for p, y in ((5e-324, got[3]), (2.0 ** -53, -got[4])):
+            # the residual of one Newton step from y, in ulps of y
+            y = mp.mpf(float(y))
+            step = (mp.ncdf(y) - p) / mp.npdf(y)
+            assert abs(step) <= 8 * mp.ldexp(1, int(mp.frexp(y)[1]) - 53)
 
 
 def test_normal_cdf_at_mean():

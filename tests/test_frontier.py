@@ -15,7 +15,8 @@ from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
                                    _fair_line, _fair_roots, _first_pass_drops,
                                    _group_table, _interval_regions,
-                                   _open_lines, _sweep)
+                                   _open_lines, _per_group_fairness_optimum,
+                                   _sweep)
 from fairfrontier.metrics import _hits
 from helpers import random_model
 
@@ -156,6 +157,21 @@ def test_fair_roots_bisects_crossings_like_one_at_a_time():
         assert got[len(got) - len(want):] == want
         bisected += len(want)
     assert bisected == 6
+
+
+def test_fair_polish_stops_at_its_width(monkeypatch):
+    # example1's gap vanishes on whole plateaus; the golden section on each
+    # stops once its bracket is _POLISH_WIDTH wide, where a fixed 70 steps
+    # took the optimum to 152 _fair_line calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _fair_line(*args)
+
+    monkeypatch.setattr(frontier, "_fair_line", counted)
+    _per_group_fairness_optimum(scenario("example1"), MetricWeights())
+    assert len(calls) <= 69
 
 
 def test_fair_line_answers_a_float_level_in_scalars(monkeypatch):

@@ -68,6 +68,20 @@ def test_validate_example1_all_pass():
     assert report.joint_residual <= 1e-12
 
 
+def test_validate_masses_equal_quadrature():
+    # validate integrates each density by Gauss-Legendre between knots;
+    # scipy's adaptive quadrature over the same bracket is the oracle
+    quad = pytest.importorskip("scipy.integrate").quad
+    models = [scenario(name) for name in PRESETS]
+    models += [random_model(seed) for seed in range(40)]
+    for model in models:
+        for cell in CELLS:
+            law = model.conditional[cell]
+            want, _ = quad(lambda x: float(law.pdf(x)),
+                           *_finite_bracket((law,)), limit=200)
+            assert abs(population._pdf_mass(law) - want) <= 1e-12
+
+
 def test_constructor_rejects_bad_joint_mass():
     with pytest.raises(ValidationError):
         GroupConditionalModel(
@@ -410,7 +424,7 @@ def test_a_scale_the_bracket_cannot_hold_is_refused(tmp_path, capsys, laws,
 
 
 @pytest.mark.parametrize("laws, central", [
-    ([(0.0, 1e306)] * 4, (-3.890591886413121e+306, 3.890591886413126e+306)),
+    ([(0.0, 1e306)] * 4, (-3.8905918864131214e+306, 3.890591886413126e+306)),
     ([(1e18 + i, 10.0) for i in range(4)],
      (9.999999999999999e+17, 1.0000000000000001e+18)),
 ], ids=["stddev-1e306", "mean-1e18-stddev-10"])
@@ -421,6 +435,23 @@ def test_the_largest_scales_the_bracket_holds_keep_their_ranges(laws,
         {cell: 0.25 for cell in CELLS},
         {cell: Normal(mean, sd) for cell, (mean, sd) in zip(CELLS, laws)})
     assert model.quantile_range() == central
+    # each endpoint is within Brent's tolerance of the pooled law's true
+    # quantile, widened by the level's float spacing over the density:
+    # near 1 the cdf cannot tell points closer than that apart
+    mp = pytest.importorskip("mpmath")
+    tail = (1.0 - 0.9999) / 2.0
+    shift, scale = mp.mpf(laws[0][0]), mp.mpf(laws[0][1])
+    with mp.workdps(40):
+        for q, got in zip((tail, 1.0 - tail), central):
+            def excess(y, q=q):
+                return sum(mp.ncdf((shift + scale * y - mean) / sd)
+                           for mean, sd in laws) / 4 - q
+            y = mp.findroot(excess, 3.9 if q > 0.5 else -3.9)
+            true = shift + scale * y
+            density = sum(mp.npdf((true - mean) / sd) / sd
+                          for mean, sd in laws) / 4
+            tol = 1e-12 + 4 * 2.0 ** -52 * abs(true) + math.ulp(q) / density
+            assert abs(got - true) <= tol
 
 
 ABOVE_THE_MASS = """
@@ -453,7 +484,7 @@ def test_quantile_range_refuses_a_level_above_the_pooled_mass():
 IMPORT_CHECK = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from fairfrontier import FamilySpec, build_frontier, scenario
+from fairfrontier import FamilySpec, build_frontier, scenario, validate
 from fairfrontier.cli import main
 build_frontier(scenario("example1"),
                FamilySpec("per_group_threshold", "both", 801))
@@ -462,18 +493,18 @@ codes = [main(["check", "--scenario", "example4_identical"]),
          main(["scenarios"]),
          main(["run", "--scenario", "example3", "--frontier", "--decompose",
                "--theorems", "--resolution", "21", "--out", sys.argv[2]])]
-print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.startswith("scipy."))]))
+ok = validate(scenario("example1")).ok
+print(json.dumps([codes, ok, sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "scipy")]))
 """
 
 
 def test_commands_import_no_scipy_optimize_or_integrate(tmp_path):
+    # nor any other part of scipy, validate included
     src = Path(population.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_CHECK, str(src), str(tmp_path)],
         capture_output=True, text=True, timeout=300, check=True)
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
-    assert not [m for m in loaded
-                if m.startswith(("scipy.optimize", "scipy.integrate"))]
-    assert "scipy.special" in loaded
+    codes, ok, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0] and ok
+    assert loaded == []
