@@ -200,14 +200,20 @@ def bayes_accuracy_optimal(model, scope: str = "overall",
                            ) -> GroupwiseClassifier:
     """Accuracy-maximizing sign rule: positive where the Y=1 mass density wins.
 
-    scope "overall" compares group-summed joint densities and yields a shared
-    classifier; "per_group" runs the comparison inside each group.
+    scope "overall" compares group-summed joint densities on the hull of
+    the groups' central ranges and yields a shared classifier; "per_group"
+    runs the comparison inside each group, on its own range.
     """
     if scope == "overall":
         def g(x):
-            return (model.joint_pdf(x, 0, 1) + model.joint_pdf(x, 1, 1)
-                    - model.joint_pdf(x, 0, 0) - model.joint_pdf(x, 1, 0))
-        lo, hi = model.quantile_range(0.99999)
+            return ((model.joint_pdf(x, 0, 1) + model.joint_pdf(x, 1, 1))
+                    - (model.joint_pdf(x, 0, 0) + model.joint_pdf(x, 1, 0)))
+        # neither g nor the hull depends on which group is which, so a
+        # model and its group swap get the same region (the pooled range's
+        # cdf sums the cells in order, so a swap moves it by rounding)
+        (lo0, hi0), (lo1, hi1) = (model.group_quantile_range(a, 0.99999)
+                                  for a in (0, 1))
+        lo, hi = min(lo0, lo1), max(hi0, hi1)
         return GroupwiseClassifier.from_shared(
             sign_region(g, lo, hi, max_intervals))
     if scope == "per_group":

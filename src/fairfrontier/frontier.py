@@ -294,14 +294,13 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
              if bounded else None)
 
     tables = {}  # one (regions, tpr, tnr) per (group, orientation)
-    cdfs = {}  # one pair of cell cdf columns per group, for both orientations
+    # every combo has both groups: one pair of cell cdf columns per group
+    # serves both orientations
+    cdfs = [_cell_cdfs(model, grid, a) for a in (0, 1)]
 
     def table(a, orient):
         if (a, orient) not in tables:
-            if a not in cdfs:
-                cdfs[a] = _cell_cdfs(model, grid, a)
-            tables[(a, orient)] = _group_table(model, family, grid, a, orient,
-                                               cdfs[a])
+            tables[(a, orient)] = _group_table(family, grid, orient, cdfs[a])
         return tables[(a, orient)]
 
     # a shared combo is one orientation, which both groups take
@@ -338,17 +337,15 @@ def _cell_cdfs(model, grid, a: int) -> list:
             for y in (0, 1)]
 
 
-def _group_table(model, family, grid, a: int, orient: str,
-                 cdfs=None) -> tuple:
-    """(regions, tpr, tnr) of group a over every region the family gives it.
+def _group_table(family, grid, orient: str, cdfs) -> tuple:
+    """(regions, tpr, tnr) of a group over every region the family gives it,
+    from the group's _cell_cdfs.
 
     A region's mass adds its intervals' cdf differences one column at a
     time, from 0 and left to right, and is clamped to [0, 1]; tnr is 1 minus
     the label-0 mass. Each rate is therefore bit-identical to
-    confusion_rates' positive_mass of the region. cdfs is _cell_cdfs'
-    answer, when the caller has it.
+    confusion_rates' positive_mass of the region.
     """
-    ext = cdfs or _cell_cdfs(model, grid, a)
     edges = np.concatenate(([-math.inf], grid, [math.inf]))
     regions, mass = [], ([], [])
     for lo, hi in _interval_regions(family, orient):
@@ -359,7 +356,7 @@ def _group_table(model, family, grid, a: int, orient: str,
         for y in (0, 1):
             total = np.zeros(len(lo))
             for j in range(lo.shape[1]):
-                total += ext[y][hi[:, j]] - ext[y][lo[:, j]]
+                total += cdfs[y][hi[:, j]] - cdfs[y][lo[:, j]]
             mass[y].append(np.clip(total, 0.0, 1.0, out=total))
     return regions, np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
 
@@ -523,19 +520,17 @@ def _fair_pair(model, w, combo, u_star):
         tuple(orient == "positive_above" for orient in combo))
 
 
-def _fair_roots(model, w, combo, u_grid, gap, acc=None):
+def _fair_roots(model, w, combo, u_grid, gap, acc):
     """Levels u where the TNR gap vanishes: one per plateau, one per crossing.
 
     Each run of samples with |gap| <= _PLATEAU_GAP, even a one-sample run, is
     a plateau for _fair_polish; sign flips next to one are rounding noise.
     The other sign flips are real crossings, bisected together as one array.
-    acc is the line's accuracy at u_grid when the caller has solved it.
+    acc is the line's accuracy at u_grid.
     """
     near_zero = np.abs(gap) <= _PLATEAU_GAP
     starts = np.nonzero(near_zero & ~np.r_[False, near_zero[:-1]])[0]
     ends = np.nonzero(near_zero & ~np.r_[near_zero[1:], False])[0]
-    if acc is None and len(starts):
-        acc = _fair_line(model, w, combo, u_grid)[2]
     roots = [_fair_polish(model, w, combo, u_grid, acc, i, j)
              for i, j in zip(starts, ends)]
     crossing = np.nonzero((gap[:-1] * gap[1:] < 0)

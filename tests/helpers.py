@@ -69,3 +69,11 @@ def valley_model() -> GroupConditionalModel:
         },
         label="valley",
     )
+
+
+def swapped_groups(model: GroupConditionalModel) -> GroupConditionalModel:
+    """model with groups 0 and 1 exchanged."""
+    return GroupConditionalModel(
+        joint={(1 - a, y): p for (a, y), p in model.joint.items()},
+        conditional={(1 - a, y): law
+                     for (a, y), law in model.conditional.items()})

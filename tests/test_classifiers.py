@@ -12,7 +12,8 @@ from fairfrontier import (EMPTY, FULL_LINE, PRESETS, ComplexityError,
                           fairness_optimal, positive_mass, scenario,
                           sign_region, unfairness, validate,
                           well_defined_check)
-from helpers import random_classifier, random_model, valley_model
+from helpers import (random_classifier, random_model, swapped_groups,
+                     valley_model)
 
 
 def gap(model, clf):
@@ -150,6 +151,18 @@ def test_bayes_per_group_example4_identical_orientations():
     assert hi0 == pytest.approx(6.0, abs=1e-9)
     assert lo1 == pytest.approx(6.0, abs=1e-9)
     assert hi1 == math.inf
+
+
+@pytest.mark.parametrize("model", [scenario(name) for name in PRESETS]
+                         + [valley_model()]
+                         + [random_model(seed) for seed in range(40)],
+                         ids=lambda m: m.label)
+def test_bayes_overall_is_the_same_on_the_group_swap(model):
+    # the pooled range sums its cells in order, and a swap reorders them:
+    # a search over it moved the boundaries of 40 of these 45 models, by
+    # up to 7e-11 (the valley model's by 6.7e-13)
+    assert (bayes_accuracy_optimal(swapped_groups(model), "overall")
+            == bayes_accuracy_optimal(model, "overall"))
 
 
 def test_bayes_scope_validated():

@@ -13,10 +13,10 @@ from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
                           classify_shape, dominance_oracle, frontier,
                           pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
-                                   _fair_line, _fair_roots, _first_pass_drops,
-                                   _group_table, _interval_regions,
-                                   _open_lines, _per_group_fairness_optimum,
-                                   _sweep)
+                                   _cell_cdfs, _fair_line, _fair_roots,
+                                   _first_pass_drops, _group_table,
+                                   _interval_regions, _open_lines,
+                                   _per_group_fairness_optimum, _sweep)
 from fairfrontier.metrics import _hits
 from helpers import random_model
 
@@ -116,7 +116,8 @@ def test_fair_roots_one_per_plateau_and_none_inside(name):
     plateaus = 0
     for combo in COMBOS:
         w, u, gap, flat = _fair_grid(model, combo)
-        roots = np.array(_fair_roots(model, w, combo, u, gap))
+        acc = _fair_line(model, w, combo, u)[2]
+        roots = np.array(_fair_roots(model, w, combo, u, gap, acc))
         starts = np.nonzero(flat & ~np.r_[False, flat[:-1]])[0]
         ends = np.nonzero(flat & ~np.r_[flat[1:], False])[0]
         crossings = np.nonzero((gap[:-1] * gap[1:] < 0)
@@ -153,7 +154,8 @@ def test_fair_roots_bisects_crossings_like_one_at_a_time():
                 else:
                     hi_u = mid
             want.append(0.5 * (lo_u + hi_u))
-        got = _fair_roots(model, w, combo, u, gap)
+        got = _fair_roots(model, w, combo, u, gap,
+                          _fair_line(model, w, combo, u)[2])
         assert got[len(got) - len(want):] == want
         bisected += len(want)
     assert bisected == 6
@@ -467,8 +469,8 @@ def test_closed_lines_hold_only_scores_the_first_pass_drops(model, family):
     grid = np.linspace(*candidates.sweep_range, family.resolution)
     start = closed = 0
     for o0, o1 in family.combos():
-        t0 = _group_table(model, family, grid, 0, o0)
-        t1 = _group_table(model, family, grid, 1, o1)
+        t0 = _group_table(family, grid, o0, _cell_cdfs(model, grid, 0))
+        t1 = _group_table(family, grid, o1, _cell_cdfs(model, grid, 1))
         n0, n1 = len(t0[0]), len(t1[0])
         end = start + n0 * n1
         dropped = _first_pass_drops(
@@ -505,8 +507,8 @@ def test_zero_count_blocks_index_iterate_and_decode():
     assert pts[-2:] == [full[-2], full[-1]]
     # each scored candidate is the full sweep's at the same grid pair
     grid = np.linspace(*full.sweep_range, family.resolution)
-    tables = [_group_table(model, family, grid, a, "positive_above")
-              for a in (0, 1)]
+    tables = [_group_table(family, grid, "positive_above",
+                           _cell_cdfs(model, grid, a)) for a in (0, 1)]
     pivot = max(full[-2], full[-1], key=lambda p: (p.fairness, p.accuracy))
     rows, cols = _open_lines(model, w, *tables, pivot)
     flat = (rows[:, None] * family.resolution + cols[None, :]).ravel()

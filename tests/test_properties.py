@@ -20,8 +20,9 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           pareto_filter, sweep, unfairness, validate,
                           well_defined_check)
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _appended_optima, _group_table,
-                                   _interval_regions, _region_count)
+                                   _appended_optima, _cell_cdfs,
+                                   _group_table, _interval_regions,
+                                   _region_count)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
@@ -499,8 +500,8 @@ def test_index_arrays_equal_the_enumeration(resolution, k, orient):
     for a in (0, 1):
         regions, tpr, tnr = enumerated_rates(model, grid, k, a, orient)
         assert index_rows(resolution, k, orient) == regions
-        got_regions, got_tpr, got_tnr = _group_table(model, family, grid, a,
-                                                      orient)
+        got_regions, got_tpr, got_tnr = _group_table(
+            family, grid, orient, _cell_cdfs(model, grid, a))
         assert got_regions == [tuple((edges[lo], edges[hi]) for lo, hi in r)
                                for r in regions]
         assert got_tpr.tobytes() == tpr.tobytes()
@@ -530,7 +531,8 @@ def test_swept_scores_equal_the_scalar_api(mseed, kind, orient, resolution,
         assert p.accuracy == accuracy(model, clf, w)
     grid = np.linspace(*candidates.sweep_range, family.resolution)
     for a, o in itertools.product((0, 1), ORIENTS[:2]):
-        for rates in _group_table(model, family, grid, a, o)[1:]:
+        for rates in _group_table(family, grid, o,
+                                  _cell_cdfs(model, grid, a))[1:]:
             assert np.all((rates >= 0.0) & (rates <= 1.0))
 
 

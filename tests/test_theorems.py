@@ -14,8 +14,8 @@ from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
                           check_simultaneous_optimality, fairness_optimal,
                           frontier, overpursuit_accuracy_bound, scenario,
                           sweep, theorems)
-from fairfrontier.classifiers import BISECT_WIDTH
-from helpers import random_classifier, random_model, valley_model
+from helpers import (random_classifier, random_model, swapped_groups,
+                     valley_model)
 
 
 def by_name(report, name):
@@ -374,13 +374,6 @@ def test_accuracy_jump_conditions_on_the_valley_model():
     assert not report.conclusion_checked
 
 
-def swapped_groups(model):
-    return GroupConditionalModel(
-        joint={(1 - a, y): p for (a, y), p in model.joint.items()},
-        conditional={(1 - a, y): law
-                     for (a, y), law in model.conditional.items()})
-
-
 def test_accuracy_jump_branch_1_on_the_swapped_valley_model():
     # with the groups swapped both gaps favour group 1, which prescribes
     # flipping group 1's rule: the mirror of the valley model's branch 2
@@ -391,13 +384,8 @@ def test_accuracy_jump_branch_1_on_the_swapped_valley_model():
     form, mirror = (by_name(r, "prescribed_rule_form")
                     for r in (report, valley))
     assert (form.measured["branch"], mirror.measured["branch"]) == (1, 2)
-    # the point before the jump is the Bayes optimum or the grid threshold
-    # next to it, whose fairness ties with it to one ulp; which of the two
-    # comes first depends on rounding that the group swap reorders, and
-    # their boundaries differ by less than the optimum's bisection width
     assert (form.measured["max_region_distance"]
-            == pytest.approx(mirror.measured["max_region_distance"],
-                             rel=0.0, abs=BISECT_WIDTH))
+            == mirror.measured["max_region_distance"])
     assert form.satisfied == mirror.satisfied
     assert report.conclusion_checked == valley.conclusion_checked
 
