@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .distributions import _root
 from .errors import ComplexityError, InputError
 
 SIGN_GRID_POINTS = 4096
@@ -149,47 +150,40 @@ class GroupwiseClassifier:
 # -- sign-region extraction -------------------------------------------------
 
 
-def _bisect_root(g, lo: float, hi: float, lo_pos: bool) -> float:
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if (float(g(mid)) >= 0.0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def sign_region(g, lo: float, hi: float,
                 max_intervals: int = DEFAULT_MAX_INTERVALS) -> IntervalSet:
-    """Positive set {x : g(x) >= 0}, located on a grid and refined by bisection.
+    """Positive set {x : g(x) >= 0}, located on a grid and refined by _root.
 
-    Grid signs extend to the infinities on both edges; crossings are sharpened
-    to width 1e-10. Zeros count as positive, so a vanishing g gives the full
-    line.
+    Grid signs extend to the infinities on both edges. The interval count
+    is checked against max_intervals before any crossing is solved; each
+    crossing is then solved to within BISECT_WIDTH + 4 eps |x|, from one
+    scalar g call at a time. Zeros count as positive, so a vanishing g
+    gives the full line.
     """
     xs = np.linspace(lo, hi, SIGN_GRID_POINTS)
     pos = np.asarray(g(xs)) >= 0.0
-    flips = np.nonzero(pos[:-1] != pos[1:])[0]
-    roots = [_bisect_root(g, xs[i], xs[i + 1], bool(pos[i])) for i in flips]
-
-    intervals = []
-    start = -math.inf if pos[0] else None
-    for i, r in zip(flips, roots):
-        if pos[i]:
-            intervals.append((start, r))
-            start = None
-        else:
-            start = r
-    if start is not None:
-        intervals.append((start, math.inf))
-    if len(intervals) > max_intervals:
+    count = int(pos[0]) + np.count_nonzero(pos[1:] & ~pos[:-1])
+    if count > max_intervals:
         raise ComplexityError(
-            f"positive region needs {len(intervals)} intervals, above the "
+            f"positive region needs {count} intervals, above the "
             f"complexity bound k={max_intervals}; raise max_intervals"
         )
-    return IntervalSet(tuple(intervals))
+
+    def signed(x):
+        # zeros count as positive, so where g is 0 on a whole run (past a
+        # density's support edge) the boundary is the run's end, not any
+        # zero in it: a zero becomes the least positive float, which _root
+        # returns as its point of least |f| when it is isolated and solves
+        # past through a run
+        return float(g(x)) or math.ulp(0.0)
+
+    ends = [-math.inf] if pos[0] else []
+    for i in np.nonzero(pos[:-1] != pos[1:])[0]:
+        ends.append(_root(signed, float(xs[i]), float(xs[i + 1]),
+                          BISECT_WIDTH))
+    if len(ends) % 2:
+        ends.append(math.inf)
+    return IntervalSet(tuple(zip(ends[::2], ends[1::2])))
 
 
 # -- optimal constructors ----------------------------------------------------

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ValidationError, _number, _whole
+from .errors import (ContractError, InputError, ResourceError,
+                     ValidationError, _number, _whole)
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
@@ -407,6 +408,50 @@ def _finite_bracket(laws) -> tuple[float, float]:
         los.append(lo)
         his.append(hi)
     return min(los), max(his)
+
+
+def _root(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of the scalar function f in [lo, hi], where f changes sign,
+    by Chandrupatla's method (Chandrupatla 1997, Adv. Eng. Software 28(3)).
+
+    Each step is an inverse quadratic interpolation through the bracket's
+    ends and the point it last dropped, where those three points allow one,
+    and a bisection otherwise. It stops at an exact zero, once the last
+    bracket but one is narrower than tol = xtol + 4 eps |x|, x the end of
+    smaller |f|, or once a step rounds onto an end, and returns that x.
+    f is called with floats inside [lo, hi] only.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if min(fa, fb) > 0.0 or max(fa, fb) < 0.0:
+        raise ContractError(f"no sign change of f on [{lo!r}, {hi!r}]")
+    c, t = a, 0.5
+    for _ in range(100):
+        # [a, b] brackets the root, a is the newest point and c the point
+        # the last step dropped, beyond a; a step keeps tol / 2 |b - a| /
+        # |b - c| away from both ends
+        x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tol = xtol + 4.0 * math.ulp(1.0) * abs(x)
+        if fx == 0.0 or abs(b - c) < tol:
+            return x
+        edge = 0.5 * tol / abs(b - c)
+        step = a + min(max(t, edge), 1.0 - edge) * (b - a)
+        if not (a < step < b or b < step < a):
+            return x  # the bracket is two adjacent floats
+        fstep = f(step)
+        if (fstep < 0.0) == (fa < 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = step, fstep
+        # fc - fb and fb - fa join opposite signs, so neither is 0; the
+        # interpolation's test fails where fc == fa
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        t = (fa / (fb - fa) * fc / (fb - fc)
+             + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+             if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi) else 0.5)
+    raise ResourceError(
+        "Chandrupatla's method did not converge in 100 iterations")
 
 
 def evaluate(dist, x) -> DensityPoint:

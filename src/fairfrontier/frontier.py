@@ -22,6 +22,7 @@ import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal, fairness_optimal)
+from .distributions import _root
 from .errors import (InputError, ResourceError, ValidationError, _number,
                      _whole)
 from .metrics import (MetricWeights, _gap, _hits, confusion_rates,
@@ -525,7 +526,8 @@ def _fair_roots(model, w, combo, u_grid, gap, acc):
 
     Each run of samples with |gap| <= _PLATEAU_GAP, even a one-sample run, is
     a plateau for _fair_polish; sign flips next to one are rounding noise.
-    The other sign flips are real crossings, bisected together as one array.
+    The other sign flips are real crossings, each solved by _root on the
+    float path of _fair_line to within 4 eps u.
     acc is the line's accuracy at u_grid.
     """
     near_zero = np.abs(gap) <= _PLATEAU_GAP
@@ -535,19 +537,9 @@ def _fair_roots(model, w, combo, u_grid, gap, acc):
              for i, j in zip(starts, ends)]
     crossing = np.nonzero((gap[:-1] * gap[1:] < 0)
                           & ~near_zero[:-1] & ~near_zero[1:])[0]
-    lo_u, hi_u = u_grid[crossing], u_grid[crossing + 1]
-    lo_positive = gap[crossing] > 0
-    for _ in range(80):
-        mid = 0.5 * (lo_u + hi_u)
-        if np.all((mid == lo_u) | (mid == hi_u)):
-            break  # every bracket is down to adjacent floats
-        g_mid = _fair_line(model, w, combo, mid)[1]
-        # an exact zero pins both ends; otherwise keep the flip bracketed
-        zero = g_mid == 0.0
-        same = (g_mid > 0) == lo_positive
-        lo_u = np.where(zero | same, mid, lo_u)
-        hi_u = np.where(zero | ~same, mid, hi_u)
-    return roots + [float(u) for u in 0.5 * (lo_u + hi_u)]
+    return roots + [_root(lambda u: float(_fair_line(model, w, combo, u)[1]),
+                          float(u_grid[i]), float(u_grid[i + 1]), 0.0)
+                    for i in crossing]
 
 
 def _fair_polish(model, w, combo, u_grid, acc, i, j):

@@ -16,9 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import Mixture, Normal, Triangular, _finite_bracket
-from .errors import (ContractError, InputError, ResourceError,
-                     ValidationError, _number)
+from .distributions import Mixture, Normal, Triangular, _finite_bracket, _root
+from .errors import InputError, ValidationError, _number
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -124,11 +123,11 @@ class GroupConditionalModel:
         object.__setattr__(pooled, "components", tuple(
             (float(w), law) for w, law in zip(weights, laws) if w > 0.0))
 
-        @functools.cache  # the mass check and Brent share the bracket ends
+        @functools.cache  # the mass check and _root share the bracket ends
         def cdf(x):
             return float(pooled.cdf(x))
 
-        # every cell's law, of mass 0 too, sets the bracket Brent starts
+        # every cell's law, of mass 0 too, sets the bracket _root starts
         # from; each has cdf <= 1.8e-33 at its lower end and 1.0 at its
         # upper end, so widening the bracket could add no mass
         lo, hi = _finite_bracket(laws)
@@ -136,7 +135,7 @@ class GroupConditionalModel:
         if not (cdf(lo) <= tail and cdf(hi) >= 1.0 - tail):
             raise InputError(f"central_mass {central_mass!r} exceeds the "
                              f"pooled mass {cdf(hi)!r} of cells {cells!r}")
-        return tuple(_brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+        return tuple(_root(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
                      for q in (tail, 1.0 - tail))
 
     def group_quantile_range(self, a: int,
@@ -151,64 +150,6 @@ def _normals(law) -> list:
     if isinstance(law, Mixture):
         return [n for _, c in law.components for n in _normals(c)]
     return [law] if isinstance(law, Normal) else []
-
-
-_BRENT_RTOL = 4 * math.ulp(1.0)  # 4 eps, scipy.optimize.brentq's default rtol
-_BRENT_ITER = 100  # and its default iteration cap
-
-
-def _brentq(f, xpre: float, xcur: float, xtol: float) -> float:
-    """A root of f between xpre and xcur, where f changes sign, by Brent's
-    method (Brent 1973, ch. 4).
-
-    The steps, formulas and operation order are those of scipy.optimize's
-    brentq.c with its default rtol and iteration cap, so the root is the
-    float brentq(f, xpre, xcur, xtol=xtol) returns, bit for bit. Unlike
-    brentq it raises instead of returning an unconverged point.
-    """
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ContractError(f"no sign change of f on [{xpre!r}, {xcur!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_ITER):
-        if (fpre < 0.0) != (fcur < 0.0):  # the root is in [xpre, xcur]
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end as xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)  # may underflow to 0
-                # then brentq.c's x/0 fails the test below, and it bisects
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
-                        else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ResourceError(
-        f"Brent's method did not converge in {_BRENT_ITER} iterations")
 
 
 # -- validation -----------------------------------------------------------

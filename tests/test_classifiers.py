@@ -120,9 +120,33 @@ def test_sign_region_zero_function_is_full_line():
     assert region == FULL_LINE
 
 
+def test_sign_region_ends_a_run_of_zeros_at_its_edge():
+    # g vanishes outside (3, 9), as a difference of densities does past both
+    # supports, and zeros count as positive: the boundaries are the edges
+    # of the runs of zeros, not the grid points next to them
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 3.0) & (x < 9.0), -(x - 3.0) * (9.0 - x), 0.0)
+
+    region = sign_region(g, -10, 10)
+    np.testing.assert_allclose(region.intervals,
+                               [(-math.inf, 3.0), (9.0, math.inf)],
+                               rtol=0.0, atol=1e-10)
+
+
 def test_sign_region_complexity_cap():
-    with pytest.raises(ComplexityError):
-        sign_region(lambda x: np.sin(x), -40, 40, max_intervals=4)
+    # the grid's signs give the interval count, so the refusal comes before
+    # any of sin's 25 sign changes is solved by scalar calls
+    scalar = []
+
+    def g(x):
+        if np.ndim(x) == 0:
+            scalar.append(x)
+        return np.sin(x)
+
+    with pytest.raises(ComplexityError, match="needs 13 intervals"):
+        sign_region(g, -40, 40, max_intervals=4)
+    assert scalar == []
 
 
 def test_bayes_overall_example1_threshold():
@@ -151,6 +175,20 @@ def test_bayes_per_group_example4_identical_orientations():
     assert hi0 == pytest.approx(6.0, abs=1e-9)
     assert lo1 == pytest.approx(6.0, abs=1e-9)
     assert hi1 == math.inf
+
+
+@pytest.mark.parametrize("name, regions", [
+    # example1's group 0 has equal cell masses, so its laws cross at the
+    # means' midpoint; group 1's Y=1 cell holds twice the mass, which moves
+    # the crossing by -sd^2 ln 2 / (10 - 3) from 6.5
+    ("example1", [[(2.5, math.inf)], [(6.5 - 4 / 7 * math.log(2), math.inf)]]),
+    ("example4_identical", [[(-math.inf, 6.0)], [(6.0, math.inf)]]),
+])
+def test_bayes_per_group_thresholds_are_their_closed_forms(name, regions):
+    clf = bayes_accuracy_optimal(scenario(name), "per_group")
+    for a, want in enumerate(regions):
+        np.testing.assert_allclose(clf.positive_region(a).intervals, want,
+                                   rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("model", [scenario(name) for name in PRESETS]

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
                           InputError, MetricWeights, ResourceError,
@@ -132,33 +133,30 @@ def test_fair_roots_one_per_plateau_and_none_inside(name):
 
 
 def test_fair_roots_bisects_crossings_like_one_at_a_time():
-    # random_model(1) has real crossings; the array bisection must land on
-    # the very roots a scalar bisection of each crossing finds
+    # random_model(1) has real crossings; each root must be the one scipy's
+    # brentq finds on the same crossing of the float gap, within 4 eps u, or
+    # an exact zero of it: near u = 6.7e-4 the gap is 0.0 on a run of levels
+    # at least 2,000 eps u wide, and the two solvers stop at different ones
     model = random_model(1)
-    bisected = 0
+    solved = 0
     for combo in COMBOS:
         w, u, gap, flat = _fair_grid(model, combo)
-        want = []
-        for i in np.nonzero((gap[:-1] * gap[1:] < 0)
-                            & ~flat[:-1] & ~flat[1:])[0]:
-            lo_u, hi_u, g_lo = u[i], u[i + 1], gap[i]
-            for _ in range(80):
-                mid = 0.5 * (lo_u + hi_u)
-                g_mid = float(_fair_line(model, w, combo,
-                                         np.array([mid]))[1][0])
-                if g_mid == 0.0:
-                    lo_u = hi_u = mid
-                    break
-                if (g_mid > 0) == (g_lo > 0):
-                    lo_u, g_lo = mid, g_mid
-                else:
-                    hi_u = mid
-            want.append(0.5 * (lo_u + hi_u))
+
+        def gap_at(level):
+            return float(_fair_line(model, w, combo, level)[1])
+
+        want = [brentq(gap_at, u[i], u[i + 1], xtol=1e-300)
+                for i in np.nonzero((gap[:-1] * gap[1:] < 0)
+                                    & ~flat[:-1] & ~flat[1:])[0]]
         got = _fair_roots(model, w, combo, u, gap,
                           _fair_line(model, w, combo, u)[2])
-        assert got[len(got) - len(want):] == want
-        bisected += len(want)
-    assert bisected == 6
+        got = got[len(got) - len(want):]
+        assert len(got) == len(want)
+        for r, b in zip(got, want):
+            assert type(r) is float
+            assert abs(r - b) <= 4 * 2.0 ** -52 * b or gap_at(r) == 0.0
+        solved += len(want)
+    assert solved == 6
 
 
 def test_fair_polish_stops_at_its_width(monkeypatch):

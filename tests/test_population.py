@@ -16,7 +16,7 @@ from fairfrontier import (CELLS, PRESETS, ContractError, GroupConditionalModel,
                           scenario, validate, write_scenario_file)
 from fairfrontier import population
 from fairfrontier.cli import main
-from fairfrontier.distributions import _finite_bracket
+from fairfrontier.distributions import _finite_bracket, _root
 from helpers import random_model
 
 
@@ -272,19 +272,36 @@ def test_quantile_range_rejects_cells_without_mass():
 SOLVER_MASSES = (0.9999, 0.99999, 0.9, 0.2)
 
 
+def against_brentq(levels):
+    """A stand-in for _root that solves with it, checks the root against
+    scipy's brentq and records it in levels.
+
+    The roots agree within _root's tolerance, xtol + 4 eps |x|, widened by
+    the distance over which f, a cdf minus a level, moves by eps: in a far
+    tail a cdf near 1 is flat to its last bit over more than the tolerance,
+    so any point there is a root of the float function (a 1 - 5e-6 level of
+    example1 puts the solvers 1.9e-12 apart, the widening 2.0e-11)."""
+    eps = 2.0 ** -52
+
+    def both(f, lo, hi, xtol):
+        ours = _root(f, lo, hi, xtol)
+        theirs = brentq(f, lo, hi, xtol=xtol)
+        h = (hi - lo) * 2.0 ** -20
+        slope = (f(ours + h) - f(ours - h)) / (2.0 * h)
+        assert type(ours) is float
+        assert (abs(ours - theirs) * slope
+                <= (xtol + 4.0 * eps * abs(ours)) * slope + eps)
+        levels.append(ours)
+        return ours
+    return both
+
+
 @pytest.mark.parametrize("model", [scenario(name) for name in PRESETS]
                          + [random_model(seed) for seed in range(20)],
                          ids=lambda m: m.label)
 def test_brent_solver_equals_scipy_brentq(monkeypatch, model):
-    solve, levels = population._brentq, []
-
-    def both(f, lo, hi, xtol):
-        ours = solve(f, lo, hi, xtol)
-        assert type(ours) is float and ours == brentq(f, lo, hi, xtol=xtol)
-        levels.append(ours)
-        return ours
-
-    monkeypatch.setattr(population, "_brentq", both)
+    levels = []
+    monkeypatch.setattr(population, "_root", against_brentq(levels))
     for mass in SOLVER_MASSES:
         model.quantile_range(mass)
         for a in (0, 1):
@@ -294,7 +311,7 @@ def test_brent_solver_equals_scipy_brentq(monkeypatch, model):
 
 def test_quantile_range_evaluates_each_point_once(monkeypatch):
     # both tails share one bracket; its ends used to be evaluated again by
-    # the bracket checks and by Brent's first two steps (40 evaluations)
+    # the bracket checks and by the solver's first two steps (40 evaluations)
     points, cdf = [], Normal.cdf
 
     def counted(self, x):
@@ -304,7 +321,7 @@ def test_quantile_range_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(Normal, "cdf", counted)
     lo, hi = scenario("example1").quantile_range(0.9999)
     assert len(points) % 4 == 0 and len(points) // 4 <= 34  # 4 Normal cells
-    assert (lo, hi) == (-7.705709397419595, 17.43803973811899)
+    assert (lo, hi) == (-7.705709397419543, 17.438039738119)
 
 
 def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
@@ -314,9 +331,9 @@ def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
     with pytest.raises(RuntimeError):  # scipy gives up after 100 too
         brentq(step, -1e300, 1e300, xtol=1e-12)
     with pytest.raises(ResourceError, match="100 iterations"):
-        population._brentq(step, -1e300, 1e300, xtol=1e-12)
+        _root(step, -1e300, 1e300, xtol=1e-12)
     with pytest.raises(ContractError):
-        population._brentq(step, 4.0, 5.0, xtol=1e-12)
+        _root(step, 4.0, 5.0, xtol=1e-12)
 
 
 def scaled_model(scale: float) -> GroupConditionalModel:
@@ -328,20 +345,13 @@ def scaled_model(scale: float) -> GroupConditionalModel:
         label=f"scale-{scale:g}")
 
 
-# from a stddev of 1e200 up, the inverse quadratic step's denominator
-# underflows to 0; brentq.c then divides by 0 in C arithmetic and bisects
+# from a stddev of 1e-100 down, xtol is wider than the whole bracket; from
+# 1e200 up, brentq.c's inverse quadratic step divides by an underflowed 0
 @pytest.mark.parametrize("k", (-300, -200, -100, -8, 0, 8, 100, 200, 300,
                                305))
 def test_brent_solver_equals_scipy_brentq_at_every_scale(monkeypatch, k):
-    solve, levels = population._brentq, []
-
-    def both(f, lo, hi, xtol):
-        ours = solve(f, lo, hi, xtol)
-        assert type(ours) is float and ours == brentq(f, lo, hi, xtol=xtol)
-        levels.append(ours)
-        return ours
-
-    monkeypatch.setattr(population, "_brentq", both)
+    levels = []
+    monkeypatch.setattr(population, "_root", against_brentq(levels))
     model = scaled_model(10.0 ** k)
     for mass in SOLVER_MASSES[:3]:
         model.quantile_range(mass)
@@ -363,7 +373,7 @@ def summed_quantile_range(model, central_mass, cells):
 
     tail = (1.0 - central_mass) / 2.0
     lo, hi = _finite_bracket(dists)
-    return tuple(population._brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+    return tuple(_root(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
                  for q in (tail, 1.0 - tail))
 
 
@@ -372,7 +382,7 @@ _TWO_LEVEL = Mixture(((0.5, Mixture(((0.5, Normal(0, 1)),
                       (0.5, Normal(1, 2))))
 PINNED_MODELS = ([scenario(name) for name in PRESETS]
                  + [random_model(seed) for seed in range(120)] + [
-    # a cell without mass still widens the bracket Brent starts from
+    # a cell without mass still widens the bracket _root starts from
     GroupConditionalModel({(0, 0): 0.0, (0, 1): 0.5, (1, 0): 0.25,
                            (1, 1): 0.25},
                           {**scaled_model(1.0).conditional,
@@ -424,7 +434,7 @@ def test_a_scale_the_bracket_cannot_hold_is_refused(tmp_path, capsys, laws,
 
 
 @pytest.mark.parametrize("laws, central", [
-    ([(0.0, 1e306)] * 4, (-3.8905918864131214e+306, 3.890591886413126e+306)),
+    ([(0.0, 1e306)] * 4, (-3.8905918864131214e+306, 3.8905918864133484e+306)),
     ([(1e18 + i, 10.0) for i in range(4)],
      (9.999999999999999e+17, 1.0000000000000001e+18)),
 ], ids=["stddev-1e306", "mean-1e18-stddev-10"])
@@ -435,7 +445,7 @@ def test_the_largest_scales_the_bracket_holds_keep_their_ranges(laws,
         {cell: 0.25 for cell in CELLS},
         {cell: Normal(mean, sd) for cell, (mean, sd) in zip(CELLS, laws)})
     assert model.quantile_range() == central
-    # each endpoint is within Brent's tolerance of the pooled law's true
+    # each endpoint is within _root's tolerance of the pooled law's true
     # quantile, widened by the level's float spacing over the density:
     # near 1 the cdf cannot tell points closer than that apart
     mp = pytest.importorskip("mpmath")

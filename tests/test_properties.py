@@ -7,8 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           GroupConditionalModel, GroupwiseClassifier,
@@ -19,6 +20,7 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           decompose_unfairness, dominance_oracle, fairness,
                           pareto_filter, sweep, unfairness, validate,
                           well_defined_check)
+from fairfrontier.distributions import _root
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _cell_cdfs,
                                    _group_table, _interval_regions,
@@ -545,6 +547,54 @@ def test_mixture_ppf_inverts_cdf_and_is_monotone(mix, qs):
     assert np.all(np.abs(mix.cdf(x) - q) <= 1e-12)
     assert np.all(np.diff(x) >= 0.0)
     assert mix.ppf(float(q[0])) == x[0]
+
+
+# increasing through 0 at d = 0; each is computed from d = x - root, which
+# is exact near the root, so the float function changes sign only there
+MONOTONE = {
+    "linear": lambda d: d,
+    "cubic": lambda d: d * d * d + 1e-3 * d,
+    "atan": lambda d: math.atan(50.0 * d),
+    "sinh": math.sinh,
+    "step": lambda d: math.copysign(1.0, d) if d else 0.0,
+}
+
+
+@st.composite
+def root_problems(draw):
+    """(f, lo, hi, xtol): a monotone f whose root, exactly 0.0 in some
+    draws, lies in [lo, hi], or a bracket of two adjacent floats."""
+    xtol = draw(st.sampled_from((1e-12, 1e-10)))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-100, 100))
+        hi = math.nextafter(lo, math.inf)
+        return (lambda x: sign * ((x - lo) - (hi - x))), lo, hi, xtol
+    root = draw(st.one_of(st.just(0.0), st.floats(-100, 100)))
+    lo = root - draw(st.floats(0.0, 100.0))
+    hi = root + draw(st.floats(0.0, 100.0))
+    assume(lo < hi)
+    shape = MONOTONE[draw(st.sampled_from(sorted(MONOTONE)))]
+    return (lambda x: sign * shape(x - root)), lo, hi, xtol
+
+
+@given(root_problems())
+@example(((lambda x: x), -1.0, 2.0, 1e-12))
+@example(((lambda x: x - 0.1), 0.1, math.nextafter(0.1, 1.0), 1e-12))
+@settings(max_examples=300, deadline=None)
+def test_root_agrees_with_brentq_inside_its_bracket(problem):
+    f, lo, hi, xtol = problem
+    asked = []
+
+    def recorded(x):
+        asked.append(x)
+        return f(x)
+
+    ours = _root(recorded, lo, hi, xtol)
+    theirs = brentq(f, lo, hi, xtol=xtol)
+    assert all(type(x) is float and lo <= x <= hi for x in asked)
+    assert type(ours) is float and lo <= ours <= hi
+    assert abs(ours - theirs) <= xtol + 4 * 2.0 ** -52 * abs(ours)
 
 
 def same_bits(got, want) -> bool:
