@@ -455,10 +455,6 @@ def _appended_optima(model, family, w):
 FAIR_TOL = 1e-10
 _FAIR_LEVELS = 2049
 _PLATEAU_GAP = 1e-12
-# the golden section on a plateau stops once its bracket in u (a TPR level
-# in [0, 1], so the width has no unit) is this narrow: accuracy is flat at
-# its argmax, so a narrower bracket moves it by no more than rounding
-_POLISH_WIDTH = 1e-9
 
 
 def _half_line(model, a, orient, u):
@@ -473,7 +469,7 @@ def _fair_line(model, w, combo, u):
     """Rates and thresholds of the equal-TPR threshold pairs at levels u.
 
     u is an array, or a float that stays in float arithmetic throughout,
-    since the plateau's golden section asks one level at a time.
+    since _root asks one level at a time.
     """
     (t0, tnr0), (t1, tnr1) = (_half_line(model, a, orient, u)
                               for a, orient in enumerate(combo))
@@ -543,30 +539,26 @@ def _fair_roots(model, w, combo, u_grid, gap, acc):
 
 
 def _fair_polish(model, w, combo, u_grid, acc, i, j):
-    """Accuracy argmax over a plateau of vanishing gap, golden-sectioned."""
+    """Accuracy argmax over a plateau of vanishing gap.
+
+    Each group's dTNR/du along the fair line is -f_a0(t_a) / f_a1(t_a) in
+    both orientations, and _hits is linear, so slope() is the accuracy's
+    slope times f01(t0) f11(t1) > 0. The optimum is its root between the
+    grid argmax's neighbours, else (at a plateau end) the argmax itself.
+    """
     k = i + int(np.argmax(acc[i:j + 1]))
     lo_u = float(u_grid[max(k - 1, i)])
     hi_u = float(u_grid[min(k + 1, j)])
-    if lo_u == hi_u:
+
+    def slope(u):
+        t0, t1 = _fair_line(model, w, combo, u)[0]
+        f00, f01 = (float(model.cell_pdf(t0, 0, y)) for y in (0, 1))
+        f10, f11 = (float(model.cell_pdf(t1, 1, y)) for y in (0, 1))
+        return _hits(model, w, f01 * f11, f01 * f11, -f00 * f11, -f10 * f01)
+
+    if not slope(lo_u) >= 0.0 >= slope(hi_u):
         return float(u_grid[k])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def acc_at(u):
-        return float(_fair_line(model, w, combo, u)[2])
-
-    a, b = lo_u, hi_u
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = acc_at(c), acc_at(d)
-    while b - a > _POLISH_WIDTH:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = acc_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = acc_at(d)
-    return 0.5 * (a + b)
+    return _root(slope, lo_u, hi_u, 0.0)
 
 
 # -- Pareto filtering --------------------------------------------------------

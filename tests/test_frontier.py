@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -159,10 +160,10 @@ def test_fair_roots_bisects_crossings_like_one_at_a_time():
     assert solved == 6
 
 
-def test_fair_polish_stops_at_its_width(monkeypatch):
-    # example1's gap vanishes on whole plateaus; the golden section on each
-    # stops once its bracket is _POLISH_WIDTH wide, where a fixed 70 steps
-    # took the optimum to 152 _fair_line calls
+def test_fair_polish_solves_the_slope_in_few_calls(monkeypatch):
+    # example1's gap vanishes on whole plateaus; on each, _root solves the
+    # accuracy's slope between the grid argmax's neighbours, where the golden
+    # section it replaced took the optimum to 63 _fair_line calls
     calls = []
 
     def counted(*args):
@@ -171,11 +172,33 @@ def test_fair_polish_stops_at_its_width(monkeypatch):
 
     monkeypatch.setattr(frontier, "_fair_line", counted)
     _per_group_fairness_optimum(scenario("example1"), MetricWeights())
-    assert len(calls) <= 69
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("w", [MetricWeights(),
+                               MetricWeights(0.3, 0.7, 0.8, 1.2)],
+                         ids=["default", "weighted"])
+def test_per_group_fairness_optimum_is_its_closed_form(w):
+    # each preset's groups are shifted copies, so the fair line has a plateau
+    # of zero gap; its most accurate pair sets both groups' likelihood ratio
+    # f_a0 / f_a1 to p1 P(Y=1) / (p2 P(Y=0)), which example1 and example3
+    # (Normal cells of one stddev) meet at a log-linear threshold and the
+    # Triangular example4 cells at a rational one
+    r = math.log(0.6 * w.p2 / w.p1)
+    shift = 0.0 if w.p1 == w.p2 else 0.2
+    want = {"example1": (2.5 + 4 / 7 * r, 2.5 + 4 / 7 * r + 4),
+            "example3": (3 + 9 / 8 * r, 3 + 9 / 8 * r + 3),
+            "example4_identical": (6 - shift, 6 + 2 * shift),
+            "example4_nonidentical": (6 - shift, 8 + 2 * shift)}
+    for name, thresholds in want.items():
+        clf = _per_group_fairness_optimum(scenario(name), w)
+        for a, t in enumerate(thresholds):
+            (lo, hi), = clf.positive_region(a).intervals
+            assert abs((hi if lo == -math.inf else lo) - t) <= 1e-12
 
 
 def test_fair_line_answers_a_float_level_in_scalars(monkeypatch):
-    # _fair_polish asks one level at a time: a float level stays out of 0-d
+    # _root asks one level at a time: a float level stays out of 0-d
     # arrays, the accuracy's operands included, and gives the one-element
     # array path's values bit for bit
     operands = []
