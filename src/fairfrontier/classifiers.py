@@ -161,7 +161,8 @@ def sign_region(g, lo: float, hi: float,
     gives the full line.
     """
     xs = np.linspace(lo, hi, SIGN_GRID_POINTS)
-    pos = np.asarray(g(xs)) >= 0.0
+    gs = np.asarray(g(xs))
+    pos = gs >= 0.0
     count = int(pos[0]) + np.count_nonzero(pos[1:] & ~pos[:-1])
     if count > max_intervals:
         raise ComplexityError(
@@ -180,7 +181,8 @@ def sign_region(g, lo: float, hi: float,
     ends = [-math.inf] if pos[0] else []
     for i in np.nonzero(pos[:-1] != pos[1:])[0]:
         ends.append(_root(signed, float(xs[i]), float(xs[i + 1]),
-                          BISECT_WIDTH))
+                          float(gs[i]) or math.ulp(0.0),
+                          float(gs[i + 1]) or math.ulp(0.0), BISECT_WIDTH))
     if len(ends) % 2:
         ends.append(math.inf)
     return IntervalSet(tuple(zip(ends[::2], ends[1::2])))

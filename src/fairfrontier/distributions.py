@@ -410,19 +410,20 @@ def _finite_bracket(laws) -> tuple[float, float]:
     return min(los), max(his)
 
 
-def _root(f, lo: float, hi: float, xtol: float) -> float:
+def _root(f, lo: float, hi: float, flo: float, fhi: float,
+          xtol: float) -> float:
     """A root of the scalar function f in [lo, hi], where f changes sign,
     by Chandrupatla's method (Chandrupatla 1997, Adv. Eng. Software 28(3)).
+    The caller passes flo = f(lo) and fhi = f(hi), which it already holds.
 
     Each step is an inverse quadratic interpolation through the bracket's
     ends and the point it last dropped, where those three points allow one,
     and a bisection otherwise. It stops at an exact zero, once the last
     bracket but one is narrower than tol = xtol + 4 eps |x|, x the end of
     smaller |f|, or once a step rounds onto an end, and returns that x.
-    f is called with floats inside [lo, hi] only.
+    f is called with floats strictly inside (lo, hi) only.
     """
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
+    a, b, fa, fb = lo, hi, flo, fhi
     if min(fa, fb) > 0.0 or max(fa, fb) < 0.0:
         raise ContractError(f"no sign change of f on [{lo!r}, {hi!r}]")
     c, t = a, 0.5

@@ -534,7 +534,8 @@ def _fair_roots(model, w, combo, u_grid, gap, acc):
     crossing = np.nonzero((gap[:-1] * gap[1:] < 0)
                           & ~near_zero[:-1] & ~near_zero[1:])[0]
     return roots + [_root(lambda u: float(_fair_line(model, w, combo, u)[1]),
-                          float(u_grid[i]), float(u_grid[i + 1]), 0.0)
+                          float(u_grid[i]), float(u_grid[i + 1]),
+                          float(gap[i]), float(gap[i + 1]), 0.0)
                     for i in crossing]
 
 
@@ -556,9 +557,10 @@ def _fair_polish(model, w, combo, u_grid, acc, i, j):
         f10, f11 = (float(model.cell_pdf(t1, 1, y)) for y in (0, 1))
         return _hits(model, w, f01 * f11, f01 * f11, -f00 * f11, -f10 * f01)
 
-    if not slope(lo_u) >= 0.0 >= slope(hi_u):
+    s_lo, s_hi = slope(lo_u), slope(hi_u)
+    if not s_lo >= 0.0 >= s_hi:
         return float(u_grid[k])
-    return _root(slope, lo_u, hi_u, 0.0)
+    return _root(slope, lo_u, hi_u, s_lo, s_hi, 0.0)
 
 
 # -- Pareto filtering --------------------------------------------------------

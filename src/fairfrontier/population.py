@@ -7,7 +7,6 @@ reads from this object.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -123,7 +122,6 @@ class GroupConditionalModel:
         object.__setattr__(pooled, "components", tuple(
             (float(w), law) for w, law in zip(weights, laws) if w > 0.0))
 
-        @functools.cache  # the mass check and _root share the bracket ends
         def cdf(x):
             return float(pooled.cdf(x))
 
@@ -132,10 +130,12 @@ class GroupConditionalModel:
         # upper end, so widening the bracket could add no mass
         lo, hi = _finite_bracket(laws)
         tail = (1.0 - central_mass) / 2.0
-        if not (cdf(lo) <= tail and cdf(hi) >= 1.0 - tail):
+        c_lo, c_hi = cdf(lo), cdf(hi)
+        if not (c_lo <= tail and c_hi >= 1.0 - tail):
             raise InputError(f"central_mass {central_mass!r} exceeds the "
-                             f"pooled mass {cdf(hi)!r} of cells {cells!r}")
-        return tuple(_root(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+                             f"pooled mass {c_hi!r} of cells {cells!r}")
+        return tuple(_root(lambda x: cdf(x) - q, lo, hi, c_lo - q, c_hi - q,
+                           xtol=1e-12)
                      for q in (tail, 1.0 - tail))
 
     def group_quantile_range(self, a: int,

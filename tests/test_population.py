@@ -283,8 +283,8 @@ def against_brentq(levels):
     example1 puts the solvers 1.9e-12 apart, the widening 2.0e-11)."""
     eps = 2.0 ** -52
 
-    def both(f, lo, hi, xtol):
-        ours = _root(f, lo, hi, xtol)
+    def both(f, lo, hi, flo, fhi, xtol):
+        ours = _root(f, lo, hi, flo, fhi, xtol)
         theirs = brentq(f, lo, hi, xtol=xtol)
         h = (hi - lo) * 2.0 ** -20
         slope = (f(ours + h) - f(ours - h)) / (2.0 * h)
@@ -331,9 +331,9 @@ def test_brent_solver_raises_at_the_cap_or_without_a_sign_change():
     with pytest.raises(RuntimeError):  # scipy gives up after 100 too
         brentq(step, -1e300, 1e300, xtol=1e-12)
     with pytest.raises(ResourceError, match="100 iterations"):
-        _root(step, -1e300, 1e300, xtol=1e-12)
+        _root(step, -1e300, 1e300, step(-1e300), step(1e300), xtol=1e-12)
     with pytest.raises(ContractError):
-        _root(step, 4.0, 5.0, xtol=1e-12)
+        _root(step, 4.0, 5.0, step(4.0), step(5.0), xtol=1e-12)
 
 
 def scaled_model(scale: float) -> GroupConditionalModel:
@@ -373,7 +373,8 @@ def summed_quantile_range(model, central_mass, cells):
 
     tail = (1.0 - central_mass) / 2.0
     lo, hi = _finite_bracket(dists)
-    return tuple(_root(lambda x: cdf(x) - q, lo, hi, xtol=1e-12)
+    return tuple(_root(lambda x: cdf(x) - q, lo, hi, cdf(lo) - q,
+                       cdf(hi) - q, xtol=1e-12)
                  for q in (tail, 1.0 - tail))
 
 

@@ -590,7 +590,7 @@ def test_root_agrees_with_brentq_inside_its_bracket(problem):
         asked.append(x)
         return f(x)
 
-    ours = _root(recorded, lo, hi, xtol)
+    ours = _root(recorded, lo, hi, f(lo), f(hi), xtol)
     theirs = brentq(f, lo, hi, xtol=xtol)
     assert all(type(x) is float and lo <= x <= hi for x in asked)
     assert type(ours) is float and lo <= ours <= hi
