@@ -179,11 +179,12 @@ def test_fair_polish_solves_the_slope_in_few_calls(monkeypatch):
                                MetricWeights(0.3, 0.7, 0.8, 1.2)],
                          ids=["default", "weighted"])
 def test_per_group_fairness_optimum_is_its_closed_form(w):
-    # each preset's groups are shifted copies, so the fair line has a plateau
-    # of zero gap; its most accurate pair sets both groups' likelihood ratio
-    # f_a0 / f_a1 to p1 P(Y=1) / (p2 P(Y=0)), which example1 and example3
-    # (Normal cells of one stddev) meet at a log-linear threshold and the
-    # Triangular example4 cells at a rational one
+    # each preset's groups are copies under a map of the feature (a shift in
+    # example1 and example3, x -> c - 2x in example4), so the fair line has a
+    # plateau of zero gap; its most accurate pair sets both groups'
+    # likelihood ratio f_a0 / f_a1 to p1 P(Y=1) / (p2 P(Y=0)), which the
+    # Normal cells meet at a log-linear threshold and the Triangular ones at
+    # a rational one
     r = math.log(0.6 * w.p2 / w.p1)
     shift = 0.0 if w.p1 == w.p2 else 0.2
     want = {"example1": (2.5 + 4 / 7 * r, 2.5 + 4 / 7 * r + 4),
