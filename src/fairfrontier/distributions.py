@@ -390,24 +390,29 @@ class Mixture:
         return (lo, hi)
 
 
-Distribution = (Normal, Triangular, Mixture)
+def _leaves(law) -> list:
+    """The Normal and Triangular laws in law, through nested Mixtures."""
+    if isinstance(law, Mixture):
+        return [leaf for _, c in law.components for leaf in _leaves(c)]
+    return [law]
+
+
+def _knots(law) -> list:
+    """Where law lives on the line, leaf by leaf: each Normal's mean and
+    mean +- 1, 3, 6 and 12 sd, and each Triangular's lower, mode and upper."""
+    knots = []
+    for d in _leaves(law):
+        knots += ([d.mean + k * d.stddev for k in
+                   (-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0)]
+                  if isinstance(d, Normal) else [d.lower, d.mode, d.upper])
+    return knots
 
 
 def _finite_bracket(laws) -> tuple[float, float]:
-    """A finite interval holding all but a negligible tail of every law:
-    each Normal's mean +- 12 sd, each Triangular's support, and the bracket
-    of each Mixture's components."""
-    los, his = [], []
-    for d in laws:
-        if isinstance(d, Normal):
-            lo, hi = d.mean - 12.0 * d.stddev, d.mean + 12.0 * d.stddev
-        elif isinstance(d, Mixture):
-            lo, hi = _finite_bracket(c for _, c in d.components)
-        else:
-            lo, hi = d.support()
-        los.append(lo)
-        his.append(hi)
-    return min(los), max(his)
+    """The hull of the laws' _knots, which holds all but a negligible tail
+    of every law: each Normal's mean +- 12 sd, each Triangular's support."""
+    knots = [k for law in laws for k in _knots(law)]
+    return min(knots), max(knots)
 
 
 def _root(f, lo: float, hi: float, flo: float, fhi: float,

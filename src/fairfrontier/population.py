@@ -15,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import Mixture, Normal, Triangular, _finite_bracket, _root
+from .distributions import (Mixture, Normal, Triangular, _finite_bracket,
+                            _knots, _leaves, _root)
 from .errors import InputError, ValidationError, _number
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -60,11 +61,11 @@ class GroupConditionalModel:
                 f"the cells' quantile bracket [{lo!r}, {hi!r}] is wider "
                 "than the largest float; rescale the feature")
         for cell in CELLS:
-            for law in _normals(cond[cell]):
-                if law.mean in _finite_bracket((law,)):
+            for n in _leaves(cond[cell]):
+                if isinstance(n, Normal) and n.mean in _finite_bracket((n,)):
                     raise ValidationError(
-                        f"conditional{cell}: stddev {law.stddev!r} is below "
-                        f"the float spacing at mean {law.mean!r} (mean +- 12 "
+                        f"conditional{cell}: stddev {n.stddev!r} is below "
+                        f"the float spacing at mean {n.mean!r} (mean +- 12 "
                         "sd rounds to the mean); shift or rescale the feature")
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "conditional", cond)
@@ -125,9 +126,9 @@ class GroupConditionalModel:
         def cdf(x):
             return float(pooled.cdf(x))
 
-        # every cell's law, of mass 0 too, sets the bracket _root starts
-        # from; each has cdf <= 1.8e-33 at its lower end and 1.0 at its
-        # upper end, so widening the bracket could add no mass
+        # _root starts from the hull of every cell's _knots, of mass 0 too;
+        # each law has cdf <= 1.8e-33 at its lower end and 1.0 at its upper
+        # end, so widening the bracket could add no mass
         lo, hi = _finite_bracket(laws)
         tail = (1.0 - central_mass) / 2.0
         c_lo, c_hi = cdf(lo), cdf(hi)
@@ -143,13 +144,6 @@ class GroupConditionalModel:
         if a not in (0, 1):
             raise InputError(f"group must be 0 or 1, got {a!r}")
         return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
-
-
-def _normals(law) -> list:
-    """The Normal laws in law, a Mixture's components included."""
-    if isinstance(law, Mixture):
-        return [n for _, c in law.components for n in _normals(c)]
-    return [law] if isinstance(law, Normal) else []
 
 
 # -- validation -----------------------------------------------------------
@@ -193,25 +187,15 @@ _GAUSS_LEGENDRE = 32  # nodes per piece; exact on polynomials of degree 63
 
 def _pdf_mass(law) -> float:
     """The pdf's integral over _finite_bracket((law,)) by a Gauss-Legendre
-    rule on each piece between knots: each Normal's mean and mean +- 1, 3,
-    6 and 12 sd, and each Triangular's lower, mode and upper. A Triangular
-    piece is a line, which the rule integrates exactly, and a Normal piece
-    is smooth and at most 6 sd wide."""
+    rule on each piece between the law's _knots. A Triangular piece is a
+    line, which the rule integrates exactly, and a Normal piece is smooth
+    and at most 6 sd wide."""
     knots = np.unique(_knots(law))
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_LEGENDRE)
     half = (knots[1:] - knots[:-1]) / 2.0
     mid = (knots[1:] + knots[:-1]) / 2.0
     pdf = law.pdf(mid[:, None] + half[:, None] * nodes)
     return float(np.sum(half * (pdf @ weights)))
-
-
-def _knots(law) -> list:
-    if isinstance(law, Mixture):
-        return [k for _, c in law.components for k in _knots(c)]
-    if isinstance(law, Normal):
-        return [law.mean + k * law.stddev
-                for k in (-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0)]
-    return [law.lower, law.mode, law.upper]
 
 
 # -- scenario file format -------------------------------------------------

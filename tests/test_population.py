@@ -74,6 +74,8 @@ def test_validate_masses_equal_quadrature():
     quad = pytest.importorskip("scipy.integrate").quad
     models = [scenario(name) for name in PRESETS]
     models += [random_model(seed) for seed in range(40)]
+    # the knots of a Mixture inside a Mixture
+    models += [m for m in PINNED_MODELS if m.label == "two-level-mixture"]
     for model in models:
         for cell in CELLS:
             law = model.conditional[cell]
