@@ -556,7 +556,9 @@ def _cmd_run(args) -> int:
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
-    ref = Reference.of(model)
+    # --theorems reads the Reference its boundary-alignment search builds
+    ref = (Reference.of(model)
+           if {"frontier", "decompose"} & set(cfg.analyses) else None)
 
     frontier = None
     if "frontier" in cfg.analyses:

@@ -330,12 +330,17 @@ def test_oversized_family_check_solves_no_optimum(tmp_path, monkeypatch,
     assert "cap" in captured.err and not captured.out
 
 
-@pytest.mark.parametrize("family, solves", [("shared-threshold", 1),
-                                            ("per-group-threshold", 2)])
-def test_check_solves_the_per_group_optimum(monkeypatch, capsys, family,
-                                            solves):
+@pytest.mark.parametrize("command, family, solves", [
+    pytest.param(command, family, solves,
+                 id=f"{prefix}{family}-{solves}")
+    for command, prefix in (("check", ""), ("run", "run-"))
+    for family, solves in (("shared-threshold", 1),
+                           ("per-group-threshold", 2))])
+def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
+                                            command, family, solves):
     # once for the boundary-alignment search, whose Reference the report
-    # reads, and once more for a per-group frontier's appended optima
+    # reads, and once more for a per-group frontier's appended optima;
+    # run --theorems builds no Reference of its own
     from fairfrontier import classifiers, frontier, metrics
     scopes = []
 
@@ -346,7 +351,10 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, family,
 
     for module in (cli, frontier, metrics):
         monkeypatch.setattr(module, "bayes_accuracy_optimal", counted)
-    assert main(["check", "--scenario", "example1", "--family", family]) == 0
+    argv = [command, "--scenario", "example1", "--family", family]
+    if command == "run":
+        argv += ["--theorems", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
     assert scopes.count("per_group") == solves
 
 
