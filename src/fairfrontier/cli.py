@@ -24,8 +24,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
-                       _candidate_count, _members, _sweep_range,
-                       build_frontier, classify_shape, pareto_filter, sweep)
+                       _candidate_count, _members, _Optima, _sweep,
+                       _sweep_range, classify_shape, pareto_filter)
 from .metrics import (DECOMP_TOL, MetricWeights, Reference, _gap, _group_rates,
                       accuracy, confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -53,8 +53,6 @@ class RunConfig:
     analyses: tuple = ("frontier",)
 
     def __post_init__(self):
-        if not self.analyses:
-            raise ValidationError("at least one analysis must be requested")
         unknown = [a for a in self.analyses if a not in ANALYSES]
         if unknown:
             raise ValidationError(
@@ -366,8 +364,6 @@ def emit_plot(series, kind: str, path) -> None:
 
 
 def _measured_str(value) -> str:
-    if isinstance(value, bool):
-        return _bool_str(value)
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, (tuple, list)):
@@ -390,11 +386,11 @@ def _render_report(title: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
+def _theorems_text(model, cfg: RunConfig, optima, frontier=None) -> str:
     w = cfg.weights
-    shared_opt = bayes_accuracy_optimal(model, "overall")
+    shared_opt = optima.bayes("overall")
     ref, (located, indicated) = _boundary_alignment_reports(
-        model, ("boundary_location", "strict_indicator"))
+        model, optima, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
@@ -407,8 +403,9 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
         ("boundary alignment, matching boundary points", located),
         ("boundary alignment, matching indicators", indicated),
     ]
-    if frontier is None:
-        frontier = build_frontier(model, cfg.family, w)
+    if frontier is None:  # build_frontier's pipeline, on these optima
+        frontier = classify_shape(pareto_filter(
+            _sweep(model, cfg.family, w, True, optima), cfg.family))
     sections.append(("frontier accuracy-jump conditions",
                      check_accuracy_jump(model, frontier)))
     head = (f"scenario: {cfg.scenario}\n"
@@ -556,13 +553,12 @@ def _cmd_run(args) -> int:
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
-    # --theorems reads the Reference its boundary-alignment search builds
-    ref = (Reference.of(model)
-           if {"frontier", "decompose"} & set(cfg.analyses) else None)
+    optima = _Optima(model)
+    ref = Reference.of(model, optima.bayes("per_group"))
 
     frontier = None
     if "frontier" in cfg.analyses:
-        candidates = sweep(model, cfg.family, cfg.weights)
+        candidates = _sweep(model, cfg.family, cfg.weights, False, optima)
         frontier = classify_shape(pareto_filter(candidates, cfg.family))
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
@@ -590,7 +586,7 @@ def _cmd_run(args) -> int:
         print("wrote decomposition.csv, sweep.svg, decomposition.svg")
 
     if "theorems" in cfg.analyses:
-        text = _theorems_text(model, cfg, frontier)
+        text = _theorems_text(model, cfg, optima, frontier)
         (cfg.out / "theorems.txt").write_text(text)
         print("wrote theorems.txt")
     return 0
@@ -609,23 +605,16 @@ def _cmd_scenarios(args) -> int:
 
 
 def _describe(payload: dict) -> str:
-    payload = dict(payload)
-    kind = payload.pop("kind")
-    if kind == "mixture":
-        inner = ",".join(
-            f"{_fmt6(c['weight'])}*"
-            + _describe({k: v for k, v in c.items() if k != "weight"})
-            for c in payload["components"])
-        return f"mixture({inner})"
-    body = ",".join(f"{k}={_fmt6(v)}" for k, v in payload.items())
-    return f"{kind}({body})"
+    body = ",".join(f"{k}={_fmt6(v)}" for k, v in payload.items()
+                    if k != "kind")
+    return f"{payload['kind']}({body})"
 
 
 def _cmd_check(args) -> int:
     cfg = _load_config(args, default_analyses=("theorems",))
     model = scenario(cfg.scenario)
     _capped(_candidate_count(cfg.family))  # before any optimum is solved
-    text = _theorems_text(model, cfg)
+    text = _theorems_text(model, cfg, _Optima(model))
     sys.stdout.write(text)
     if cfg.out is not None:
         (_out_dir(cfg.out) / "theorems.txt").write_text(text)

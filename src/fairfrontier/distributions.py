@@ -365,13 +365,12 @@ class Mixture:
         """
         q = np.asarray(q, dtype=float)
         lo, hi = _finite_bracket(d for _, d in self.components)
-        # widen to where the cdf saturates: the bracket then does not depend
-        # on q, so no result depends on the other elements of q, and one
-        # fixed count of halvings takes every element to 1e-13
+        # widen to where the cdf is 0 (a Normal's is ~1e-33 at mean - 12 sd;
+        # at the top knot every leaf's is already 1.0, as at inf): the bracket
+        # then does not depend on q, so no result depends on the other
+        # elements of q, and one count of halvings takes each to 1e-13
         while self.cdf(lo) > 0.0:
             lo -= (hi - lo) + 1.0
-        while self.cdf(hi) < self.cdf(np.inf):
-            hi += (hi - lo) + 1.0
         low = np.full(q.shape, lo)
         high = np.full(q.shape, hi)
         for _ in range(math.ceil(math.log2((hi - lo) / 1e-13))):

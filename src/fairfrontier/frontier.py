@@ -15,6 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache, partial
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -269,7 +270,7 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     end, in that order. The two score columns are allocated once, at their
     final size, and each block scores straight into its own slice.
     """
-    return _sweep(model, family, w or MetricWeights(), bounded=False)
+    return _sweep(model, family, w or MetricWeights(), False, _Optima(model))
 
 
 def _capped(count: int) -> int:
@@ -283,15 +284,15 @@ def _capped(count: int) -> int:
     return count
 
 
-def _sweep(model, family: FamilySpec, w: MetricWeights,
-           bounded: bool) -> Candidates:
+def _sweep(model, family: FamilySpec, w: MetricWeights, bounded: bool,
+           optima: _Optima) -> Candidates:
     """sweep's candidates, or with bounded only the pair-block lines that
     _open_lines leaves open against the fairest appended optimum."""
     count = _capped(_candidate_count(family))
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
-    optima = _appended_optima(model, family, w)
-    pivot = (max(optima, key=lambda p: (p.fairness, p.accuracy))
+    appended = _appended_optima(model, family, w, optima)
+    pivot = (max(appended, key=lambda p: (p.fairness, p.accuracy))
              if bounded else None)
 
     tables = {}  # one (regions, tpr, tnr) per (group, orientation)
@@ -311,8 +312,8 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     if family.kind != "shared_threshold":
         lines = [_open_lines(model, w, t0, t1, pivot) for t0, t1, _ in pairs]
         count = sum(len(rows) * len(cols) for rows, cols in lines)
-    fair = np.empty(count + len(optima))
-    acc = np.empty(count + len(optima))
+    fair = np.empty(count + len(appended))
+    acc = np.empty(count + len(appended))
     blocks = []
     start = 0
     for (t0, t1, tag), block_lines in zip(pairs, lines):
@@ -325,10 +326,10 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
             _scores(model, w, tpr0[:, None], tpr1[:, None],
                     tnr0[:, None], tnr1[:, None], fair[start:], acc[start:])
         start += _block_len(blocks[-1])
-    fair[start:] = [p.fairness for p in optima]
-    acc[start:] = [p.accuracy for p in optima]
+    fair[start:] = [p.fairness for p in appended]
+    acc[start:] = [p.accuracy for p in appended]
     blocks += [(source, tag, (r0,), (r1,), True)
-               for source, tag, r0, r1 in (p.params for p in optima)]
+               for source, tag, r0, r1 in (p.params for p in appended)]
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
@@ -432,16 +433,29 @@ def _nearest_gap(x, others):
     return np.minimum(np.abs(x - below), np.abs(above - x))
 
 
-def _appended_optima(model, family, w):
-    if family.kind == "shared_threshold":
-        fair = fairness_optimal(model)
-        scope = "overall"
-    else:
-        fair = _per_group_fairness_optimum(model, w)
-        scope = "per_group"
+class _Optima:
+    """A command's optima of one model, each solved on first use and kept.
+
+    bayes(scope) is keyed by scope alone: the Bayes optimum ignores p1 and
+    p2, so under unequal ones a swept candidate can be more accurate than
+    it. fair(w), the per-group fairness optimum, is solved once per weights.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.bayes = cache(partial(bayes_accuracy_optimal, model))
+        self.fair = cache(partial(_per_group_fairness_optimum, model))
+
+    def of(self, family, w) -> tuple:
+        """The (fairness, accuracy) optima a sweep of family appends."""
+        if family.kind == "shared_threshold":
+            return fairness_optimal(self.model), self.bayes("overall")
+        return self.fair(w), self.bayes("per_group")
+
+
+def _appended_optima(model, family, w, optima: _Optima):
     out = []
-    for name, clf in (("fairness", fair),
-                      ("accuracy", bayes_accuracy_optimal(model, scope))):
+    for name, clf in zip(("fairness", "accuracy"), optima.of(family, w)):
         rates = confusion_rates(model, clf)
         out.append(FrontierPoint(
             1.0 - unfairness(rates, w),
@@ -715,5 +729,6 @@ def build_frontier(model, family: FamilySpec,
     sweep's operations, so it is bit-identical. Shared-threshold families
     are swept in full.
     """
-    candidates = _sweep(model, family, w or MetricWeights(), bounded=True)
+    candidates = _sweep(model, family, w or MetricWeights(), True,
+                        _Optima(model))
     return classify_shape(pareto_filter(candidates, family))

@@ -65,8 +65,6 @@ def mc_estimate(model, clf, w: MetricWeights = None, n: int = 1_000_000,
     base, rem = divmod(n, BLOCKS)
     for b in range(BLOCKS):
         size = base + (1 if b < rem else 0)
-        if size == 0:
-            continue
         rng = np.random.Generator(
             np.random.Philox(key=[key, np.uint64(b)]))
         u = rng.random(size)

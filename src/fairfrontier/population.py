@@ -117,14 +117,10 @@ class GroupConditionalModel:
             raise InputError(f"cells {cells!r} hold no probability mass")
         weights = weights / weights.sum()
         laws = [self.conditional[c] for c in cells]
-        # Mixture() refuses a two-level Mixture as a component, which a cell
-        # may be; these weights pass its other checks by construction
-        pooled = object.__new__(Mixture)
-        object.__setattr__(pooled, "components", tuple(
-            (float(w), law) for w, law in zip(weights, laws) if w > 0.0))
+        parts = [(float(w), law) for w, law in zip(weights, laws) if w > 0.0]
 
         def cdf(x):
-            return float(pooled.cdf(x))
+            return float(sum(w * law.cdf(x) for w, law in parts))
 
         # _root starts from the hull of every cell's _knots, of mass 0 too;
         # each law has cdf <= 1.8e-33 at its lower end and 1.0 at its upper

@@ -14,8 +14,8 @@ import numpy as np
 
 from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
-from .frontier import (FamilySpec, Frontier, Jump, _fairest, _sweep,
-                       classify_shape)
+from .frontier import (FamilySpec, Frontier, Jump, _fairest, _Optima,
+                       _sweep, classify_shape)
 from .metrics import (MetricWeights, Reference, accuracy, confusion_rates,
                       unfairness)
 
@@ -218,13 +218,14 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     accuracy. Two readings of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    return _boundary_alignment_reports(model, (mode,), tol)[1][0]
+    return _boundary_alignment_reports(model, _Optima(model), (mode,),
+                                       tol)[1][0]
 
 
-def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
-    """The reference of the search's appended accuracy optimum, and one
-    boundary-alignment report per mode against it, all from one family
-    search.
+def _boundary_alignment_reports(model, optima: _Optima, modes,
+                                tol: float = 1e-9) -> tuple:
+    """The per-group accuracy optimum's Reference and one boundary-alignment
+    report per mode against it, all from one family search.
 
     The search is sweep's, bounded as in build_frontier: only the lines
     that _open_lines leaves open against the pivot, the fairest appended
@@ -232,14 +233,13 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
     candidate left out is strictly less fair than it with accuracy no
     better, so the pivot meets the search's test whenever a left-out
     candidate would, and no left-out candidate is among the fairest, where
-    _fairest looks. The accuracy optimum is still appended last, so the
-    reference is the same.
+    _fairest looks.
     """
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
-    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), bounded=True)
-    ref = Reference.of(model, candidates[-1].clf)
+    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), True, optima)
+    ref = Reference.of(model, optima.bayes("per_group"))
     f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 

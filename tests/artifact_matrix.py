@@ -7,11 +7,14 @@ Run from any directory (needs the package's runtime only):
 For each of the four presets and the scenario files of random_model(0) and
 random_model(3) it runs ``run --frontier --decompose --theorems`` with the
 per-group-threshold and the shared-threshold family (orientations both,
-resolution 201) and ``check --resolution 1001 --out``, and keeps each
-command's stdout and exit code next to its artifacts. Paths are relative to
-OUT_DIR, so the matrices of two trees compare with ``diff -r``, which then
-lists every artifact a change moved. The package is imported from this
-tree's ``src``. pytest does not collect this file.
+resolution 201), ``check --resolution 1001 --out``, and a weighted
+``check --family per-group-threshold --orientations both --resolution 201``
+under omega 0.3/0.7 and p 0.8/1.2, so that a result wrongly shared across
+weights shows. It keeps each command's stdout and exit code next to its
+artifacts. Paths are relative to OUT_DIR, so the matrices of two trees
+compare with ``diff -r``, which then lists every artifact a change moved.
+The package is imported from this tree's ``src``. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ def commands(scenarios):
         out = f"{name}/check"
         yield out, ["check", "--scenario", scenario, "--resolution", "1001",
                     "--out", out]
+        out = f"{name}/check-weighted"
+        yield out, ["check", "--scenario", scenario, "--family",
+                    "per-group-threshold", "--orientations", "both",
+                    "--resolution", "201", "--omega1", "0.3", "--omega2",
+                    "0.7", "--p1", "0.8", "--p2", "1.2", "--out", out]
 
 
 def main_matrix(out_dir: Path) -> None:

@@ -13,7 +13,7 @@ from fairfrontier import (FamilySpec, Frontier, InputError, MetricWeights,
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
-from fairfrontier.frontier import _block_len, _sweep
+from fairfrontier.frontier import _block_len, _Optima, _sweep
 from helpers import random_model
 
 
@@ -81,7 +81,7 @@ def test_sweep_csv_rows_match_the_decomposition_oracle(
     family = FamilySpec(kind, orientations=orientations, k=1,
                         resolution=6 if kind == "per_group_intervals" else 17)
     w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
-    c = _sweep(model, family, w, bounded)
+    c = _sweep(model, family, w, bounded, _Optima(model))
     ref = Reference.of(model)
     cli._write_sweep_csv(model, c, w, ref, tmp_path / "sweep.csv")
     rows = read_csv(tmp_path / "sweep.csv")
@@ -246,6 +246,33 @@ def test_overridden_config_value_is_still_checked(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    None, "{not json", "[1]", "{}",
+    json.dumps({"scenario": "example1", "analyses": ["bogus"]}),
+], ids=["unreadable", "not-json", "not-object", "no-scenario",
+        "unknown-analysis"])
+def test_check_config_refusal_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "check.json"  # None leaves no file there to read
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["check", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_config_orientations_may_be_a_list(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", "family": {
+        "kind": "per-group-threshold", "orientations": ["above", "below"],
+        "resolution": 11}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--frontier"]) == 0
+    header = (out / "frontier.csv").read_text().splitlines()[0]
+    assert "orientations=positive_above|positive_below" in header
+
+
 def test_config_seed_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example1", "seed": 3,
@@ -330,32 +357,45 @@ def test_oversized_family_check_solves_no_optimum(tmp_path, monkeypatch,
     assert "cap" in captured.err and not captured.out
 
 
-@pytest.mark.parametrize("command, family, solves", [
-    pytest.param(command, family, solves,
-                 id=f"{prefix}{family}-{solves}")
-    for command, prefix in (("check", ""), ("run", "run-"))
-    for family, solves in (("shared-threshold", 1),
-                           ("per-group-threshold", 2))])
-def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
-                                            command, family, solves):
-    # once for the boundary-alignment search, whose Reference the report
-    # reads, and once more for a per-group frontier's appended optima;
-    # run --theorems builds no Reference of its own
-    from fairfrontier import classifiers, frontier, metrics
-    scopes = []
+WEIGHTED = ["--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8", "--p2", "1.2"]
 
-    def counted(model, scope="overall", *args, **kwargs):
-        scopes.append(scope)
+
+@pytest.mark.parametrize("command, family, flags, fair_solves", [
+    *(pytest.param(command, family, flags, 1, id=f"{prefix}{family}-1")
+      for command, prefix, flags in (
+          ("check", "", []), ("run", "run-", ["--theorems"]),
+          ("run", "run-all-", ["--frontier", "--decompose", "--theorems"]))
+      for family in ("shared-threshold", "per-group-threshold")),
+    pytest.param("check", "per-group-threshold", WEIGHTED, 2,
+                 id="weighted-per-group-threshold-1")])
+def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
+                                            command, family, flags,
+                                            fair_solves):
+    # one command solves each optimum once, whichever analyses read it;
+    # the per-group fairness optimum once per weights: the boundary-
+    # alignment search uses the defaults, a per-group family the command's
+    from fairfrontier import classifiers, frontier, metrics
+    solved = []
+    fair_optimum = frontier._per_group_fairness_optimum
+
+    def bayes(model, scope="overall", *args, **kwargs):
+        solved.append(scope)
         return classifiers.bayes_accuracy_optimal(model, scope, *args,
                                                   **kwargs)
 
+    def fair(model, w):
+        solved.append("fair")
+        return fair_optimum(model, w)
+
     for module in (cli, frontier, metrics):
-        monkeypatch.setattr(module, "bayes_accuracy_optimal", counted)
-    argv = [command, "--scenario", "example1", "--family", family]
+        monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
+    monkeypatch.setattr(frontier, "_per_group_fairness_optimum", fair)
+    argv = [command, "--scenario", "example1", "--family", family, *flags]
     if command == "run":
-        argv += ["--theorems", "--out", str(tmp_path / "out")]
+        argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert scopes.count("per_group") == solves
+    assert [solved.count(k) for k in ("overall", "per_group", "fair")] == [
+        1, 1, fair_solves]
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):
@@ -397,7 +437,7 @@ def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
     ref = Reference.of(model)
     c = _sweep(model, FamilySpec("shared_threshold", resolution=5,
                                  sweep_range=(-1e308, 7e307)),
-               MetricWeights(), False)
+               MetricWeights(), False, _Optima(model))
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == len(c)
     assert [row["well_defined"] for row in rows] == [

@@ -240,6 +240,28 @@ def test_mixture_rejects_bad_weights():
         Mixture(((0.0, Normal(0, 1)), (1.0, Normal(1, 1))))
     with pytest.raises(ValidationError):
         Mixture(((1.5, Normal(0, 1)),))
+    with pytest.raises(ValidationError, match="sum to 0.9"):
+        Mixture(((0.5, Normal(0, 1)), (0.4, Normal(1, 1))))
+
+
+@pytest.mark.parametrize("components, message", [
+    ((Normal(0, 1),), "pairs"),
+    (((1.0, "normal"),), "Unsupported"),
+    ((), "at least one"),
+], ids=["not-a-pair", "not-a-law", "empty"])
+def test_mixture_refuses_malformed_components(components, message):
+    with pytest.raises(ValidationError, match=message):
+        Mixture(components)
+
+
+@pytest.mark.parametrize("intervals, message", [
+    (((math.nan, 1.0),), "NaN"),
+    (((1.0, 0.0),), "reversed"),
+    (((0.0, 2.0), (1.0, 3.0)), "sorted and disjoint"),
+], ids=["nan", "reversed", "overlapping"])
+def test_positive_mass_refuses_malformed_intervals(intervals, message):
+    with pytest.raises(InputError, match=message):
+        positive_mass(Normal(0, 1), intervals)
 
 
 def test_invalid_parameters_rejected():

@@ -17,7 +17,7 @@ from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
                                    _cell_cdfs, _fair_line, _fair_roots,
                                    _first_pass_drops, _group_table,
-                                   _interval_regions, _open_lines,
+                                   _interval_regions, _open_lines, _Optima,
                                    _per_group_fairness_optimum, _sweep)
 from fairfrontier.metrics import _hits
 from helpers import random_model
@@ -517,7 +517,7 @@ def test_zero_count_blocks_index_iterate_and_decode():
                         resolution=101)
     w = MetricWeights()
     full = sweep(model, family, w)
-    bounded = _sweep(model, family, w, bounded=True)
+    bounded = _sweep(model, family, w, True, _Optima(model))
     counts = [_block_len(block) for block in bounded.blocks]
     # the two appended optima are one 1 x 1 product block each
     assert counts[1:] == [0, 0, 0, 1, 1]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fairfrontier import (FULL_LINE, ConfusionRates, GroupConditionalModel,
-                          GroupwiseClassifier, MetricWeights, ValidationError,
+from fairfrontier import (FULL_LINE, ConfusionRates, Decomposition,
+                          GroupConditionalModel, GroupwiseClassifier,
+                          MetricWeights, ValidationError,
                           accuracy, bayes_accuracy_optimal, confusion_rates,
                           decompose_unfairness, fairness, scenario,
                           unfairness)
+from fairfrontier.metrics import DECOMP_TOL
 from helpers import random_classifier, random_model
 
 T45 = GroupwiseClassifier.shared_threshold(4.5)
@@ -90,6 +92,20 @@ def test_example4_identical_star_rates_are_seven_eighths():
     for v in rates.tpr + rates.tnr:
         assert v == pytest.approx(0.875, abs=1e-10)
     assert accuracy(model, stars) == pytest.approx(0.875, abs=1e-10)
+
+
+@pytest.mark.parametrize("parts, message", [
+    (dict(f_u=0.1, f_du=-0.1, f_mu=0.2), "nonnegative"),
+    (dict(f_u=0.1 + 2 * DECOMP_TOL, f_du=0.05, f_mu=0.05), "exceeds"),
+    (dict(f_u=0.1, f_du=0.05, f_mu=0.05, condition_met="condition3",
+          well_defined=True), "unknown condition"),
+    (dict(f_u=0.1, f_du=0.05, f_mu=0.05, condition_met="condition1"),
+     "needs well_defined"),
+], ids=["negative-part", "beyond-the-sum", "unknown-condition",
+        "condition-not-well-defined"])
+def test_decomposition_refuses_inconsistent_parts(parts, message):
+    with pytest.raises(ValidationError, match=message):
+        Decomposition(equality_holds=True, **parts)
 
 
 def test_decompose_reference_itself_has_no_model_part():

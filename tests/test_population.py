@@ -91,6 +91,20 @@ def test_constructor_rejects_bad_joint_mass():
             conditional={cell: Normal(0, 1) for cell in CELLS})
 
 
+NORMALS = {cell: Normal(0, 1) for cell in CELLS}
+QUARTERS = {cell: 0.25 for cell in CELLS}
+
+
+@pytest.mark.parametrize("joint, conditional, message", [
+    ({cell: 0.25 for cell in CELLS[:3]}, NORMALS, "missing cells"),
+    ({**QUARTERS, (0, 0): -0.25, (0, 1): 0.75}, NORMALS, "must be >= 0"),
+    (QUARTERS, {**NORMALS, (1, 1): "normal"}, "not a distribution"),
+], ids=["missing-cell", "negative-mass", "not-a-law"])
+def test_constructor_refuses_malformed_cells(joint, conditional, message):
+    with pytest.raises(ValidationError, match=message):
+        GroupConditionalModel(joint, conditional)
+
+
 def test_validate_payload_reports_joint_mass_failure():
     payload = {
         "joint": {"a0y0": 0.5, "a0y1": 0.2, "a1y0": 0.1, "a1y1": 0.1},
@@ -223,6 +237,28 @@ def test_validate_payload_reports_group_mass():
     assert report.problems == ("group A=1 has zero mass",)
 
 
+@pytest.mark.parametrize("payload, key, message", [
+    ([], "payload", "must be a mapping"),
+    ({"joint": {k: 0.25 for k in ("a0y0", "a0y1", "a1y0")},
+      "dist": _normal_payload()["dist"]}, "joint.a1y1", "joint.a1y1 missing"),
+    (_normal_payload(dist={"a0y1": {"kind": "normal", "mean": 0}}),
+     "dist.a0y1", "dist.a0y1: missing field 'stddev'"),
+    (_normal_payload(dist={"a1y0": 3}), "dist.a1y0",
+     "dist.a1y0: expected an object"),
+    (_normal_payload(dist={"a1y1": {"kind": "mixture", "components": {}}}),
+     "dist.a1y1", "dist.a1y1.components must be a JSON list"),
+    (_normal_payload(dist={"a0y0": {"kind": "cauchy"}}), "dist.a0y0",
+     "dist.a0y0: unknown kind 'cauchy'"),
+], ids=["not-a-dict", "missing-cell", "missing-field", "cell-not-object",
+        "components-not-list", "unknown-kind"])
+def test_validate_names_each_payload_fault_by_path(payload, key, message):
+    report = validate(payload)
+    assert not report.ok
+    failing = {k: msg for k, passed, msg in report.entries if not passed}
+    assert list(failing) == [key]
+    assert message in failing[key]
+
+
 @pytest.mark.parametrize("payload", [
     _normal_payload(joint=3),
     _normal_payload(joint=["a0y0", "a0y1", "a1y0", "a1y1"]),
@@ -259,6 +295,12 @@ def test_malformed_scenario_payload_is_reported_not_raised(
 def test_quantile_range_rejects_bad_cell_sets(call):
     with pytest.raises(InputError):
         call(scenario("example1"))
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_quantile_range_refuses_a_central_mass_of_0_or_1(mass):
+    with pytest.raises(InputError, match="central_mass"):
+        scenario("example1").quantile_range(mass)
 
 
 def test_quantile_range_rejects_cells_without_mass():

@@ -24,7 +24,7 @@ from fairfrontier.distributions import _root
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _cell_cdfs,
                                    _group_table, _interval_regions,
-                                   _region_count)
+                                   _Optima, _region_count)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
@@ -349,7 +349,8 @@ def test_build_frontier_equals_the_full_pipeline(model, shared_laws, orient,
             (a, y): model.conditional[(0, y)] for a in (0, 1) for y in (0, 1)})
     # every pipeline here appends the same optima; computing them once
     # keeps the property fast
-    optima = _appended_optima(model, FamilySpec("per_group_threshold"), w)
+    optima = _appended_optima(model, FamilySpec("per_group_threshold"), w,
+                              _Optima(model))
     for family in (FamilySpec("per_group_threshold", orient, resolution),
                    FamilySpec("per_group_intervals", orient,
                               min(resolution, 6))):

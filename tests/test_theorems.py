@@ -7,13 +7,13 @@ import pytest
 
 from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
                           GroupConditionalModel, GroupwiseClassifier,
-                          InputError, Jump, MetricWeights, Normal,
+                          InputError, Jump, Normal,
                           TheoremReport, bayes_accuracy_optimal,
                           build_frontier, check_accuracy_jump,
                           check_boundary_alignment, check_decomposition_bound,
                           check_simultaneous_optimality, fairness_optimal,
                           frontier, overpursuit_accuracy_bound, scenario,
-                          sweep, theorems)
+                          theorems)
 from helpers import (random_classifier, random_model, swapped_groups,
                      valley_model)
 
@@ -181,6 +181,27 @@ def test_overpursuit_equality_at_fairness_optimum():
         0.9069497203828814, abs=1e-9)
 
 
+def test_fairness_optimum_refutes_the_sharpened_overpursuit_bound():
+    # when both group rules for all are less accurate than the fairness
+    # optimum, the report's bound is the larger of them, which the fairness
+    # optimum itself exceeds: the claim fails on its own witness
+    model = GroupConditionalModel(
+        {(0, 0): 0.15, (0, 1): 0.35, (1, 0): 0.15, (1, 1): 0.35},
+        {(0, 0): Normal(5, 1), (0, 1): Normal(0, 1),
+         (1, 0): Normal(0, 1), (1, 1): Normal(5, 1)})
+    report = overpursuit_accuracy_bound(model, fairness_optimal(model))
+    sharpened = by_name(report, "sharpened_bound")
+    assert sharpened.measured["bound"] == pytest.approx(0.50122, abs=1e-5)
+    assert sharpened.measured["accuracy"] == pytest.approx(0.7, abs=1e-12)
+    bound = by_name(report, "accuracy_bound").measured
+    assert sharpened.measured["bound"] == max(
+        bound["accuracy_group0_rule_for_all"],
+        bound["accuracy_group1_rule_for_all"])
+    assert not sharpened.satisfied
+    assert any("sharper bound applies" in note for note in report.notes)
+    assert not report.conclusion_checked
+
+
 def test_overpursuit_rejects_non_overpursuing():
     model = scenario("example1")
     with pytest.raises(ContractError) as exc:
@@ -304,17 +325,17 @@ def test_boundary_alignment_solves_the_bayes_optimum_once(monkeypatch):
                                   *(f"random-{s}" for s in range(40))])
 def test_boundary_alignment_search_equals_the_full_sweep(name, monkeypatch):
     # the search scores only its open lines; its reports must be those of
-    # the public sweep, which scores every candidate
+    # the full sweep, which scores every candidate
     model = (scenario(name) if name in PRESETS
              else random_model(int(name.removeprefix("random-"))))
     modes = ("boundary_location", "strict_indicator")
-    # both searches append the same optima, so they are solved once
-    optima = frontier._appended_optima(model, theorems.SEARCH_FAMILY,
-                                       MetricWeights())
-    monkeypatch.setattr(frontier, "_appended_optima", lambda *args: optima)
+    # both searches share one holder, so each optimum is solved once
+    optima = frontier._Optima(model)
+    monkeypatch.setattr(theorems, "_Optima", lambda model: optima)
     got = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     monkeypatch.setattr(theorems, "_sweep",
-                        lambda model, family, w, bounded: sweep(model, family))
+                        lambda model, family, w, bounded, optima:
+                        frontier._sweep(model, family, w, False, optima))
     want = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     assert got == want
 
