@@ -141,8 +141,8 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
             source, tag, regions0, regions1, _ = block
             count = _block_len(block)
             if count:
-                text0, ray0, dtpr0, dtnr0, m0 = columns(0, regions0)
-                text1, ray1, dtpr1, dtnr1, m1 = columns(1, regions1)
+                text0, ray0, dtpr0, dtnr0, m0 = columns(0, list(regions0))
+                text1, ray1, dtpr1, dtnr1, m1 = columns(1, list(regions1))
             for lo in range(0, count, _WRITE_BATCH):
                 k = np.arange(lo, min(lo + _WRITE_BATCH, count))
                 i0, i1 = _members(block, k)
@@ -389,7 +389,8 @@ def _render_report(title: str, report) -> str:
 def _theorems_text(model, cfg: RunConfig, optima, frontier=None) -> str:
     w = cfg.weights
     shared_opt = optima.bayes("overall")
-    ref, (located, indicated) = _boundary_alignment_reports(
+    ref = optima.reference()
+    located, indicated = _boundary_alignment_reports(
         model, optima, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
@@ -554,7 +555,7 @@ def _cmd_run(args) -> int:
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
     optima = _Optima(model)
-    ref = Reference.of(model, optima.bayes("per_group"))
+    ref = optima.reference()
 
     frontier = None
     if "frontier" in cfg.analyses:

@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -26,8 +26,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import _root
 from .errors import (InputError, ResourceError, ValidationError, _number,
                      _whole)
-from .metrics import (MetricWeights, _gap, _hits, confusion_rates,
-                      unfairness)
+from .metrics import (MetricWeights, Reference, _gap, _hits,
+                      confusion_rates, unfairness)
 
 DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
@@ -223,7 +223,8 @@ class Candidates(Sequence):
     blocks lists the sweep's blocks in order, each as the data
     (source, tag, regions0, regions1, product). A product block holds one
     candidate per (group-0 region, group-1 region) pair, row-major; any
-    other block pairs regions0[k] with regions1[k].
+    other block pairs regions0[k] with regions1[k]. A grid block's regions
+    are decoded only when read, so pareto_filter decodes its survivors'.
     """
 
     def __init__(self, fairness: np.ndarray, accuracy: np.ndarray, blocks,
@@ -251,6 +252,15 @@ class Candidates(Sequence):
         i0, i1 = _members(block, i - self._ends[b] + _block_len(block))
         return FrontierPoint(float(self.fairness[i]), float(self.accuracy[i]),
                              (source, tag, regions0[i0], regions1[i1]))
+
+    def __iter__(self):
+        """The candidates in order, each block's regions decoded once."""
+        for lo, hi, (source, tag, r0, r1, product) in zip(
+                (0, *self._ends), self._ends, self.blocks):
+            pairs = (itertools.product if product else zip)(list(r0), list(r1))
+            for f, a, pair in zip(self.fairness[lo:hi], self.accuracy[lo:hi],
+                                  pairs):
+                yield FrontierPoint(float(f), float(a), (source, tag, *pair))
 
 
 def _block_len(block) -> int:
@@ -292,39 +302,40 @@ def _sweep(model, family: FamilySpec, w: MetricWeights, bounded: bool,
     lo, hi = family.sweep_range or model.quantile_range(0.9999)
     grid = np.linspace(lo, hi, family.resolution)
     appended = _appended_optima(model, family, w, optima)
+    product = family.kind != "shared_threshold"
     pivot = (max(appended, key=lambda p: (p.fairness, p.accuracy))
-             if bounded else None)
+             if bounded and product else None)
 
-    tables = {}  # one (regions, tpr, tnr) per (group, orientation)
     # every combo has both groups: one pair of cell cdf columns per group
-    # serves both orientations
+    # serves both orientations; one index table per orientation, both groups
+    edges = np.concatenate(([-math.inf], grid, [math.inf]))
     cdfs = [_cell_cdfs(model, grid, a) for a in (0, 1)]
+    index = cache(lambda orient: list(_interval_regions(family, orient)))
+    table = cache(lambda a, orient: _Table(
+        model, w, a, *_group_table(index(orient), cdfs[a])))
 
-    def table(a, orient):
-        if (a, orient) not in tables:
-            tables[(a, orient)] = _group_table(family, grid, orient, cdfs[a])
-        return tables[(a, orient)]
-
-    # a shared combo is one orientation, which both groups take
-    pairs = [(table(0, combo[0]), table(1, combo[-1]), "|".join(combo))
-             for combo in family.combos()]
-    lines = [()] * len(pairs)
-    if family.kind != "shared_threshold":
-        lines = [_open_lines(model, w, t0, t1, pivot) for t0, t1, _ in pairs]
+    # a shared combo is one orientation, which both groups take; its block
+    # pairs row k with row k, so group 1's rates run down the rows there
+    # and along the columns of a pair block
+    combos = [(combo[0], combo[-1], "|".join(combo))
+              for combo in family.combos()]
+    lines = [_open_lines(w, table(0, o0), table(1, o1), pivot)
+             for o0, o1, _ in combos]
+    if product:
         count = sum(len(rows) * len(cols) for rows, cols in lines)
     fair = np.empty(count + len(appended))
     acc = np.empty(count + len(appended))
     blocks = []
     start = 0
-    for (t0, t1, tag), block_lines in zip(pairs, lines):
-        if block_lines:
-            blocks.append(_pair_block(model, w, t0, t1, tag, *block_lines,
-                                      fair[start:], acc[start:]))
-        else:  # row k's region in both groups
-            (regions, tpr0, tnr0), (_, tpr1, tnr1) = t0, t1
-            blocks.append(("grid", tag, regions, regions, False))
-            _scores(model, w, tpr0[:, None], tpr1[:, None],
-                    tnr0[:, None], tnr1[:, None], fair[start:], acc[start:])
+    shape1 = (1, -1) if product else (-1, 1)
+    for (o0, o1, tag), (rows, cols) in zip(combos, lines):
+        t0, t1 = table(0, o0), table(1, o1)
+        blocks.append(("grid", tag, _Regions(edges, index(o0), rows),
+                       _Regions(edges, index(o1), cols), product))
+        if len(rows) and len(cols):  # _scores bands by the column count
+            _scores(model, w, t0.tpr[rows][:, None],
+                    t1.tpr[cols].reshape(shape1), t0.tnr[rows][:, None],
+                    t1.tnr[cols].reshape(shape1), fair[start:], acc[start:])
         start += _block_len(blocks[-1])
     fair[start:] = [p.fairness for p in appended]
     acc[start:] = [p.accuracy for p in appended]
@@ -339,39 +350,52 @@ def _cell_cdfs(model, grid, a: int) -> list:
             for y in (0, 1)]
 
 
-def _group_table(family, grid, orient: str, cdfs) -> tuple:
-    """(regions, tpr, tnr) of a group over every region the family gives it,
-    from the group's _cell_cdfs.
+def _group_table(index, cdfs) -> tuple:
+    """(tpr, tnr) of a group over the regions of an orientation's index
+    table (the list of _interval_regions), from the group's _cell_cdfs.
 
     A region's mass adds its intervals' cdf differences one column at a
     time, from 0 and left to right, and is clamped to [0, 1]; tnr is 1 minus
     the label-0 mass. Each rate is therefore bit-identical to
     confusion_rates' positive_mass of the region.
     """
-    edges = np.concatenate(([-math.inf], grid, [math.inf]))
-    regions, mass = [], ([], [])
-    for lo, hi in _interval_regions(family, orient):
-        # one region tuple per row, built a column of bounds at a time
-        bounds = [zip(edges[lo[:, j]].tolist(), edges[hi[:, j]].tolist())
-                  for j in range(lo.shape[1])]
-        regions += zip(*bounds) if bounds else [()] * len(lo)
+    mass = ([], [])
+    for lo, hi in index:
         for y in (0, 1):
             total = np.zeros(len(lo))
             for j in range(lo.shape[1]):
                 total += cdfs[y][hi[:, j]] - cdfs[y][lo[:, j]]
             mass[y].append(np.clip(total, 0.0, 1.0, out=total))
-    return regions, np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
+    return np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
 
 
-def _pair_block(model, w, table0, table1, tag, rows, cols, fair, acc):
-    """Score every (group-0 row, group-1 column) pair of rows x cols, given
-    as index arrays into the two tables, as one flat product block."""
-    regions0 = [table0[0][i] for i in rows.tolist()]
-    regions1 = [table1[0][j] for j in cols.tolist()]
-    if len(rows) and len(cols):  # _scores bands by the column count
-        _scores(model, w, table0[1][rows][:, None], table1[1][cols][None, :],
-                table0[2][rows][:, None], table1[2][cols][None, :], fair, acc)
-    return "grid", tag, regions0, regions1, True
+class _Regions:
+    """The regions of some ascending rows of an orientation's index table,
+    decoded from the grid's edges (-inf, grid, inf) only when read."""
+
+    def __init__(self, edges, index, rows):
+        self.edges, self.index, self.rows = edges, index, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> tuple:
+        row = int(self.rows[k])
+        for lo, hi in self.index:
+            if row < len(lo):
+                return tuple(zip(*self.edges[[lo[row], hi[row]]].tolist()))
+            row -= len(lo)
+
+    def __iter__(self):  # a column of bounds at a time
+        regions, start, rows = [], 0, self.rows
+        for lo, hi in self.index:
+            k = rows[(start <= rows) & (rows < start + len(lo))] - start
+            start += len(lo)
+            bounds = [zip(self.edges[lo[k, j]].tolist(),
+                          self.edges[hi[k, j]].tolist())
+                      for j in range(lo.shape[1])]
+            regions += zip(*bounds) if bounds else [()] * len(k)
+        return iter(regions)
 
 
 # Relative slack of the accuracy bound. A score rounds each of its four
@@ -384,49 +408,63 @@ _ACC_SLACK = 1e-14
 _ACC_FLOOR = np.finfo(float).tiny
 
 
-def _open_lines(model, w, table0, table1, pivot) -> tuple:
+class _Table:
+    """Group a's tpr and tnr over one orientation's regions, and what
+    _open_lines reads of them, kept for both combos that share the table;
+    the accuracy terms and the sorted rates are computed on first use."""
+
+    def __init__(self, model, w, a, tpr, tnr):
+        self.model, self.w, self.a, self.tpr, self.tnr = model, w, a, tpr, tnr
+        self.finite = np.isfinite(tpr).all() and np.isfinite(tnr).all()
+
+    @cached_property
+    def term(self) -> np.ndarray:  # each line's accuracy term
+        j, w, a = self.model.joint, self.w, self.a
+        return w.p1 * self.tpr * j[(a, 1)] + w.p2 * self.tnr * j[(a, 0)]
+
+    @cached_property
+    def others(self) -> tuple:  # what _open_mask reads of the other group
+        return self.term.max(), np.sort(self.tpr), np.sort(self.tnr)
+
+
+def _open_lines(w, table0, table1, pivot) -> tuple:
     """(rows, cols) index arrays of a pair block's open lines: the group-0
     rows, then the group-1 columns against the open rows, on which
     _first_pass_drops, with pivot as the fairest point, may keep a pair.
     All lines when pivot is None or a rate is not finite, since a NaN score
     disables the first pass."""
-    (_, tpr0, tnr0), (_, tpr1, tnr1) = table0, table1
-    rows, cols = np.arange(len(tpr0)), np.arange(len(tpr1))
-    if pivot is None or not all(np.isfinite(x).all()
-                                for x in (tpr0, tnr0, tpr1, tnr1)):
+    rows, cols = np.arange(len(table0.tpr)), np.arange(len(table1.tpr))
+    if pivot is None or not (table0.finite and table1.finite):
         return rows, cols
-    j = model.joint
-    r = w.p1 * tpr0 * j[(0, 1)] + w.p2 * tnr0 * j[(0, 0)]
-    c = w.p1 * tpr1 * j[(1, 1)] + w.p2 * tnr1 * j[(1, 0)]
-    rows = rows[_open_mask(w, pivot, (r, tpr0, tnr0), (c, tpr1, tnr1))]
+    rows = rows[_open_mask(w, pivot, table0, table1.others)]
     if not len(rows):
         return rows, cols[:0]
-    return rows, cols[_open_mask(w, pivot, (c, tpr1, tnr1),
-                                 (r[rows], tpr0[rows], tnr0[rows]))]
+    return rows, cols[_open_mask(w, pivot, table1, (
+        table0.term[rows].max(), np.sort(table0.tpr[rows]),
+        np.sort(table0.tnr[rows])))]
 
 
-def _open_mask(w, pivot, lines, others) -> np.ndarray:
+def _open_mask(w, pivot, lines: _Table, others) -> np.ndarray:
     """Which lines may pair with one of others into a kept candidate.
 
-    lines and others are (accuracy term, tpr, tnr) arrays of the two
-    groups. Accuracy is a row term plus a column term, so a line's accuracy
+    others is the other group's (largest accuracy term, sorted tpr, sorted
+    tnr). Accuracy is a row term plus a column term, so a line's accuracy
     is at most its term plus the largest other term, up to the rounding
     _ACC_SLACK covers. Its fairness is at most 1 - max(omega1 * d_tpr,
     omega2 * d_tnr), d being the gap to the nearest other rate, with no
     slack: float subtraction, multiplication and addition are monotone.
     """
-    term, tpr, tnr = lines
-    other_term, other_tpr, other_tnr = others
-    acc_top = (term + other_term.max()) * (1.0 + _ACC_SLACK) + _ACC_FLOOR
-    gap = np.maximum(w.omega1 * _nearest_gap(tpr, other_tpr),
-                     w.omega2 * _nearest_gap(tnr, other_tnr))
+    other_top, other_tpr, other_tnr = others
+    acc_top = (lines.term + other_top) * (1.0 + _ACC_SLACK) + _ACC_FLOOR
+    gap = np.maximum(w.omega1 * _nearest_gap(lines.tpr, other_tpr),
+                     w.omega2 * _nearest_gap(lines.tnr, other_tnr))
     return ~_first_pass_drops(1.0 - gap, acc_top,
                               pivot.fairness, pivot.accuracy)
 
 
-def _nearest_gap(x, others):
-    """|x - y| for the y in others nearest each x, in float arithmetic."""
-    y = np.sort(others)
+def _nearest_gap(x, y):
+    """|x - y| for the element y of the sorted y nearest each x, in float
+    arithmetic."""
     k = np.searchsorted(y, x)
     below = y[np.maximum(k - 1, 0)]
     above = y[np.minimum(k, len(y) - 1)]
@@ -438,13 +476,15 @@ class _Optima:
 
     bayes(scope) is keyed by scope alone: the Bayes optimum ignores p1 and
     p2, so under unequal ones a swept candidate can be more accurate than
-    it. fair(w), the per-group fairness optimum, is solved once per weights.
+    it. fair(w), the per-group fairness optimum, is solved once per weights,
+    and reference() is the Reference of the per-group Bayes optimum.
     """
 
     def __init__(self, model):
         self.model = model
-        self.bayes = cache(partial(bayes_accuracy_optimal, model))
+        self.bayes = bayes = cache(partial(bayes_accuracy_optimal, model))
         self.fair = cache(partial(_per_group_fairness_optimum, model))
+        self.reference = cache(lambda: Reference.of(model, bayes("per_group")))
 
     def of(self, family, w) -> tuple:
         """The (fairness, accuracy) optima a sweep of family appends."""
@@ -479,6 +519,17 @@ def _half_line(model, a, orient, u):
     return t, (c0 if orient == "positive_above" else 1.0 - c0)
 
 
+def _grid_tnrs(model, u) -> dict:
+    """_half_line's TNRs at levels u of each (group, orientation), bit for
+    bit, from one elementwise ppf and cdf call per group."""
+    out, n = {}, len(u)
+    for a in (0, 1):
+        c0 = model.conditional[(a, 0)].cdf(
+            model.conditional[(a, 1)].ppf(np.concatenate((1.0 - u, u))))
+        out[a, ORIENTS[0]], out[a, ORIENTS[1]] = c0[:n], 1.0 - c0[n:]
+    return out
+
+
 def _fair_line(model, w, combo, u):
     """Rates and thresholds of the equal-TPR threshold pairs at levels u.
 
@@ -503,8 +554,7 @@ def _per_group_fairness_optimum(model, w) -> GroupwiseClassifier:
     best = fairness_optimal(model)
     best_key = _fair_key(model, w, best)
     # each group's half of the grid line serves the two combos it is in
-    tnrs = {(a, orient): _half_line(model, a, orient, u_grid)[1]
-            for a in (0, 1) for orient in ORIENTS[:2]}
+    tnrs = _grid_tnrs(model, u_grid)
     for combo in itertools.product(ORIENTS[:2], repeat=2):
         tnr0, tnr1 = tnrs[0, combo[0]], tnrs[1, combo[1]]
         acc = _hits(model, w, u_grid, u_grid, tnr0, tnr1)

@@ -16,8 +16,8 @@ from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
 from .frontier import (FamilySpec, Frontier, Jump, _fairest, _Optima,
                        _sweep, classify_shape)
-from .metrics import (MetricWeights, Reference, accuracy, confusion_rates,
-                      unfairness)
+from .metrics import (MetricWeights, Reference, _hits, accuracy,
+                      confusion_rates, unfairness)
 
 PRE_TOL = 1e-9
 
@@ -219,13 +219,13 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     sets, or same indicator values everywhere.
     """
     return _boundary_alignment_reports(model, _Optima(model), (mode,),
-                                       tol)[1][0]
+                                       tol)[0]
 
 
 def _boundary_alignment_reports(model, optima: _Optima, modes,
                                 tol: float = 1e-9) -> tuple:
-    """The per-group accuracy optimum's Reference and one boundary-alignment
-    report per mode against it, all from one family search.
+    """One boundary-alignment report per mode against the per-group
+    accuracy optimum's Reference, all from one family search.
 
     The search is sweep's, bounded as in build_frontier: only the lines
     that _open_lines leaves open against the pivot, the fairest appended
@@ -239,12 +239,12 @@ def _boundary_alignment_reports(model, optima: _Optima, modes,
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
     candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), True, optima)
-    ref = Reference.of(model, optima.bayes("per_group"))
+    ref = optima.reference()
     f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
     f, a = candidates.fairness, candidates.accuracy
-    target = accuracy(model, ref.optima)
+    target = _hits(model, MetricWeights(), *ref.rates.tpr, *ref.rates.tnr)
     found = bool(np.any((1.0 - f <= tol) & (a >= target - tol)))
     best_fairness, best_accuracy = _fairest(f, a)
     search = Condition(
@@ -279,7 +279,7 @@ def _boundary_alignment_reports(model, optima: _Optima, modes,
         reports.append(TheoremReport("boundary_alignment",
                                      (absent, match, search), concluded, tol,
                                      notes))
-    return ref, tuple(reports)
+    return tuple(reports)
 
 
 def _prescribed_regions(model, branch: int, lo: float, hi: float):

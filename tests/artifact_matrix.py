@@ -11,7 +11,12 @@ resolution 201), ``check --resolution 1001 --out``, and a weighted
 ``check --family per-group-threshold --orientations both --resolution 201``
 under omega 0.3/0.7 and p 0.8/1.2, so that a result wrongly shared across
 weights shows. It keeps each command's stdout and exit code next to its
-artifacts. Paths are relative to OUT_DIR, so the matrices of two trees
+artifacts. ``run --frontier`` goes through the full sweep, so each scenario
+also gets a ``bounded.txt``, written in-process, of the bounded sweep's
+results: the ``repr`` of ``build_frontier`` for ``per_group_threshold``
+(orientations both, resolution 201) and ``per_group_intervals`` (both,
+resolution 7, k = 2), and ``check_boundary_alignment(model, mode).to_dict()``
+for both modes. Paths are relative to OUT_DIR, so the matrices of two trees
 compare with ``diff -r``, which then lists every artifact a change moved.
 The package is imported from this tree's ``src``. pytest does not collect
 this file.
@@ -29,13 +34,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from fairfrontier import PRESETS  # noqa: E402
+from fairfrontier import (PRESETS, FamilySpec, build_frontier,  # noqa: E402
+                          check_boundary_alignment, scenario)
 from fairfrontier.cli import main  # noqa: E402
 from fairfrontier.population import write_scenario_file  # noqa: E402
 from helpers import random_model  # noqa: E402
 
 RANDOM_SEEDS = (0, 3)
 FAMILIES = ("per-group-threshold", "shared-threshold")
+BOUNDED_FAMILIES = (FamilySpec("per_group_threshold", "both", 201),
+                    FamilySpec("per_group_intervals", "both", 7, k=2))
+MODES = ("boundary_location", "strict_indicator")
 
 
 def commands(scenarios):
@@ -57,15 +66,30 @@ def commands(scenarios):
                     "0.7", "--p1", "0.8", "--p2", "1.2", "--out", out]
 
 
+def bounded_text(model) -> str:
+    """The bounded sweep's frontiers and boundary-alignment reports."""
+    return "".join(
+        [f"{family}\n{build_frontier(model, family)!r}\n"
+         for family in BOUNDED_FAMILIES]
+        + [f"{mode}\n{check_boundary_alignment(model, mode).to_dict()!r}\n"
+           for mode in MODES])
+
+
 def main_matrix(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
     scenarios = [(name, name) for name in PRESETS]
+    models = {name: scenario(name) for name in PRESETS}
     Path("scenarios").mkdir(exist_ok=True)
     for seed in RANDOM_SEEDS:
         path = f"scenarios/random_model_{seed}.json"
         write_scenario_file(random_model(seed), path)
         scenarios.append((f"random_model_{seed}", path))
+        models[f"random_model_{seed}"] = random_model(seed)
+    for name, model in models.items():
+        Path(name).mkdir(exist_ok=True)
+        Path(name, "bounded.txt").write_text(bounded_text(model))
+        print(f"{name}/bounded.txt", file=sys.stderr)
     for out, argv in commands(scenarios):
         Path(out).mkdir(parents=True, exist_ok=True)
         stdout = io.StringIO()

@@ -387,15 +387,22 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
         solved.append("fair")
         return fair_optimum(model, w)
 
+    def reference(cls, *args, **kwargs):
+        solved.append("reference")
+        return of(*args, **kwargs)
+
+    of = metrics.Reference.of
     for module in (cli, frontier, metrics):
         monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
     monkeypatch.setattr(frontier, "_per_group_fairness_optimum", fair)
+    monkeypatch.setattr(metrics.Reference, "of", classmethod(reference))
     argv = [command, "--scenario", "example1", "--family", family, *flags]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert [solved.count(k) for k in ("overall", "per_group", "fair")] == [
-        1, 1, fair_solves]
+    # and builds the per-group optimum's Reference once
+    assert [solved.count(k) for k in ("overall", "per_group", "fair",
+                                      "reference")] == [1, 1, fair_solves, 1]
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):

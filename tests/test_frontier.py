@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from scipy.optimize import brentq
 
 from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
                           InputError, MetricWeights, ResourceError,
-                          ValidationError, build_frontier, check_accuracy_jump,
+                          ValidationError, build_frontier,
+                          check_accuracy_jump, check_boundary_alignment,
                           classify_shape, dominance_oracle, frontier,
                           pareto_filter, scenario, sweep)
-from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, _block_len,
-                                   _cell_cdfs, _fair_line, _fair_roots,
-                                   _first_pass_drops, _group_table,
+from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, ORIENTS,
+                                   _block_len, _cell_cdfs, _fair_line,
+                                   _fair_roots, _first_pass_drops,
+                                   _grid_tnrs, _group_table, _half_line,
                                    _interval_regions, _open_lines, _Optima,
-                                   _per_group_fairness_optimum, _sweep)
+                                   _per_group_fairness_optimum, _sweep,
+                                   _Table)
 from fairfrontier.metrics import _hits
 from helpers import random_model
 
@@ -28,6 +32,13 @@ COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
 
 def pt(fairness, accuracy, tag):
     return FrontierPoint(fairness, accuracy, ("grid", tag, (), ()))
+
+
+def group_table(model, w, family, grid, a, orient):
+    """The _Table a sweep builds for group a at one orientation."""
+    index = list(_interval_regions(family, orient))
+    return _Table(model, w, a,
+                  *_group_table(index, _cell_cdfs(model, grid, a)))
 
 
 def test_family_spec_validation():
@@ -491,15 +502,15 @@ def test_closed_lines_hold_only_scores_the_first_pass_drops(model, family):
     grid = np.linspace(*candidates.sweep_range, family.resolution)
     start = closed = 0
     for o0, o1 in family.combos():
-        t0 = _group_table(family, grid, o0, _cell_cdfs(model, grid, 0))
-        t1 = _group_table(family, grid, o1, _cell_cdfs(model, grid, 1))
-        n0, n1 = len(t0[0]), len(t1[0])
+        t0 = group_table(model, w, family, grid, 0, o0)
+        t1 = group_table(model, w, family, grid, 1, o1)
+        n0, n1 = len(t0.tpr), len(t1.tpr)
         end = start + n0 * n1
         dropped = _first_pass_drops(
             candidates.fairness[start:end], candidates.accuracy[start:end],
             pivot.fairness, pivot.accuracy).reshape(n0, n1)
         start = end
-        rows, cols = _open_lines(model, w, t0, t1, pivot)
+        rows, cols = _open_lines(w, t0, t1, pivot)
         closed_rows = np.setdiff1d(np.arange(n0), rows)
         assert dropped[closed_rows].all()
         # a column is closed against the open rows only; the closed rows
@@ -529,10 +540,10 @@ def test_zero_count_blocks_index_iterate_and_decode():
     assert pts[-2:] == [full[-2], full[-1]]
     # each scored candidate is the full sweep's at the same grid pair
     grid = np.linspace(*full.sweep_range, family.resolution)
-    tables = [_group_table(family, grid, "positive_above",
-                           _cell_cdfs(model, grid, a)) for a in (0, 1)]
+    tables = [group_table(model, w, family, grid, a, "positive_above")
+              for a in (0, 1)]
     pivot = max(full[-2], full[-1], key=lambda p: (p.fairness, p.accuracy))
-    rows, cols = _open_lines(model, w, *tables, pivot)
+    rows, cols = _open_lines(w, *tables, pivot)
     flat = (rows[:, None] * family.resolution + cols[None, :]).ravel()
     assert pts[:-2] == [full[i] for i in flat.tolist()]
 
@@ -550,3 +561,75 @@ def test_build_frontier_scores_only_the_open_cells():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("family", [
+    FamilySpec("per_group_threshold", orientations="both", resolution=101),
+    FamilySpec("per_group_intervals", orientations="both", resolution=7)],
+    ids=["threshold", "intervals"])
+def test_build_frontier_builds_each_index_table_once(family):
+    # both groups share an orientation's index table
+    with mock.patch("fairfrontier.frontier._interval_regions",
+                    wraps=frontier._interval_regions) as index:
+        build_frontier(scenario("example1"), family)
+    assert sorted(c.args[1] for c in index.call_args_list) == [
+        "positive_above", "positive_below"]
+
+
+def decoded(regions):
+    """Patch _Regions to count the rows it decodes into regions."""
+    get, iterate = frontier._Regions.__getitem__, frontier._Regions.__iter__
+
+    def one(self, k):
+        regions.append(k)
+        return get(self, k)
+
+    def every(self):
+        regions.extend(range(len(self)))
+        return iterate(self)
+
+    return mock.patch.multiple(frontier._Regions, __getitem__=one,
+                               __iter__=every)
+
+
+def test_boundary_alignment_search_decodes_no_region():
+    regions = []
+    with decoded(regions):
+        report = check_boundary_alignment(scenario("example4_identical"))
+    assert report.conclusion_checked
+    assert regions == []
+
+
+@pytest.mark.parametrize("name", ["example1", "example4_identical"])
+def test_build_frontier_decodes_only_its_survivors(name):
+    # pareto_filter builds a point per survivor, each decoding one row of
+    # each group; no other region is decoded
+    regions, survivors = [], []
+    finish_frontier = frontier._finish_frontier
+
+    def finish(points, *args, **kwargs):
+        survivors.extend(points)
+        return finish_frontier(points, *args, **kwargs)
+
+    family = FamilySpec("per_group_threshold", orientations="both",
+                        resolution=201)
+    with (decoded(regions),
+          mock.patch("fairfrontier.frontier._finish_frontier", finish)):
+        result = build_frontier(scenario(name), family)
+    grid = [p for p in survivors if p.params[0] == "grid"]
+    assert len(result.points) <= len(survivors)
+    assert grid and len(regions) == 2 * len(grid)
+
+
+@pytest.mark.parametrize("name", [*PRESETS,
+                                  *(f"random-{s}" for s in range(10))])
+def test_grid_tnrs_equal_the_half_lines(name):
+    # one ppf and one cdf call per group over both orientations' levels
+    # give each orientation's TNRs bit for bit
+    model = (scenario(name) if name in PRESETS
+             else random_model(int(name.removeprefix("random-"))))
+    u = np.linspace(1e-7, 1.0 - 1e-7, _FAIR_LEVELS)
+    tnrs = _grid_tnrs(model, u)
+    assert sorted(tnrs) == sorted(itertools.product((0, 1), ORIENTS[:2]))
+    for (a, orient), tnr in tnrs.items():
+        assert tnr.tobytes() == _half_line(model, a, orient, u)[1].tobytes()

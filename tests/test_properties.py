@@ -24,7 +24,7 @@ from fairfrontier.distributions import _root
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
                                    _appended_optima, _cell_cdfs,
                                    _group_table, _interval_regions,
-                                   _Optima, _region_count)
+                                   _Optima, _region_count, _Regions)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
@@ -503,10 +503,16 @@ def test_index_arrays_equal_the_enumeration(resolution, k, orient):
     for a in (0, 1):
         regions, tpr, tnr = enumerated_rates(model, grid, k, a, orient)
         assert index_rows(resolution, k, orient) == regions
-        got_regions, got_tpr, got_tnr = _group_table(
-            family, grid, orient, _cell_cdfs(model, grid, a))
-        assert got_regions == [tuple((edges[lo], edges[hi]) for lo, hi in r)
-                               for r in regions]
+        index = list(_interval_regions(family, orient))
+        got_tpr, got_tnr = _group_table(index, _cell_cdfs(model, grid, a))
+        # decoded all at once, row by row, and for every third row
+        got = _Regions(np.array(edges), index, np.arange(len(got_tpr)))
+        want = [tuple((edges[lo], edges[hi]) for lo, hi in r)
+                for r in regions]
+        assert list(got) == want
+        assert [got[i] for i in range(len(got))] == want
+        assert list(_Regions(np.array(edges), index,
+                             np.arange(0, len(got), 3))) == want[::3]
         assert got_tpr.tobytes() == tpr.tobytes()
         assert got_tnr.tobytes() == tnr.tobytes()
 
@@ -534,8 +540,8 @@ def test_swept_scores_equal_the_scalar_api(mseed, kind, orient, resolution,
         assert p.accuracy == accuracy(model, clf, w)
     grid = np.linspace(*candidates.sweep_range, family.resolution)
     for a, o in itertools.product((0, 1), ORIENTS[:2]):
-        for rates in _group_table(family, grid, o,
-                                  _cell_cdfs(model, grid, a))[1:]:
+        for rates in _group_table(list(_interval_regions(family, o)),
+                                  _cell_cdfs(model, grid, a)):
             assert np.all((rates >= 0.0) & (rates <= 1.0))
 
 
