@@ -14,6 +14,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +27,8 @@ from .errors import (FairFrontierError, InputError, ResourceError,
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
                        _candidate_count, _members, _Optima, _sweep,
                        _sweep_range, classify_shape, pareto_filter)
-from .metrics import (DECOMP_TOL, MetricWeights, Reference, _gap, _group_rates,
-                      accuracy, confusion_rates, unfairness)
+from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
+                      _split, confusion_rates, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
 from .theorems import (_boundary_alignment_reports, _decomposition_report,
@@ -114,26 +115,27 @@ SweepTable = namedtuple("SweepTable", DECOMP_COLUMNS)
 _WRITE_BATCH = 32_768  # sweep.csv rows gathered and formatted at a time
 
 
+def _measurer(model, ref: Reference):
+    """measure(a, regions): the (text, ray, tpr, tnr, mismatch) columns of
+    group a's regions; each region is measured once, its rates per group."""
+    shared = cache(lambda bounds: (_region_str(bounds), _ray_threshold(bounds),
+                                   ref.mismatch(IntervalSet(bounds))))
+    rates = cache(lambda a, b: _group_rates(model, a, IntervalSet(b)))
+
+    def measure(a: int, regions: list) -> tuple:
+        text, ray, mismatch = zip(*map(shared, regions))
+        tpr, tnr = zip(*(rates(a, bounds) for bounds in regions))
+        return text, ray, np.array(tpr), np.array(tnr), np.array(mismatch)
+
+    return measure
+
+
 def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
                      path: Path) -> None:
     """One row per candidate, block by block: each distinct region measured
     and formatted once."""
-    star = ref.rates
-    f_du = _fmt(unfairness(star, w))
-    measured = ({}, {})
-
-    def columns(a: int, regions) -> tuple:
-        """(region, t, tpr - tpr*, tnr - tnr*, mismatch) of a's regions."""
-        for bounds in regions:
-            if bounds not in measured[a]:
-                region = IntervalSet(bounds)
-                tpr, tnr = _group_rates(model, a, region)
-                measured[a][bounds] = (
-                    _region_str(bounds), _ray_threshold(bounds),
-                    tpr - star.tpr[a], tnr - star.tnr[a], ref.mismatch(region))
-        text, ray, *stats = zip(*map(measured[a].__getitem__, regions))
-        return (text, ray, *map(np.array, stats))
-
+    measure = _measurer(model, ref)
+    f_du = _fmt(unfairness(ref.rates, w))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         start = 0
@@ -141,16 +143,15 @@ def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
             source, tag, regions0, regions1, _ = block
             count = _block_len(block)
             if count:
-                text0, ray0, dtpr0, dtnr0, m0 = columns(0, list(regions0))
-                text1, ray1, dtpr1, dtnr1, m1 = columns(1, list(regions1))
+                text0, ray0, *group0 = measure(0, list(regions0))
+                text1, ray1, *group1 = measure(1, list(regions1))
             for lo in range(0, count, _WRITE_BATCH):
                 k = np.arange(lo, min(lo + _WRITE_BATCH, count))
                 i0, i1 = _members(block, k)
-                f_mu = _gap(w, dtpr0[i0], dtpr1[i1], dtnr0[i0], dtnr1[i1])
-                # a sum that overflows is inf, so not well-defined, as in
-                # Reference.well_defined's float sum, which does not warn
-                with np.errstate(over="ignore"):
-                    defined = m0[i0] + m1[i1] <= DECOMP_TOL
+                tpr0, tnr0, m0 = (column[i0] for column in group0)
+                tpr1, tnr1, m1 = (column[i1] for column in group1)
+                f_mu, defined = _split(w, ref.rates, tpr0, tpr1, tnr0, tnr1,
+                                       m0, m1)
                 fh.writelines(
                     f"{source},{tag},{text0[r0]},{text1[r1]},{ray0[r0]},"
                     f"{ray1[r1]},{fair:.17g},{acc:.17g},{1.0 - fair:.17g},"
@@ -191,25 +192,28 @@ def _write_frontier_csv(frontier, family: FamilySpec, path: Path) -> None:
 
 
 def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
-                         ref: Reference) -> SweepTable:
-    """Decompose unfairness along a shared-boundary sweep.
+                         optima: _Optima) -> SweepTable:
+    """Decompose unfairness along a shared-boundary sweep, column by column.
 
     Non-threshold families fall back to an ascending-positive boundary sweep
     at the family's resolution and range, since the decomposition curves are
     functions of a single boundary.
     """
-    orient = "positive_above"
-    if family.kind == "shared_threshold" and family.orientations[0] != "both":
-        orient = family.orientations[0]
-    lo, hi = family.sweep_range or model.quantile_range(0.9999)
-    rows = []  # one per boundary, in DECOMP_COLUMNS order
-    for t in np.linspace(lo, hi, family.resolution).tolist():
-        clf = GroupwiseClassifier.shared_threshold(
-            t, positive_above=orient == "positive_above")
-        d = ref.decompose(model, clf, w)
-        rows.append((t, 1.0 - d.f_u, accuracy(model, clf, w), d.f_u, d.f_du,
-                     d.f_mu, d.well_defined, d.condition_met or ""))
-    return SweepTable(*zip(*rows))
+    above = family.orientations != ("positive_below",)  # per group: 2 slots
+    lo, hi = family.sweep_range or optima.pooled_range()
+    t = np.linspace(lo, hi, family.resolution).tolist()
+    # each boundary's shared_threshold region, which both groups take
+    regions = [((x, math.inf),) if above else ((-math.inf, x),) for x in t]
+    ref = optima.reference()
+    measure = _measurer(model, ref)
+    *_, tpr0, tnr0, m = measure(0, regions)
+    *_, tpr1, tnr1, _ = measure(1, regions)
+    f_u = _gap(w, tpr0, tpr1, tnr0, tnr1)
+    f_mu, defined = _split(w, ref.rates, tpr0, tpr1, tnr0, tnr1, m, m)
+    columns = (1.0 - f_u, _hits(model, w, tpr0, tpr1, tnr0, tnr1), f_u,
+               np.full(len(t), unfairness(ref.rates, w)), f_mu, defined,
+               np.where(defined, ref.pattern or "", ""))
+    return SweepTable(t, *(column.tolist() for column in columns))
 
 
 def _write_decomposition_csv(table: SweepTable, path: Path) -> None:
@@ -335,7 +339,7 @@ def emit_plot(series, kind: str, path) -> None:
             [("accuracy optimum", _ACC_OPT_COLOR, xs[best_acc]),
              ("fairness optimum", _FAIR_OPT_COLOR, xs[-1])])
     elif kind in ("sweep_curve", "decomposition_curve"):
-        if not isinstance(series, SweepTable) or not series.t:
+        if not isinstance(series, SweepTable) or not len(series.t):
             raise InputError("nothing to plot: empty sweep")
         i_acc = int(np.argmax(series.accuracy))
         i_fair = int(np.argmin(series.f_u))
@@ -577,7 +581,7 @@ def _cmd_run(args) -> int:
         print("wrote sweep.csv, frontier.csv, frontier.svg")
 
     if "decompose" in cfg.analyses:
-        table = _decomposition_table(model, cfg.family, cfg.weights, ref)
+        table = _decomposition_table(model, cfg.family, cfg.weights, optima)
         _write_decomposition_csv(table, cfg.out / "decomposition.csv")
         emit_plot(table, "sweep_curve", cfg.out / "sweep.svg")
         emit_plot(table, "decomposition_curve", cfg.out / "decomposition.svg")
@@ -634,21 +638,14 @@ def _cmd_oracle(args) -> int:
         ("fairness optimum", fairness_optimal(model)),
     )
     failures = 0
+    names = ("tpr0", "tpr1", "tnr0", "tnr1", "f_u", "acc")
     for i, (name, clf) in enumerate(subjects):
         rates = confusion_rates(model, clf)
-        analytic = {
-            "tpr0": rates.tpr[0], "tpr1": rates.tpr[1],
-            "tnr0": rates.tnr[0], "tnr1": rates.tnr[1],
-            "f_u": unfairness(rates, w), "acc": accuracy(model, clf, w),
-        }
+        analytic = (*rates.tpr, *rates.tnr, unfairness(rates, w),
+                    _hits(model, w, *rates.tpr, *rates.tnr))
         est = mc_estimate(model, clf, w, n=args.n, seed=args.seed + i)
-        sampled = {
-            "tpr0": est.tpr[0], "tpr1": est.tpr[1],
-            "tnr0": est.tnr[0], "tnr1": est.tnr[1],
-            "f_u": est.f_u, "acc": est.acc,
-        }
-        for key, value in analytic.items():
-            e = sampled[key]
+        sampled = (*est.tpr, *est.tnr, est.f_u, est.acc)
+        for key, value, e in zip(names, analytic, sampled):
             if e.unreliable:
                 print(f"{name} {key}: SKIP (no samples)")
                 continue

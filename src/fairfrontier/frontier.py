@@ -299,7 +299,7 @@ def _sweep(model, family: FamilySpec, w: MetricWeights, bounded: bool,
     """sweep's candidates, or with bounded only the pair-block lines that
     _open_lines leaves open against the fairest appended optimum."""
     count = _capped(_candidate_count(family))
-    lo, hi = family.sweep_range or model.quantile_range(0.9999)
+    lo, hi = family.sweep_range or optima.pooled_range()
     grid = np.linspace(lo, hi, family.resolution)
     appended = _appended_optima(model, family, w, optima)
     product = family.kind != "shared_threshold"
@@ -477,7 +477,8 @@ class _Optima:
     bayes(scope) is keyed by scope alone: the Bayes optimum ignores p1 and
     p2, so under unequal ones a swept candidate can be more accurate than
     it. fair(w), the per-group fairness optimum, is solved once per weights,
-    and reference() is the Reference of the per-group Bayes optimum.
+    reference() is the Reference of the per-group Bayes optimum, and
+    pooled_range() the grid range of a family without a sweep_range.
     """
 
     def __init__(self, model):
@@ -485,6 +486,7 @@ class _Optima:
         self.bayes = bayes = cache(partial(bayes_accuracy_optimal, model))
         self.fair = cache(partial(_per_group_fairness_optimum, model))
         self.reference = cache(lambda: Reference.of(model, bayes("per_group")))
+        self.pooled_range = cache(partial(model.quantile_range, 0.9999))
 
     def of(self, family, w) -> tuple:
         """The (fairness, accuracy) optima a sweep of family appends."""

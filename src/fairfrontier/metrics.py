@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .classifiers import (GroupwiseClassifier, IntervalSet,
                           bayes_accuracy_optimal)
 from .distributions import positive_mass
@@ -102,6 +104,17 @@ def _hits(model, w: MetricWeights, tpr0, tpr1, tnr0, tnr1):
             + w.p2 * (tnr1 * j[(1, 0)] + tnr0 * j[(0, 0)]))
 
 
+def _split(w: MetricWeights, star: ConfusionRates, tpr0, tpr1, tnr0, tnr1,
+           m0, m1) -> tuple:
+    """(F_MU, well_defined) of group rates and region mismatches against
+    reference rates star, of floats or of arrays: the gap of the drifts, and
+    a summed mismatch within DECOMP_TOL (an overflow is inf; no warning)."""
+    with np.errstate(over="ignore"):
+        return (_gap(w, tpr0 - star.tpr[0], tpr1 - star.tpr[1],
+                     tnr0 - star.tnr[0], tnr1 - star.tnr[1]),
+                m0 + m1 <= DECOMP_TOL)
+
+
 def confusion_rates(model, clf: GroupwiseClassifier) -> ConfusionRates:
     """Closed-form TPR/TNR per group from the conditional cdfs."""
     tpr, tnr = zip(*(_group_rates(model, a, clf.positive_region(a))
@@ -166,25 +179,23 @@ class Reference:
 
     def well_defined(self, clf: GroupwiseClassifier) -> bool:
         """Does clf follow the optima wherever the two of them agree?"""
-        return sum(self.mismatch(r) for r in clf.regions) <= DECOMP_TOL
+        star = self.rates  # the verdict reads no rate; these drift by 0
+        return _split(MetricWeights(), star, *star.tpr, *star.tnr,
+                      *map(self.mismatch, clf.regions))[1]
 
     def decompose(self, model, clf: GroupwiseClassifier,
                   w: MetricWeights = None) -> Decomposition:
         """clf's unfairness split against this reference."""
         w = w or MetricWeights()
-        star = self.rates
         cur = confusion_rates(model, clf)
         f_u = unfairness(cur, w)
-        f_du = unfairness(star, w)
-        f_mu = _gap(w, *(c - s for c, s in zip(cur.tpr + cur.tnr,
-                                               star.tpr + star.tnr)))
-        well_defined = self.well_defined(clf)
+        f_du = unfairness(self.rates, w)
+        f_mu, well_defined = _split(w, self.rates, *cur.tpr, *cur.tnr,
+                                    *map(self.mismatch, clf.regions))
         return Decomposition(
-            f_u=f_u, f_du=f_du, f_mu=f_mu,
+            f_u=f_u, f_du=f_du, f_mu=f_mu, well_defined=well_defined,
             equality_holds=abs(f_u - (f_du + f_mu)) <= DECOMP_TOL,
-            condition_met=self.pattern if well_defined else None,
-            well_defined=well_defined,
-        )
+            condition_met=self.pattern if well_defined else None)
 
 
 def decompose_unfairness(model, clf: GroupwiseClassifier,

@@ -10,9 +10,12 @@ per-group-threshold and the shared-threshold family (orientations both,
 resolution 201), ``check --resolution 1001 --out``, and a weighted
 ``check --family per-group-threshold --orientations both --resolution 201``
 under omega 0.3/0.7 and p 0.8/1.2, so that a result wrongly shared across
-weights shows. It keeps each command's stdout and exit code next to its
-artifacts. ``run --frontier`` goes through the full sweep, so each scenario
-also gets a ``bounded.txt``, written in-process, of the bounded sweep's
+weights shows, and a weighted ``run --decompose --family shared-threshold
+--orientations below --resolution 201`` under the same weights, so that
+the decomposition's other orientation and weighted columns show. It keeps
+each command's stdout and exit code next to its artifacts.
+``run --frontier`` goes through the full sweep, so each scenario also
+gets a ``bounded.txt``, written in-process, of the bounded sweep's
 results: the ``repr`` of ``build_frontier`` for ``per_group_threshold``
 (orientations both, resolution 201) and ``per_group_intervals`` (both,
 resolution 7, k = 2), and ``check_boundary_alignment(model, mode).to_dict()``
@@ -45,6 +48,8 @@ FAMILIES = ("per-group-threshold", "shared-threshold")
 BOUNDED_FAMILIES = (FamilySpec("per_group_threshold", "both", 201),
                     FamilySpec("per_group_intervals", "both", 7, k=2))
 MODES = ("boundary_location", "strict_indicator")
+WEIGHTS = ("--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8", "--p2",
+           "1.2")
 
 
 def commands(scenarios):
@@ -62,8 +67,11 @@ def commands(scenarios):
         out = f"{name}/check-weighted"
         yield out, ["check", "--scenario", scenario, "--family",
                     "per-group-threshold", "--orientations", "both",
-                    "--resolution", "201", "--omega1", "0.3", "--omega2",
-                    "0.7", "--p1", "0.8", "--p2", "1.2", "--out", out]
+                    "--resolution", "201", *WEIGHTS, "--out", out]
+        out = f"{name}/decompose-below-weighted"
+        yield out, ["run", "--scenario", scenario, "--decompose", "--family",
+                    "shared-threshold", "--orientations", "below",
+                    "--resolution", "201", *WEIGHTS, "--out", out]
 
 
 def bounded_text(model) -> str:

@@ -5,16 +5,18 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fairfrontier import (FamilySpec, Frontier, InputError, MetricWeights,
-                          Reference, build_frontier, confusion_rates, scenario,
-                          write_scenario_file)
+from fairfrontier import (FamilySpec, Frontier, GroupConditionalModel,
+                          GroupwiseClassifier, InputError, MetricWeights,
+                          Reference, accuracy, build_frontier,
+                          confusion_rates, scenario, write_scenario_file)
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
 from fairfrontier.frontier import _block_len, _Optima, _sweep
-from helpers import random_model
+from helpers import random_model, swapped_groups
 
 
 def read_csv(path):
@@ -118,6 +120,65 @@ def test_run_decomposition_constant_data_part(tmp_path):
     assert all(t <= p + 1e-9 for t, p in zip(total, parts))
     assert (tmp_path / "sweep.svg").exists()
     assert (tmp_path / "decomposition.svg").exists()
+
+
+WEIGHTED = ["--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8", "--p2", "1.2"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, family, w, pattern", [
+    pytest.param(scenario("example1"),
+                 FamilySpec("shared_threshold", "positive_above", 801),
+                 MetricWeights(), "condition1", id="example1-shared-above"),
+    pytest.param(scenario("example3"),
+                 FamilySpec("shared_threshold", "positive_below", 801),
+                 MetricWeights(0.3, 0.7, 0.8, 1.2), "condition1",
+                 id="example3-shared-below-weighted"),
+    pytest.param(swapped_groups(scenario("example1")),
+                 FamilySpec("per_group_threshold", "both", 801),
+                 MetricWeights(), "condition2",
+                 id="swapped-example1-per-group-both"),
+    pytest.param(random_model(3),
+                 FamilySpec("per_group_intervals", "both", 41),
+                 MetricWeights(), None, id="random_model_3-intervals"),
+    pytest.param(scenario("example1"),
+                 FamilySpec("shared_threshold", resolution=5,
+                            sweep_range=(-1e308, 7e307)),
+                 MetricWeights(), "condition1", id="example1-range-overflow"),
+])
+def test_decomposition_csv_rows_match_the_decomposition_oracle(
+        tmp_path, model, family, w, pattern):
+    # each row is its boundary's shared classifier, decomposed on its own;
+    # a non-shared family falls back to the positive-above sweep
+    write_scenario_file(model, tmp_path / "model.json")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "scenario": str(tmp_path / "model.json"), "weights": vars(w),
+        "family": {"kind": family.kind, "resolution": family.resolution,
+                   "orientations": family.orientations,
+                   "range": family.sweep_range}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--decompose",
+                 "--out", str(out)]) == 0
+    above = family.orientations != ("positive_below",)
+    ref = Reference.of(model)
+    assert ref.pattern == pattern
+    lo, hi = family.sweep_range or model.quantile_range(0.9999)
+    ts = np.linspace(lo, hi, family.resolution).tolist()
+    rows = read_csv(out / "decomposition.csv")
+    assert len(rows) == len(ts)
+    for t, row in zip(ts, rows):
+        clf = GroupwiseClassifier.shared_threshold(t, positive_above=above)
+        d = ref.decompose(model, clf, w)
+        assert float(row["t"]) == t
+        assert float(row["fairness"]) == 1.0 - d.f_u
+        assert float(row["accuracy"]) == accuracy(model, clf, w)
+        assert ((float(row["f_u"]), float(row["f_du"]), float(row["f_mu"]))
+                == (d.f_u, d.f_du, d.f_mu))
+        assert row["well_defined"] == ("true" if d.well_defined else "false")
+        assert row["condition"] == (d.condition_met or "")
+    if family.sweep_range:  # mismatch lengths near 1e308 sum to inf
+        assert {row["well_defined"] for row in rows} == {"false"}
 
 
 def test_run_theorems_report(tmp_path):
@@ -357,9 +418,6 @@ def test_oversized_family_check_solves_no_optimum(tmp_path, monkeypatch,
     assert "cap" in captured.err and not captured.out
 
 
-WEIGHTED = ["--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8", "--p2", "1.2"]
-
-
 @pytest.mark.parametrize("command, family, flags, fair_solves", [
     *(pytest.param(command, family, flags, 1, id=f"{prefix}{family}-1")
       for command, prefix, flags in (
@@ -374,9 +432,15 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
     # one command solves each optimum once, whichever analyses read it;
     # the per-group fairness optimum once per weights: the boundary-
     # alignment search uses the defaults, a per-group family the command's
-    from fairfrontier import classifiers, frontier, metrics
+    from fairfrontier import classifiers, frontier, metrics, population
     solved = []
     fair_optimum = frontier._per_group_fairness_optimum
+    quantile_range = population.GroupConditionalModel.quantile_range
+
+    def ranges(self, central_mass=0.9999, cells=population.CELLS):
+        if tuple(cells) == population.CELLS:
+            solved.append(("pooled", central_mass))
+        return quantile_range(self, central_mass, cells)
 
     def bayes(model, scope="overall", *args, **kwargs):
         solved.append(scope)
@@ -396,13 +460,18 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
         monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
     monkeypatch.setattr(frontier, "_per_group_fairness_optimum", fair)
     monkeypatch.setattr(metrics.Reference, "of", classmethod(reference))
+    monkeypatch.setattr(population.GroupConditionalModel, "quantile_range",
+                        ranges)
     argv = [command, "--scenario", "example1", "--family", family, *flags]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    # and builds the per-group optimum's Reference once
-    assert [solved.count(k) for k in ("overall", "per_group", "fair",
-                                      "reference")] == [1, 1, fair_solves, 1]
+    # and builds the per-group optimum's Reference once, and every grid
+    # without a range (the sweep's, the search's, the decomposition's)
+    # reads one solve of the pooled range
+    assert [solved.count(k) for k in (
+        "overall", "per_group", "fair", "reference", ("pooled", 0.9999))
+    ] == [1, 1, fair_solves, 1, 1]
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):
@@ -450,6 +519,40 @@ def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
     assert [row["well_defined"] for row in rows] == [
         "true" if ref.well_defined(p.clf) else "false" for p in c]
     assert "false" in [row["well_defined"] for row in rows]
+
+
+def test_unknown_orientation_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "example1", "--orientations", "sideways",
+                 "--frontier", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.splitlines() == [
+        "error: unknown orientation 'sideways'; use above, below, or both"]
+    assert not out.exists()
+
+
+def test_oracle_skips_the_estimates_of_an_empty_cell(tmp_path, capsys):
+    # no sample falls in cell a0y1, so group 0's TPR, and the gap built on
+    # it, have no estimate: each is skipped, and the rest still agree
+    base = scenario("example1")
+    model = GroupConditionalModel(
+        joint={(0, 0): 0.4, (0, 1): 0.0, (1, 0): 0.2, (1, 1): 0.4},
+        conditional=base.conditional)
+    write_scenario_file(model, tmp_path / "empty_cell.json")
+    assert main(["oracle", "--scenario", str(tmp_path / "empty_cell.json"),
+                 "--n", "20000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if "SKIP" in line]
+    assert skipped == [f"{name} {key}: SKIP (no samples)"
+                       for name in ("threshold 4.49999", "accuracy optimum",
+                                    "fairness optimum")
+                       for key in ("tpr0", "f_u")]
+    assert len(lines) == 3 * 6 + 1
+    assert all(line.endswith("PASS") for line in lines[:-1]
+               if line not in skipped)
+    assert lines[-1] == "all agree at 3 standard errors (n=20000)"
 
 
 def test_scenarios_subcommand(capsys):
@@ -563,3 +666,10 @@ def test_emit_plot_rejects_empty_and_unknown(tmp_path):
                               FamilySpec("shared_threshold", resolution=11))
     with pytest.raises(InputError):
         emit_plot(frontier, "scatter", tmp_path / "x.svg")
+    # a sweep table of empty columns, as tuples or as arrays
+    for column in ((), np.array([])):
+        empty = cli.SweepTable(*[column] * len(DECOMP_COLUMNS))
+        for kind in ("sweep_curve", "decomposition_curve"):
+            with pytest.raises(InputError, match="empty sweep"):
+                emit_plot(empty, kind, tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()

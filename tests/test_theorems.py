@@ -485,6 +485,20 @@ def test_accuracy_jump_vacuous_without_jumps():
         "no accuracy jump on this frontier; nothing to check",)
 
 
+def test_accuracy_jump_labels_an_unclassified_frontier_first():
+    # a frontier straight from pareto_filter has no shape yet; the check
+    # labels it, so it reports what it reports on the labelled frontier
+    model = valley_model()
+    raw = frontier.pareto_filter(frontier.sweep(model, VALLEY_FAMILY),
+                                 VALLEY_FAMILY)
+    assert raw.shape is None
+    labelled = frontier.classify_shape(raw)
+    assert labelled.shape == "sharp_decline_accuracy"
+    report = check_accuracy_jump(model, raw)
+    assert report.conditions
+    assert report == check_accuracy_jump(model, labelled)
+
+
 def test_accuracy_jump_rejects_foreign_jump():
     model = valley_model()
     frontier = build_frontier(model, VALLEY_FAMILY)
