@@ -25,8 +25,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
-                       _candidate_count, _members, _Optima, _sweep,
-                       _sweep_range, classify_shape, pareto_filter)
+                       _candidate_count, _members, _sweep, _sweep_range,
+                       classify_shape, pareto_filter)
 from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
                       _split, confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -191,8 +191,8 @@ def _write_frontier_csv(frontier, family: FamilySpec, path: Path) -> None:
             )) + "\n")
 
 
-def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
-                         optima: _Optima) -> SweepTable:
+def _decomposition_table(model, family: FamilySpec,
+                         w: MetricWeights) -> SweepTable:
     """Decompose unfairness along a shared-boundary sweep, column by column.
 
     Non-threshold families fall back to an ascending-positive boundary sweep
@@ -200,11 +200,12 @@ def _decomposition_table(model, family: FamilySpec, w: MetricWeights,
     functions of a single boundary.
     """
     above = family.orientations != ("positive_below",)  # per group: 2 slots
-    lo, hi = family.sweep_range or optima.pooled_range()
+    lo, hi = family.sweep_range or model._solved(
+        type(model).quantile_range, 0.9999)
     t = np.linspace(lo, hi, family.resolution).tolist()
     # each boundary's shared_threshold region, which both groups take
     regions = [((x, math.inf),) if above else ((-math.inf, x),) for x in t]
-    ref = optima.reference()
+    ref = model._solved(Reference.of)
     measure = _measurer(model, ref)
     *_, tpr0, tnr0, m = measure(0, regions)
     *_, tpr1, tnr1, _ = measure(1, regions)
@@ -390,12 +391,12 @@ def _render_report(title: str, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theorems_text(model, cfg: RunConfig, optima, frontier=None) -> str:
+def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
     w = cfg.weights
-    shared_opt = optima.bayes("overall")
-    ref = optima.reference()
+    shared_opt = model._solved(bayes_accuracy_optimal, "overall")
+    ref = model._solved(Reference.of)
     located, indicated = _boundary_alignment_reports(
-        model, optima, ("boundary_location", "strict_indicator"))
+        model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
@@ -408,9 +409,9 @@ def _theorems_text(model, cfg: RunConfig, optima, frontier=None) -> str:
         ("boundary alignment, matching boundary points", located),
         ("boundary alignment, matching indicators", indicated),
     ]
-    if frontier is None:  # build_frontier's pipeline, on these optima
+    if frontier is None:  # build_frontier's pipeline
         frontier = classify_shape(pareto_filter(
-            _sweep(model, cfg.family, w, True, optima), cfg.family))
+            _sweep(model, cfg.family, w, True), cfg.family))
     sections.append(("frontier accuracy-jump conditions",
                      check_accuracy_jump(model, frontier)))
     head = (f"scenario: {cfg.scenario}\n"
@@ -558,12 +559,11 @@ def _cmd_run(args) -> int:
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
-    optima = _Optima(model)
-    ref = optima.reference()
+    ref = model._solved(Reference.of)
 
     frontier = None
     if "frontier" in cfg.analyses:
-        candidates = _sweep(model, cfg.family, cfg.weights, False, optima)
+        candidates = _sweep(model, cfg.family, cfg.weights, False)
         frontier = classify_shape(pareto_filter(candidates, cfg.family))
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
@@ -581,17 +581,16 @@ def _cmd_run(args) -> int:
         print("wrote sweep.csv, frontier.csv, frontier.svg")
 
     if "decompose" in cfg.analyses:
-        table = _decomposition_table(model, cfg.family, cfg.weights, optima)
+        table = _decomposition_table(model, cfg.family, cfg.weights)
         _write_decomposition_csv(table, cfg.out / "decomposition.csv")
         emit_plot(table, "sweep_curve", cfg.out / "sweep.svg")
         emit_plot(table, "decomposition_curve", cfg.out / "decomposition.svg")
-        spread = max(table.f_du) - min(table.f_du)
         print(f"decomposition over {len(table.t)} boundaries:"
-              f" f_du={_fmt6(table.f_du[0])} (spread {_fmt6(spread)})")
+              f" f_du={_fmt6(table.f_du[0])}")
         print("wrote decomposition.csv, sweep.svg, decomposition.svg")
 
     if "theorems" in cfg.analyses:
-        text = _theorems_text(model, cfg, optima, frontier)
+        text = _theorems_text(model, cfg, frontier)
         (cfg.out / "theorems.txt").write_text(text)
         print("wrote theorems.txt")
     return 0
@@ -619,7 +618,7 @@ def _cmd_check(args) -> int:
     cfg = _load_config(args, default_analyses=("theorems",))
     model = scenario(cfg.scenario)
     _capped(_candidate_count(cfg.family))  # before any optimum is solved
-    text = _theorems_text(model, cfg, _Optima(model))
+    text = _theorems_text(model, cfg)
     sys.stdout.write(text)
     if cfg.out is not None:
         (_out_dir(cfg.out) / "theorems.txt").write_text(text)

@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -26,8 +26,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .distributions import _root
 from .errors import (InputError, ResourceError, ValidationError, _number,
                      _whole)
-from .metrics import (MetricWeights, Reference, _gap, _hits,
-                      confusion_rates, unfairness)
+from .metrics import (MetricWeights, _gap, _hits, confusion_rates,
+                      unfairness)
 
 DOMINANCE_TOL = 1e-12
 CANDIDATE_CAP = 10_000_000
@@ -280,7 +280,7 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     end, in that order. The two score columns are allocated once, at their
     final size, and each block scores straight into its own slice.
     """
-    return _sweep(model, family, w or MetricWeights(), False, _Optima(model))
+    return _sweep(model, family, w or MetricWeights(), False)
 
 
 def _capped(count: int) -> int:
@@ -294,14 +294,15 @@ def _capped(count: int) -> int:
     return count
 
 
-def _sweep(model, family: FamilySpec, w: MetricWeights, bounded: bool,
-           optima: _Optima) -> Candidates:
+def _sweep(model, family: FamilySpec, w: MetricWeights,
+           bounded: bool) -> Candidates:
     """sweep's candidates, or with bounded only the pair-block lines that
     _open_lines leaves open against the fairest appended optimum."""
     count = _capped(_candidate_count(family))
-    lo, hi = family.sweep_range or optima.pooled_range()
+    lo, hi = family.sweep_range or model._solved(
+        type(model).quantile_range, 0.9999)
     grid = np.linspace(lo, hi, family.resolution)
-    appended = _appended_optima(model, family, w, optima)
+    appended = _appended_optima(model, family, w)
     product = family.kind != "shared_threshold"
     pivot = (max(appended, key=lambda p: (p.fairness, p.accuracy))
              if bounded and product else None)
@@ -471,41 +472,26 @@ def _nearest_gap(x, y):
     return np.minimum(np.abs(x - below), np.abs(above - x))
 
 
-class _Optima:
-    """A command's optima of one model, each solved on first use and kept.
-
-    bayes(scope) is keyed by scope alone: the Bayes optimum ignores p1 and
-    p2, so under unequal ones a swept candidate can be more accurate than
-    it. fair(w), the per-group fairness optimum, is solved once per weights,
-    reference() is the Reference of the per-group Bayes optimum, and
-    pooled_range() the grid range of a family without a sweep_range.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self.bayes = bayes = cache(partial(bayes_accuracy_optimal, model))
-        self.fair = cache(partial(_per_group_fairness_optimum, model))
-        self.reference = cache(lambda: Reference.of(model, bayes("per_group")))
-        self.pooled_range = cache(partial(model.quantile_range, 0.9999))
-
-    def of(self, family, w) -> tuple:
-        """The (fairness, accuracy) optima a sweep of family appends."""
-        if family.kind == "shared_threshold":
-            return fairness_optimal(self.model), self.bayes("overall")
-        return self.fair(w), self.bayes("per_group")
+def _appended_optima(model, family, w) -> tuple:
+    """The (fairness, accuracy) optima a sweep of family appends, scored
+    under w. The Bayes optimum ignores p1 and p2, so under unequal ones a
+    swept candidate can be more accurate than it."""
+    if family.kind == "shared_threshold":
+        clfs = (fairness_optimal(model),
+                model._solved(bayes_accuracy_optimal, "overall"))
+    else:
+        clfs = (model._solved(_per_group_fairness_optimum, w),
+                model._solved(bayes_accuracy_optimal, "per_group"))
+    return tuple(model._solved(_optimum_point, name, clf, w)
+                 for name, clf in zip(("fairness", "accuracy"), clfs))
 
 
-def _appended_optima(model, family, w, optima: _Optima):
-    out = []
-    for name, clf in zip(("fairness", "accuracy"), optima.of(family, w)):
-        rates = confusion_rates(model, clf)
-        out.append(FrontierPoint(
-            1.0 - unfairness(rates, w),
-            _hits(model, w, *rates.tpr, *rates.tnr),
-            ("optimum", name,
-             clf.positive_region(0).intervals,
-             clf.positive_region(1).intervals)))
-    return out
+def _optimum_point(model, name, clf, w) -> FrontierPoint:
+    rates = confusion_rates(model, clf)
+    return FrontierPoint(
+        1.0 - unfairness(rates, w), _hits(model, w, *rates.tpr, *rates.tnr),
+        ("optimum", name, clf.positive_region(0).intervals,
+         clf.positive_region(1).intervals))
 
 
 FAIR_TOL = 1e-10
@@ -781,6 +767,5 @@ def build_frontier(model, family: FamilySpec,
     sweep's operations, so it is bit-identical. Shared-threshold families
     are swept in full.
     """
-    candidates = _sweep(model, family, w or MetricWeights(), True,
-                        _Optima(model))
+    candidates = _sweep(model, family, w or MetricWeights(), True)
     return classify_shape(pareto_filter(candidates, family))

@@ -155,9 +155,9 @@ class Reference:
 
     @classmethod
     def of(cls, model, optima: GroupwiseClassifier = None) -> "Reference":
-        """The reference of model; optima are computed when not given."""
+        """The reference of model, by default of its solved Bayes optima."""
         if optima is None:
-            optima = bayes_accuracy_optimal(model, "per_group")
+            optima = model._solved(bayes_accuracy_optimal, "per_group")
         rates = confusion_rates(model, optima)
         tpr, tnr = rates.tpr, rates.tnr
         r0, r1 = optima.regions
@@ -223,5 +223,5 @@ def well_defined_check(clf: GroupwiseClassifier, model) -> WellDefinedResult:
     classifiers disagree; outside it they share a verdict and clf must follow
     it, up to 1e-9 of total mismatch length.
     """
-    ref = Reference.of(model)
+    ref = model._solved(Reference.of)
     return WellDefinedResult(ref.well_defined(clf), ref.disputed)

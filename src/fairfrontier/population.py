@@ -11,6 +11,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -20,6 +22,7 @@ from .distributions import (Mixture, Normal, Triangular, _finite_bracket,
 from .errors import InputError, ValidationError, _number
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+SOLVES_KEPT = 64  # 6 weight-free solves, and up to 5 per weights
 
 
 def _cell_key(a: int, y: int) -> str:
@@ -28,7 +31,9 @@ def _cell_key(a: int, y: int) -> str:
 
 @dataclass(frozen=True)
 class GroupConditionalModel:
-    """Joint (A, Y) probabilities plus per-cell conditionals f(x|a,y)."""
+    """Joint (A, Y) probabilities plus per-cell conditionals f(x|a,y).
+
+    Both mappings are read-only, so _solved may keep solves on it."""
 
     joint: Mapping
     conditional: Mapping
@@ -67,8 +72,19 @@ class GroupConditionalModel:
                         f"conditional{cell}: stddev {n.stddev!r} is below "
                         f"the float spacing at mean {n.mean!r} (mean +- 12 "
                         "sd rounds to the mean); shift or rescale the feature")
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "conditional", cond)
+        object.__setattr__(self, "joint", MappingProxyType(joint))
+        object.__setattr__(self, "conditional", MappingProxyType(cond))
+        # _solved(solver, *args) is solver(self, *args), kept for the
+        # SOLVES_KEPT most recent keys. It is no field, so repr, == and
+        # dataclasses.replace ignore it; its key holds the solver object, so
+        # a solver replaced later is called, not masked.
+        object.__setattr__(self, "_solved", lru_cache(SOLVES_KEPT)(
+            lambda solver, *args: solver(self, *args)))
+
+    def __reduce__(self):
+        # a copy or an unpickled model is built anew, with no solves kept
+        return type(self), (dict(self.joint), dict(self.conditional),
+                            self.label)
 
     # -- derived probabilities ------------------------------------------
 
@@ -139,7 +155,8 @@ class GroupConditionalModel:
                              central_mass: float = 0.9999) -> tuple[float, float]:
         if a not in (0, 1):
             raise InputError(f"group must be 0 or 1, got {a!r}")
-        return self.quantile_range(central_mass, cells=((a, 0), (a, 1)))
+        return self._solved(type(self).quantile_range, central_mass,
+                            ((a, 0), (a, 1)))
 
 
 # -- validation -----------------------------------------------------------

@@ -14,8 +14,8 @@ import numpy as np
 
 from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
-from .frontier import (FamilySpec, Frontier, Jump, _fairest, _Optima,
-                       _sweep, classify_shape)
+from .frontier import (FamilySpec, Frontier, Jump, _fairest, _sweep,
+                       classify_shape)
 from .metrics import (MetricWeights, Reference, _hits, accuracy,
                       confusion_rates, unfairness)
 
@@ -126,7 +126,7 @@ def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
     optimum: no better than the fairness optimum itself, nor than the best
     single group optimum applied to everyone.
     """
-    return _overpursuit_report(model, Reference.of(model), clf, w)
+    return _overpursuit_report(model, model._solved(Reference.of), clf, w)
 
 
 def _overpursuit_report(model, ref: Reference, clf: GroupwiseClassifier,
@@ -177,7 +177,8 @@ def check_decomposition_bound(model, clf: GroupwiseClassifier,
     equality when the classifier is well-defined and the reference optima
     disagree in one consistent direction.
     """
-    return _decomposition_report(model, Reference.of(model), clf, w, tol)
+    return _decomposition_report(model, model._solved(Reference.of), clf, w,
+                                 tol)
 
 
 def _decomposition_report(model, ref: Reference, clf: GroupwiseClassifier,
@@ -218,12 +219,10 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
     accuracy. Two readings of "matching" are provided: same boundary point
     sets, or same indicator values everywhere.
     """
-    return _boundary_alignment_reports(model, _Optima(model), (mode,),
-                                       tol)[0]
+    return _boundary_alignment_reports(model, (mode,), tol)[0]
 
 
-def _boundary_alignment_reports(model, optima: _Optima, modes,
-                                tol: float = 1e-9) -> tuple:
+def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
     """One boundary-alignment report per mode against the per-group
     accuracy optimum's Reference, all from one family search.
 
@@ -238,8 +237,8 @@ def _boundary_alignment_reports(model, optima: _Optima, modes,
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
-    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), True, optima)
-    ref = optima.reference()
+    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), True)
+    ref = model._solved(Reference.of)
     f_du = unfairness(ref.rates)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 

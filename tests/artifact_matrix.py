@@ -19,10 +19,12 @@ gets a ``bounded.txt``, written in-process, of the bounded sweep's
 results: the ``repr`` of ``build_frontier`` for ``per_group_threshold``
 (orientations both, resolution 201) and ``per_group_intervals`` (both,
 resolution 7, k = 2), and ``check_boundary_alignment(model, mode).to_dict()``
-for both modes. Paths are relative to OUT_DIR, so the matrices of two trees
-compare with ``diff -r``, which then lists every artifact a change moved.
-The package is imported from this tree's ``src``. pytest does not collect
-this file.
+for both modes. Each ``bounded.txt`` is computed twice on one model
+object, and the script exits 1 when the second pass, which reads the
+model's kept solves, differs from the first. Paths are relative to
+OUT_DIR, so the matrices of two trees compare with ``diff -r``, which then
+lists every artifact a change moved. The package is imported from this
+tree's ``src``. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ def main_matrix(out_dir: Path) -> None:
         models[f"random_model_{seed}"] = random_model(seed)
     for name, model in models.items():
         Path(name).mkdir(exist_ok=True)
-        Path(name, "bounded.txt").write_text(bounded_text(model))
+        text = bounded_text(model)
+        if bounded_text(model) != text:
+            sys.exit(f"{name}/bounded.txt: the pass on the model's kept "
+                     "solves differs from the first")
+        Path(name, "bounded.txt").write_text(text)
         print(f"{name}/bounded.txt", file=sys.stderr)
     for out, argv in commands(scenarios):
         Path(out).mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from fairfrontier import (FamilySpec, Frontier, GroupConditionalModel,
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
-from fairfrontier.frontier import _block_len, _Optima, _sweep
+from fairfrontier.frontier import _block_len, _sweep
 from helpers import random_model, swapped_groups
 
 
@@ -83,7 +83,7 @@ def test_sweep_csv_rows_match_the_decomposition_oracle(
     family = FamilySpec(kind, orientations=orientations, k=1,
                         resolution=6 if kind == "per_group_intervals" else 17)
     w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
-    c = _sweep(model, family, w, bounded, _Optima(model))
+    c = _sweep(model, family, w, bounded)
     ref = Reference.of(model)
     cli._write_sweep_csv(model, c, w, ref, tmp_path / "sweep.csv")
     rows = read_csv(tmp_path / "sweep.csv")
@@ -440,6 +440,8 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
     def ranges(self, central_mass=0.9999, cells=population.CELLS):
         if tuple(cells) == population.CELLS:
             solved.append(("pooled", central_mass))
+        else:
+            solved.append(("group", cells[0][0], central_mass))
         return quantile_range(self, central_mass, cells)
 
     def bayes(model, scope="overall", *args, **kwargs):
@@ -472,6 +474,9 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
     assert [solved.count(k) for k in (
         "overall", "per_group", "fair", "reference", ("pooled", 0.9999))
     ] == [1, 1, fair_solves, 1, 1]
+    # both scopes of the Bayes optimum search each group's range, which is
+    # solved once too
+    assert [solved.count(("group", a, 0.99999)) for a in (0, 1)] == [1, 1]
 
 
 def test_oversized_decomposition_exits_3(tmp_path, capsys):
@@ -513,7 +518,7 @@ def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
     ref = Reference.of(model)
     c = _sweep(model, FamilySpec("shared_threshold", resolution=5,
                                  sweep_range=(-1e308, 7e307)),
-               MetricWeights(), False, _Optima(model))
+               MetricWeights(), False)
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == len(c)
     assert [row["well_defined"] for row in rows] == [

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fairfrontier import (PRESETS, FamilySpec, Frontier, FrontierPoint,
-                          InputError, MetricWeights, ResourceError,
-                          ValidationError, build_frontier,
+from fairfrontier import (CELLS, PRESETS, FamilySpec, Frontier,
+                          FrontierPoint, InputError, MetricWeights,
+                          ResourceError, ValidationError,
+                          bayes_accuracy_optimal, build_frontier,
                           check_accuracy_jump, check_boundary_alignment,
                           classify_shape, dominance_oracle, frontier,
                           pareto_filter, scenario, sweep)
@@ -20,7 +21,7 @@ from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, ORIENTS,
                                    _block_len, _cell_cdfs, _fair_line,
                                    _fair_roots, _first_pass_drops,
                                    _grid_tnrs, _group_table, _half_line,
-                                   _interval_regions, _open_lines, _Optima,
+                                   _interval_regions, _open_lines,
                                    _per_group_fairness_optimum, _sweep,
                                    _Table)
 from fairfrontier.metrics import _hits
@@ -528,7 +529,7 @@ def test_zero_count_blocks_index_iterate_and_decode():
                         resolution=101)
     w = MetricWeights()
     full = sweep(model, family, w)
-    bounded = _sweep(model, family, w, True, _Optima(model))
+    bounded = _sweep(model, family, w, True)
     counts = [_block_len(block) for block in bounded.blocks]
     # the two appended optima are one 1 x 1 product block each
     assert counts[1:] == [0, 0, 0, 1, 1]
@@ -633,3 +634,102 @@ def test_grid_tnrs_equal_the_half_lines(name):
     assert sorted(tnrs) == sorted(itertools.product((0, 1), ORIENTS[:2]))
     for (a, orient), tnr in tnrs.items():
         assert tnr.tobytes() == _half_line(model, a, orient, u)[1].tobytes()
+
+
+def solve_counter(monkeypatch):
+    """Record each call of a solver the model keeps, by name: the Bayes
+    optima by scope, the per-group fairness optimum, the Reference and the
+    ranges. Each wrapper calls the solver it replaced."""
+    from fairfrontier import metrics, population
+    solved = []
+
+    def counted(name, solve):
+        def call(*args):
+            solved.append(name(*args))
+            return solve(*args)
+        return call
+
+    bayes = counted(lambda model, scope: scope, bayes_accuracy_optimal)
+    for module in (frontier, metrics):
+        monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
+    monkeypatch.setattr(frontier, "_per_group_fairness_optimum", counted(
+        lambda model, w: "fair", frontier._per_group_fairness_optimum))
+    monkeypatch.setattr(metrics.Reference, "of", classmethod(counted(
+        lambda cls, model: "reference", metrics.Reference.of.__func__)))
+    monkeypatch.setattr(population.GroupConditionalModel, "quantile_range",
+                        counted(lambda model, mass, cells=CELLS:
+                                (mass, cells),
+                                population.GroupConditionalModel
+                                .quantile_range))
+    return solved
+
+
+SOLVED_ONCE = ["overall", "per_group", "fair", "reference",
+               (0.9999, CELLS), (0.99999, ((0, 0), (0, 1))),
+               (0.99999, ((1, 0), (1, 1)))]
+
+
+def test_one_model_solves_each_optimum_and_range_once(monkeypatch):
+    # the solves belong to the model, so every frontier and check asked of
+    # one model object shares them, whichever grid or family it sweeps
+    solved = solve_counter(monkeypatch)
+    model = scenario("example1")
+    build_frontier(model, FamilySpec("per_group_threshold", "both", 101))
+    build_frontier(model, FamilySpec("per_group_intervals", "both", 7, k=2))
+    sweep(model, FamilySpec("shared_threshold", resolution=51))
+    check_boundary_alignment(model)
+    assert sorted(map(str, solved)) == sorted(map(str, SOLVED_ONCE))
+    # other weights solve the fairness optimum once more, and only it
+    build_frontier(model, FamilySpec("per_group_threshold", "both", 101),
+                   MetricWeights(0.3, 0.7, 0.8, 1.2))
+    assert sorted(map(str, solved)) == sorted(map(str, SOLVED_ONCE
+                                                  + ["fair"]))
+
+
+def test_a_loop_over_weights_keeps_a_bounded_memo(monkeypatch):
+    # each weights adds a fairness optimum and two points; the memo drops
+    # the least recently used, so the ranges and the Bayes optimum every
+    # frontier reads stay solved once while the memo stops growing
+    from fairfrontier.population import SOLVES_KEPT
+    solved = solve_counter(monkeypatch)
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", "both", 41)
+    count = SOLVES_KEPT // 3 + 4
+    for i in range(count):
+        build_frontier(model, family, MetricWeights(p2=1.0 + i / 64))
+    assert model._solved.cache_info().currsize == SOLVES_KEPT
+    assert sorted(map(str, solved)) == sorted(map(str, [
+        "per_group", (0.9999, CELLS), (0.99999, ((0, 0), (0, 1))),
+        (0.99999, ((1, 0), (1, 1)))] + ["fair"] * count))
+
+
+def test_a_replaced_model_solves_again(monkeypatch):
+    solved = solve_counter(monkeypatch)
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", "both", 101)
+    first = build_frontier(model, family)
+    assert build_frontier(dataclasses.replace(model), family) == first
+    # the sweep needs all but the shared optimum and the Reference
+    once = [s for s in SOLVED_ONCE if s not in ("overall", "reference")]
+    assert sorted(map(str, solved)) == sorted(map(str, once + once))
+
+
+def test_a_solver_replaced_after_a_cached_call_is_called(monkeypatch):
+    model = scenario("example1")
+    family = FamilySpec("per_group_threshold", "both", 101)
+    first = build_frontier(model, family)
+    calls = []
+
+    def fair(*args):
+        calls.append("fair")
+        return _per_group_fairness_optimum(*args)
+
+    def bayes(*args):
+        calls.append("bayes")
+        return bayes_accuracy_optimal(*args)
+
+    monkeypatch.setattr(frontier, "_per_group_fairness_optimum", fair)
+    assert build_frontier(model, family) == first
+    monkeypatch.setattr(frontier, "bayes_accuracy_optimal", bayes)
+    assert build_frontier(model, family) == first
+    assert calls == ["fair", "bayes"]

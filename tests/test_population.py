@@ -1,7 +1,9 @@
 """Model construction, validation reporting, presets, and the file format."""
 
+import copy
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -563,3 +565,37 @@ def test_commands_import_no_scipy_optimize_or_integrate(tmp_path):
     codes, ok, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0] and ok
     assert loaded == []
+
+
+def test_model_mappings_are_read_only():
+    # the model keeps its solves, so its laws cannot change under them
+    model = scenario("example1")
+    with pytest.raises(TypeError):
+        model.joint[(0, 0)] = 0.5
+    with pytest.raises(TypeError):
+        model.conditional[(0, 0)] = Normal(0.0, 1.0)
+
+
+def test_model_solves_stay_out_of_repr_and_equality():
+    model, fresh = scenario("example1"), scenario("example1")
+    model.group_quantile_range(0, 0.99999)
+    assert model._solved.cache_info().currsize == 1
+    assert fresh._solved.cache_info().currsize == 0
+    assert model == fresh and repr(model) == repr(fresh)
+    assert "_solved" not in repr(model)
+
+
+@pytest.mark.parametrize("model", [scenario("example1"), random_model(3)],
+                         ids=["example1", "random_model_3"])
+def test_pickled_and_copied_models_equal_the_original(model):
+    # a model sent to a worker process is pickled; the copy is built anew,
+    # so its laws are read-only again and it keeps no solves
+    model.group_quantile_range(1, 0.99999)
+    for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model),
+                 copy.copy(model)):
+        assert twin == model and repr(twin) == repr(model)
+        assert twin._solved.cache_info().currsize == 0
+        assert (twin.group_quantile_range(1, 0.99999)
+                == model.group_quantile_range(1, 0.99999))
+        with pytest.raises(TypeError):
+            twin.joint[(0, 0)] = 0.5

@@ -22,9 +22,9 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           well_defined_check)
 from fairfrontier.distributions import _root
 from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _appended_optima, _cell_cdfs,
-                                   _group_table, _interval_regions,
-                                   _Optima, _region_count, _Regions)
+                                   _cell_cdfs, _group_table,
+                                   _interval_regions, _region_count,
+                                   _Regions)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
@@ -347,17 +347,13 @@ def test_build_frontier_equals_the_full_pipeline(model, shared_laws, orient,
     if shared_laws:  # both groups draw x from one law per label: plateaus
         model = GroupConditionalModel(model.joint, {
             (a, y): model.conditional[(0, y)] for a in (0, 1) for y in (0, 1)})
-    # every pipeline here appends the same optima; computing them once
-    # keeps the property fast
-    optima = _appended_optima(model, FamilySpec("per_group_threshold"), w,
-                              _Optima(model))
+    # every pipeline here appends the same optima, which the model solves
+    # once; that keeps the property fast
     for family in (FamilySpec("per_group_threshold", orient, resolution),
                    FamilySpec("per_group_intervals", orient,
                               min(resolution, 6))):
-        with mock.patch("fairfrontier.frontier._appended_optima",
-                        return_value=optima):
-            full = pareto_filter(sweep(model, family, w), family)
-            assert build_frontier(model, family, w) == classify_shape(full)
+        full = pareto_filter(sweep(model, family, w), family)
+        assert build_frontier(model, family, w) == classify_shape(full)
 
 
 def allocating_scores(model, w, tpr0, tpr1, tnr0, tnr1):

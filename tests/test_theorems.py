@@ -329,13 +329,11 @@ def test_boundary_alignment_search_equals_the_full_sweep(name, monkeypatch):
     model = (scenario(name) if name in PRESETS
              else random_model(int(name.removeprefix("random-"))))
     modes = ("boundary_location", "strict_indicator")
-    # both searches share one holder, so each optimum is solved once
-    optima = frontier._Optima(model)
-    monkeypatch.setattr(theorems, "_Optima", lambda model: optima)
+    # both searches ask one model, so each optimum is solved once
     got = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     monkeypatch.setattr(theorems, "_sweep",
-                        lambda model, family, w, bounded, optima:
-                        frontier._sweep(model, family, w, False, optima))
+                        lambda model, family, w, bounded:
+                        frontier._sweep(model, family, w, False))
     want = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     assert got == want
 
