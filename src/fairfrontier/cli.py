@@ -25,8 +25,8 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
-                       _candidate_count, _members, _sweep, _sweep_range,
-                       classify_shape, pareto_filter)
+                       _candidate_count, _members, _sweep_range,
+                       build_frontier, classify_shape, pareto_filter, sweep)
 from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
                       _split, confusion_rates, unfairness)
 from .oracle import mc_estimate
@@ -409,9 +409,8 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
         ("boundary alignment, matching boundary points", located),
         ("boundary alignment, matching indicators", indicated),
     ]
-    if frontier is None:  # build_frontier's pipeline
-        frontier = classify_shape(pareto_filter(
-            _sweep(model, cfg.family, w, True), cfg.family))
+    if frontier is None:
+        frontier = build_frontier(model, cfg.family, w)
     sections.append(("frontier accuracy-jump conditions",
                      check_accuracy_jump(model, frontier)))
     head = (f"scenario: {cfg.scenario}\n"
@@ -563,7 +562,7 @@ def _cmd_run(args) -> int:
 
     frontier = None
     if "frontier" in cfg.analyses:
-        candidates = _sweep(model, cfg.family, cfg.weights, False)
+        candidates = sweep(model, cfg.family, cfg.weights)
         frontier = classify_shape(pareto_filter(candidates, cfg.family))
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")

@@ -8,14 +8,13 @@ set; shape classification tags discontinuities in the surviving curve.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -184,27 +183,36 @@ def _region_count(family: FamilySpec, orient: str) -> int:
     return total
 
 
-def _interval_regions(family: FamilySpec, orient: str):
-    """Every region the family gives a group, as index arrays.
-
-    Yields one (lo, hi) pair per boundary count m: row i holds one region's
-    interval bounds as indices into the extended grid of the n-point grid,
-    where 0 stands for -inf and n + 1 for +inf, rows in
-    itertools.combinations order. A
-    positive_above region starts negative at -inf; a positive_below one
-    starts positive, and that segment counts toward k. A threshold is the
-    one-boundary region, so its rows follow the grid.
+def _cut_table(family: FamilySpec) -> np.ndarray:
+    """Every region the family gives a group, one row [0, c1, ..., cm, n + 1]
+    per region of m boundaries, padded with n + 1 to the widest row: indices
+    into the extended n-point grid, 0 standing for -inf and n + 1 for +inf.
+    Rows run by m, then in itertools.combinations order, so each orientation
+    reads leading rows (_bounds), positive_below a prefix of positive_above.
     """
     n = family.resolution
-    first = int(orient == "positive_above")
-    for m in _boundary_counts(family, orient):
-        pts = np.empty((comb(n, m), m + 2), dtype=np.intp)
-        pts[:, 0], pts[:, -1] = 0, n + 1
+    counts = max((_boundary_counts(family, o)
+                  for o in itertools.chain(*family.combos())), key=len)
+    table = np.full((sum(comb(n, m) for m in counts), counts[-1] + 2), n + 1,
+                    dtype=np.intp)
+    table[:, 0] = start = 0
+    for m in counts:
+        rows = comb(n, m)
         cuts = itertools.chain.from_iterable(
             itertools.combinations(range(1, n + 1), m))
-        pts[:, 1:-1] = np.fromiter(cuts, np.intp, len(pts) * m).reshape(
-            len(pts), m)
-        yield pts[:, first:-1:2], pts[:, first + 1::2]
+        table[start:start + rows, 1:m + 1] = np.fromiter(
+            cuts, np.intp, rows * m).reshape(rows, m)
+        start += rows
+    return table
+
+
+def _bounds(family: FamilySpec, table, orient: str) -> tuple:
+    """(lo, hi) cut indices of orient's regions, a column per interval (a
+    padding one is (n + 1, n + 1)): positive_above regions start negative
+    at -inf, positive_below ones positive, a segment counted toward k."""
+    first = int(orient == "positive_above")
+    rows = table[:_region_count(family, orient)]
+    return rows[:, first:-1:2], rows[:, first + 1::2]
 
 
 def _candidate_count(family: FamilySpec) -> int:
@@ -241,17 +249,21 @@ class Candidates(Sequence):
         return self._ends[-1]
 
     def __getitem__(self, i) -> FrontierPoint:
-        i = operator.index(i)
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"candidate index out of range for {n}")
-        b = bisect.bisect_right(self._ends, i)
-        source, tag, regions0, regions1, _ = block = self.blocks[b]
-        i0, i1 = _members(block, i - self._ends[b] + _block_len(block))
-        return FrontierPoint(float(self.fairness[i]), float(self.accuracy[i]),
-                             (source, tag, regions0[i0], regions1[i1]))
+        return self._points(np.array([range(len(self))[operator.index(i)]]))[0]
+
+    def _points(self, ks) -> list:
+        """The candidates at ks, ascending valid indices, block by block."""
+        points, cuts = [], np.searchsorted(ks, (0, *self._ends)).tolist()
+        for b in np.flatnonzero(np.diff(cuts)).tolist():  # blocks with ks
+            source, tag, regions0, regions1, _ = block = self.blocks[b]
+            k = ks[cuts[b]:cuts[b + 1]]
+            i0, i1 = _members(block, k - self._ends[b] + _block_len(block))
+            points += (FrontierPoint(f, a, (source, tag, r0, r1))
+                       for f, a, r0, r1 in zip(
+                           self.fairness[k].tolist(),
+                           self.accuracy[k].tolist(),
+                           _take(regions0, i0), _take(regions1, i1)))
+        return points
 
     def __iter__(self):
         """The candidates in order, each block's regions decoded once."""
@@ -272,6 +284,11 @@ def _members(block, k):
     return divmod(k, len(block[3])) if block[4] else (k, k)
 
 
+def _take(regions, ks) -> list:  # regions[k] for each k of the array ks
+    return (regions.take(ks) if isinstance(regions, _Regions)
+            else [regions[k] for k in ks.tolist()])
+
+
 def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     """Evaluate every family member plus the two appended optimal classifiers.
 
@@ -280,7 +297,7 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     end, in that order. The two score columns are allocated once, at their
     final size, and each block scores straight into its own slice.
     """
-    return _sweep(model, family, w or MetricWeights(), False)
+    return _sweep(model, family, w or MetricWeights(), None)
 
 
 def _capped(count: int) -> int:
@@ -295,32 +312,36 @@ def _capped(count: int) -> int:
 
 
 def _sweep(model, family: FamilySpec, w: MetricWeights,
-           bounded: bool) -> Candidates:
-    """sweep's candidates, or with bounded only the pair-block lines that
-    _open_lines leaves open against the fairest appended optimum."""
+           closes) -> Candidates:
+    """sweep's candidates, or only the pair-block lines _open_lines leaves
+    open under closes(fairness, accuracy, f_top=, a_top=): downward closed,
+    it marks the points that cannot change the caller's answer while
+    (f_top, a_top), the fairest appended optimum, is a candidate."""
     count = _capped(_candidate_count(family))
     lo, hi = family.sweep_range or model._solved(
         type(model).quantile_range, 0.9999)
     grid = np.linspace(lo, hi, family.resolution)
     appended = _appended_optima(model, family, w)
     product = family.kind != "shared_threshold"
-    pivot = (max(appended, key=lambda p: (p.fairness, p.accuracy))
-             if bounded and product else None)
+    pivot = max(appended, key=lambda p: (p.fairness, p.accuracy), default=None)
+    rule = (partial(closes, f_top=pivot.fairness, a_top=pivot.accuracy)
+            if closes and product else None)
 
-    # every combo has both groups: one pair of cell cdf columns per group
-    # serves both orientations; one index table per orientation, both groups
+    # one cut table serves every orientation, and one pass over it per
+    # orientation gives all four cells' masses, which both groups read
     edges = np.concatenate(([-math.inf], grid, [math.inf]))
-    cdfs = [_cell_cdfs(model, grid, a) for a in (0, 1)]
-    index = cache(lambda orient: list(_interval_regions(family, orient)))
-    table = cache(lambda a, orient: _Table(
-        model, w, a, *_group_table(index(orient), cdfs[a])))
+    cdfs = _cell_cdfs(model, grid)
+    cuts = _cut_table(family)
+    bounds = cache(lambda orient: _bounds(family, cuts, orient))
+    masses = cache(lambda orient: _masses(cdfs, *bounds(orient)))
+    table = cache(lambda a, orient: _Table(model, w, a, masses(orient)))
 
     # a shared combo is one orientation, which both groups take; its block
     # pairs row k with row k, so group 1's rates run down the rows there
     # and along the columns of a pair block
     combos = [(combo[0], combo[-1], "|".join(combo))
               for combo in family.combos()]
-    lines = [_open_lines(w, table(0, o0), table(1, o1), pivot)
+    lines = [_open_lines(w, table(0, o0), table(1, o1), rule)
              for o0, o1, _ in combos]
     if product:
         count = sum(len(rows) * len(cols) for rows, cols in lines)
@@ -331,8 +352,8 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     shape1 = (1, -1) if product else (-1, 1)
     for (o0, o1, tag), (rows, cols) in zip(combos, lines):
         t0, t1 = table(0, o0), table(1, o1)
-        blocks.append(("grid", tag, _Regions(edges, index(o0), rows),
-                       _Regions(edges, index(o1), cols), product))
+        blocks.append(("grid", tag, _Regions(edges, *bounds(o0), rows),
+                       _Regions(edges, *bounds(o1), cols), product))
         if len(rows) and len(cols):  # _scores bands by the column count
             _scores(model, w, t0.tpr[rows][:, None],
                     t1.tpr[cols].reshape(shape1), t0.tnr[rows][:, None],
@@ -345,58 +366,44 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
 
 
-def _cell_cdfs(model, grid, a: int) -> list:
-    """Group a's label-0 and label-1 cdf at -inf, the grid and inf."""
-    return [np.concatenate(([0.0], model.conditional[(a, y)].cdf(grid), [1.0]))
-            for y in (0, 1)]
+def _cell_cdfs(model, grid) -> np.ndarray:
+    """Each cell's cdf at -inf, the grid and inf: row 2a + y for (a, y)."""
+    cells = itertools.product((0, 1), repeat=2)
+    return np.array([np.concatenate(([0.0], model.conditional[c].cdf(grid),
+                                     [1.0])) for c in cells])
 
 
-def _group_table(index, cdfs) -> tuple:
-    """(tpr, tnr) of a group over the regions of an orientation's index
-    table (the list of _interval_regions), from the group's _cell_cdfs.
-
-    A region's mass adds its intervals' cdf differences one column at a
-    time, from 0 and left to right, and is clamped to [0, 1]; tnr is 1 minus
-    the label-0 mass. Each rate is therefore bit-identical to
-    confusion_rates' positive_mass of the region.
-    """
-    mass = ([], [])
-    for lo, hi in index:
-        for y in (0, 1):
-            total = np.zeros(len(lo))
-            for j in range(lo.shape[1]):
-                total += cdfs[y][hi[:, j]] - cdfs[y][lo[:, j]]
-            mass[y].append(np.clip(total, 0.0, 1.0, out=total))
-    return np.concatenate(mass[1]), 1.0 - np.concatenate(mass[0])
+def _masses(cdfs, lo, hi) -> np.ndarray:
+    """Each cell's (row of cdfs') mass over the regions of bounds (lo, hi):
+    from 0, each interval's cdf difference added left to right (a padding
+    one adds exactly 0.0), clamped to [0, 1], so bit-identical to
+    confusion_rates' positive_mass of the region."""
+    mass = np.zeros((len(cdfs), len(lo)))
+    for j in range(lo.shape[1]):
+        mass += cdfs[:, hi[:, j]] - cdfs[:, lo[:, j]]
+    return np.clip(mass, 0.0, 1.0, out=mass)
 
 
 class _Regions:
-    """The regions of some ascending rows of an orientation's index table,
-    decoded from the grid's edges (-inf, grid, inf) only when read."""
+    """Some ascending rows of an orientation's _bounds (lo, hi), decoded on
+    the grid's edges (-inf, grid, inf) only when read, padding left out."""
 
-    def __init__(self, edges, index, rows):
-        self.edges, self.index, self.rows = edges, index, rows
+    def __init__(self, edges, lo, hi, rows):
+        self.edges, self.lo, self.hi, self.rows = edges, lo, hi, rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, k: int) -> tuple:
-        row = int(self.rows[k])
-        for lo, hi in self.index:
-            if row < len(lo):
-                return tuple(zip(*self.edges[[lo[row], hi[row]]].tolist()))
-            row -= len(lo)
+    def __iter__(self):
+        return iter(self.take(slice(None)))
 
-    def __iter__(self):  # a column of bounds at a time
-        regions, start, rows = [], 0, self.rows
-        for lo, hi in self.index:
-            k = rows[(start <= rows) & (rows < start + len(lo))] - start
-            start += len(lo)
-            bounds = [zip(self.edges[lo[k, j]].tolist(),
-                          self.edges[hi[k, j]].tolist())
-                      for j in range(lo.shape[1])]
-            regions += zip(*bounds) if bounds else [()] * len(k)
-        return iter(regions)
+    def take(self, ks) -> list:
+        """The regions of rows[ks], ks an index array or a slice."""
+        rows = self.rows[ks]
+        lo, hi = self.lo[rows], self.hi[rows]
+        counts = (lo < len(self.edges) - 1).sum(axis=1).tolist()
+        return [tuple(zip(los[:c], his[:c])) for los, his, c in zip(
+            self.edges[lo].tolist(), self.edges[hi].tolist(), counts)]
 
 
 # Relative slack of the accuracy bound. A score rounds each of its four
@@ -410,13 +417,14 @@ _ACC_FLOOR = np.finfo(float).tiny
 
 
 class _Table:
-    """Group a's tpr and tnr over one orientation's regions, and what
-    _open_lines reads of them, kept for both combos that share the table;
-    the accuracy terms and the sorted rates are computed on first use."""
+    """Group a's tpr and tnr over one orientation's regions, from _masses,
+    and what _open_lines reads of them, kept for both combos that share the
+    table; the accuracy terms and the sorted rates come on first use."""
 
-    def __init__(self, model, w, a, tpr, tnr):
-        self.model, self.w, self.a, self.tpr, self.tnr = model, w, a, tpr, tnr
-        self.finite = np.isfinite(tpr).all() and np.isfinite(tnr).all()
+    def __init__(self, model, w, a, masses):
+        self.model, self.w, self.a = model, w, a
+        self.tpr, self.tnr = masses[2 * a + 1], 1.0 - masses[2 * a]
+        self.finite = np.isfinite(masses[2 * a:2 * a + 2]).all()
 
     @cached_property
     def term(self) -> np.ndarray:  # each line's accuracy term
@@ -425,51 +433,52 @@ class _Table:
 
     @cached_property
     def others(self) -> tuple:  # what _open_mask reads of the other group
-        return self.term.max(), np.sort(self.tpr), np.sort(self.tnr)
+        return self.term.max(), _fenced(self.tpr), _fenced(self.tnr)
 
 
-def _open_lines(w, table0, table1, pivot) -> tuple:
+def _open_lines(w, table0, table1, rule) -> tuple:
     """(rows, cols) index arrays of a pair block's open lines: the group-0
-    rows, then the group-1 columns against the open rows, on which
-    _first_pass_drops, with pivot as the fairest point, may keep a pair.
-    All lines when pivot is None or a rate is not finite, since a NaN score
-    disables the first pass."""
+    rows, then the group-1 columns against the open rows, whose bound
+    points the closing rule, a predicate on (fairness, accuracy), leaves
+    unmarked. All lines when rule is None or a rate is not finite, since
+    a NaN score gives no bound."""
     rows, cols = np.arange(len(table0.tpr)), np.arange(len(table1.tpr))
-    if pivot is None or not (table0.finite and table1.finite):
+    if rule is None or not (table0.finite and table1.finite):
         return rows, cols
-    rows = rows[_open_mask(w, pivot, table0, table1.others)]
+    rows = rows[_open_mask(w, rule, table0, table1.others)]
     if not len(rows):
         return rows, cols[:0]
-    return rows, cols[_open_mask(w, pivot, table1, (
-        table0.term[rows].max(), np.sort(table0.tpr[rows]),
-        np.sort(table0.tnr[rows])))]
+    return rows, cols[_open_mask(w, rule, table1, (
+        table0.term[rows].max(), _fenced(table0.tpr[rows]),
+        _fenced(table0.tnr[rows])))]
 
 
-def _open_mask(w, pivot, lines: _Table, others) -> np.ndarray:
-    """Which lines may pair with one of others into a kept candidate.
+def _open_mask(w, rule, lines: _Table, others) -> np.ndarray:
+    """Which lines may pair with one of others into a point rule keeps.
 
-    others is the other group's (largest accuracy term, sorted tpr, sorted
-    tnr). Accuracy is a row term plus a column term, so a line's accuracy
-    is at most its term plus the largest other term, up to the rounding
-    _ACC_SLACK covers. Its fairness is at most 1 - max(omega1 * d_tpr,
-    omega2 * d_tnr), d being the gap to the nearest other rate, with no
-    slack: float subtraction, multiplication and addition are monotone.
+    others is the other group's (largest accuracy term, tpr and tnr each
+    _fenced). Accuracy is a row term plus a column term, so a line's
+    accuracy is at most its term plus the largest other term, up to the
+    rounding _ACC_SLACK covers. Its fairness is at most 1 - max(omega1 *
+    d_tpr, omega2 * d_tnr), d being the gap to the nearest other rate, with
+    no slack: float subtraction, multiplication and addition are monotone.
     """
     other_top, other_tpr, other_tnr = others
     acc_top = (lines.term + other_top) * (1.0 + _ACC_SLACK) + _ACC_FLOOR
     gap = np.maximum(w.omega1 * _nearest_gap(lines.tpr, other_tpr),
                      w.omega2 * _nearest_gap(lines.tnr, other_tnr))
-    return ~_first_pass_drops(1.0 - gap, acc_top,
-                              pivot.fairness, pivot.accuracy)
+    return ~rule(1.0 - gap, acc_top)
 
 
-def _nearest_gap(x, y):
-    """|x - y| for the element y of the sorted y nearest each x, in float
-    arithmetic."""
-    k = np.searchsorted(y, x)
-    below = y[np.maximum(k - 1, 0)]
-    above = y[np.minimum(k, len(y) - 1)]
-    return np.minimum(np.abs(x - below), np.abs(above - x))
+def _fenced(y) -> np.ndarray:  # y sorted, between -inf and inf
+    return np.sort(np.concatenate(([-math.inf], y, [math.inf])))
+
+
+def _nearest_gap(x, fenced):
+    """|x - y| for the element y nearest each finite x, in float arithmetic,
+    from _fenced(y), whose fences stand in for a missing neighbour."""
+    k = np.searchsorted(fenced[1:-1], x)
+    return np.minimum(x - fenced[k], fenced[1:][k] - x)
 
 
 def _appended_optima(model, family, w) -> tuple:
@@ -700,7 +709,9 @@ def pareto_filter(candidates, family: FamilySpec = None) -> Frontier:
     dominated |= in_range & (suffix_max[np.minimum(hi_idx, len(fs) - 1)]
                              >= as_ - tol)
 
-    survivors = [pts[i] for i in order[~dominated].tolist()]
+    kept = np.sort(order[~dominated])
+    survivors = (pts._points(kept) if isinstance(pts, Candidates)
+                 else [pts[i] for i in kept.tolist()])
     return _finish_frontier(
         survivors, resolution=family.resolution if family else None,
         sweep_range=sweep_range)
@@ -756,16 +767,16 @@ def build_frontier(model, family: FamilySpec,
     """sweep -> pareto_filter -> classify_shape in one call, on fewer scores.
 
     The result equals classify_shape(pareto_filter(sweep(...), family)),
-    but per-group blocks score only their open lines (_open_lines). The
-    fairest appended optimum p is a candidate, and pareto_filter's first
-    pass, run with any candidate as its pivot, drops only points p
-    dominates, together with nothing p does not also dominate, so
-    removing them leaves the survivors unchanged. A line is
+    but per-group blocks score only the lines _open_lines leaves open under
+    _first_pass_drops. The fairest appended optimum p is a candidate, and
+    pareto_filter's first pass, run with any candidate as its pivot, drops
+    only points p dominates, together with nothing p does not also
+    dominate, so removing them leaves the survivors unchanged. A line is
     closed only when bounds on its accuracy (exact up to the rounding
     _ACC_SLACK covers) and fairness (exact, by monotone rounding) put every
-    pair on it inside that drop region; each score that is computed uses
-    sweep's operations, so it is bit-identical. Shared-threshold families
-    are swept in full.
+    pair on it inside that downward closed drop region; each score that is
+    computed uses sweep's operations, so it is bit-identical.
+    Shared-threshold families are swept in full.
     """
-    candidates = _sweep(model, family, w or MetricWeights(), True)
-    return classify_shape(pareto_filter(candidates, family))
+    return classify_shape(pareto_filter(_sweep(
+        model, family, w or MetricWeights(), _first_pass_drops), family))

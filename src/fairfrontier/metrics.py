@@ -203,12 +203,13 @@ def decompose_unfairness(model, clf: GroupwiseClassifier,
                          reference: GroupwiseClassifier = None) -> Decomposition:
     """Split the Equalized-Odds gap into data and model parts.
 
-    The reference is the pair of per-group accuracy optima (computed here
-    when not supplied). condition_met names the sign-pattern condition under
-    which the split is exact, and is only reported when the classifier also
-    matches the reference verdict outside the disputed region.
+    The reference is the pair of per-group accuracy optima (the model's
+    kept one when not supplied). condition_met names the sign-pattern
+    condition under which the split is exact, and is only reported when the
+    classifier also matches the reference verdict outside the disputed set.
     """
-    return Reference.of(model, reference).decompose(model, clf, w)
+    return (model._solved(Reference.of) if reference is None else
+            Reference.of(model, reference)).decompose(model, clf, w)
 
 
 class WellDefinedResult(NamedTuple):

@@ -9,6 +9,7 @@ true; a failed condition is reported, not raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -226,24 +227,23 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
     """One boundary-alignment report per mode against the per-group
     accuracy optimum's Reference, all from one family search.
 
-    The search is sweep's, bounded as in build_frontier: only the lines
-    that _open_lines leaves open against the pivot, the fairest appended
-    optimum, are scored. That is exact. The pivot is kept, and every
-    candidate left out is strictly less fair than it with accuracy no
-    better, so the pivot meets the search's test whenever a left-out
-    candidate would, and no left-out candidate is among the fairest, where
-    _fairest looks.
+    The search is sweep's, scoring only the lines _open_lines leaves open
+    under _unchanging against the pivot, the fairest appended optimum. That
+    is exact: the pivot is kept, and every candidate left out fails the
+    search's test and is less fair than the pivot, or as fair with accuracy
+    no better, so found and _fairest read as on the full sweep.
     """
     for mode in modes:
         if mode not in ("boundary_location", "strict_indicator"):
             raise InputError(f"unknown mode {mode!r}")
-    candidates = _sweep(model, SEARCH_FAMILY, MetricWeights(), True)
-    ref = model._solved(Reference.of)
-    f_du = unfairness(ref.rates)
+    ref, w = model._solved(Reference.of), MetricWeights()
+    f_du = unfairness(ref.rates, w)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
+    target = _hits(model, w, *ref.rates.tpr, *ref.rates.tnr)
+    candidates = _sweep(model, SEARCH_FAMILY, w,
+                        partial(_unchanging, target=target, tol=tol))
     f, a = candidates.fairness, candidates.accuracy
-    target = _hits(model, MetricWeights(), *ref.rates.tpr, *ref.rates.tnr)
     found = bool(np.any((1.0 - f <= tol) & (a >= target - tol)))
     best_fairness, best_accuracy = _fairest(f, a)
     search = Condition(
@@ -279,6 +279,13 @@ def _boundary_alignment_reports(model, modes, tol: float = 1e-9) -> tuple:
                                      (absent, match, search), concluded, tol,
                                      notes))
     return tuple(reports)
+
+
+def _unchanging(fairness, accuracy, f_top, a_top, target, tol):
+    """The search's closing rule: what fails its test and is less fair than
+    (f_top, a_top), or as fair and no more accurate; it marks no NaN."""
+    return (((fairness < f_top) | ((fairness == f_top) & (accuracy <= a_top)))
+            & ((1.0 - fairness > tol) | (accuracy < target - tol)))
 
 
 def _prescribed_regions(model, branch: int, lo: float, hi: float):

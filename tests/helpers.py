@@ -7,8 +7,18 @@ import numpy as np
 
 from fairfrontier import (GroupConditionalModel, GroupwiseClassifier,
                           IntervalSet, Mixture, Normal)
+from fairfrontier.frontier import (_bounds, _cell_cdfs, _cut_table, _masses,
+                                   _Table)
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def group_table(model, w, family, grid, a, orient):
+    """The _Table a sweep of family over grid builds for group a at one
+    orientation."""
+    masses = _masses(_cell_cdfs(model, grid),
+                     *_bounds(family, _cut_table(family), orient))
+    return _Table(model, w, a, masses)
 
 
 def random_model(seed: int) -> GroupConditionalModel:

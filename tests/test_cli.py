@@ -15,7 +15,7 @@ from fairfrontier import (FamilySpec, Frontier, GroupConditionalModel,
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main, parse_region)
-from fairfrontier.frontier import _block_len, _sweep
+from fairfrontier.frontier import _block_len, _first_pass_drops, _sweep
 from helpers import random_model, swapped_groups
 
 
@@ -83,7 +83,7 @@ def test_sweep_csv_rows_match_the_decomposition_oracle(
     family = FamilySpec(kind, orientations=orientations, k=1,
                         resolution=6 if kind == "per_group_intervals" else 17)
     w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
-    c = _sweep(model, family, w, bounded)
+    c = _sweep(model, family, w, _first_pass_drops if bounded else None)
     ref = Reference.of(model)
     cli._write_sweep_csv(model, c, w, ref, tmp_path / "sweep.csv")
     rows = read_csv(tmp_path / "sweep.csv")
@@ -518,7 +518,7 @@ def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
     ref = Reference.of(model)
     c = _sweep(model, FamilySpec("shared_threshold", resolution=5,
                                  sweep_range=(-1e308, 7e307)),
-               MetricWeights(), False)
+               MetricWeights(), None)
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == len(c)
     assert [row["well_defined"] for row in rows] == [

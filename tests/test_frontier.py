@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -18,14 +19,12 @@ from fairfrontier import (CELLS, PRESETS, FamilySpec, Frontier,
                           classify_shape, dominance_oracle, frontier,
                           pareto_filter, scenario, sweep)
 from fairfrontier.frontier import (_FAIR_LEVELS, _PLATEAU_GAP, ORIENTS,
-                                   _block_len, _cell_cdfs, _fair_line,
+                                   _block_len, _cut_table, _fair_line,
                                    _fair_roots, _first_pass_drops,
-                                   _grid_tnrs, _group_table, _half_line,
-                                   _interval_regions, _open_lines,
-                                   _per_group_fairness_optimum, _sweep,
-                                   _Table)
+                                   _grid_tnrs, _half_line, _open_lines,
+                                   _per_group_fairness_optimum, _sweep)
 from fairfrontier.metrics import _hits
-from helpers import random_model
+from helpers import group_table, random_model
 
 COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
                                  repeat=2))
@@ -33,13 +32,6 @@ COMBOS = tuple(itertools.product(("positive_above", "positive_below"),
 
 def pt(fairness, accuracy, tag):
     return FrontierPoint(fairness, accuracy, ("grid", tag, (), ()))
-
-
-def group_table(model, w, family, grid, a, orient):
-    """The _Table a sweep builds for group a at one orientation."""
-    index = list(_interval_regions(family, orient))
-    return _Table(model, w, a,
-                  *_group_table(index, _cell_cdfs(model, grid, a)))
 
 
 def test_family_spec_validation():
@@ -247,12 +239,11 @@ def test_sweep_resource_cap():
 
 def test_interval_regions_stop_at_the_grid_size():
     # an n-point grid has no region of more than n boundaries, so a huge k
-    # adds no block past boundary count n
-    family = FamilySpec("per_group_intervals", resolution=5, k=10 ** 9)
+    # gives each of the 2**n boundary sets one row of at most n cuts
     for orient in ("positive_above", "positive_below"):
-        blocks = list(itertools.islice(_interval_regions(family, orient),
-                                       family.resolution + 2))
-        assert len(blocks) <= family.resolution + 1
+        family = FamilySpec("per_group_intervals", orientations=orient,
+                            resolution=5, k=10 ** 9)
+        assert _cut_table(family).shape == (2 ** 5, 5 + 2)
 
 
 def test_sweep_range_wider_than_a_float_is_refused():
@@ -511,7 +502,8 @@ def test_closed_lines_hold_only_scores_the_first_pass_drops(model, family):
             candidates.fairness[start:end], candidates.accuracy[start:end],
             pivot.fairness, pivot.accuracy).reshape(n0, n1)
         start = end
-        rows, cols = _open_lines(w, t0, t1, pivot)
+        rows, cols = _open_lines(w, t0, t1, partial(
+            _first_pass_drops, f_top=pivot.fairness, a_top=pivot.accuracy))
         closed_rows = np.setdiff1d(np.arange(n0), rows)
         assert dropped[closed_rows].all()
         # a column is closed against the open rows only; the closed rows
@@ -529,7 +521,7 @@ def test_zero_count_blocks_index_iterate_and_decode():
                         resolution=101)
     w = MetricWeights()
     full = sweep(model, family, w)
-    bounded = _sweep(model, family, w, True)
+    bounded = _sweep(model, family, w, _first_pass_drops)
     counts = [_block_len(block) for block in bounded.blocks]
     # the two appended optima are one 1 x 1 product block each
     assert counts[1:] == [0, 0, 0, 1, 1]
@@ -544,7 +536,8 @@ def test_zero_count_blocks_index_iterate_and_decode():
     tables = [group_table(model, w, family, grid, a, "positive_above")
               for a in (0, 1)]
     pivot = max(full[-2], full[-1], key=lambda p: (p.fairness, p.accuracy))
-    rows, cols = _open_lines(w, *tables, pivot)
+    rows, cols = _open_lines(w, *tables, partial(
+        _first_pass_drops, f_top=pivot.fairness, a_top=pivot.accuracy))
     flat = (rows[:, None] * family.resolution + cols[None, :]).ravel()
     assert pts[:-2] == [full[i] for i in flat.tolist()]
 
@@ -569,28 +562,27 @@ def test_build_frontier_scores_only_the_open_cells():
     FamilySpec("per_group_intervals", orientations="both", resolution=7)],
     ids=["threshold", "intervals"])
 def test_build_frontier_builds_each_index_table_once(family):
-    # both groups share an orientation's index table
-    with mock.patch("fairfrontier.frontier._interval_regions",
-                    wraps=frontier._interval_regions) as index:
+    # every orientation reads one cut table, and one pass over it per
+    # orientation gives both groups' rates
+    with (mock.patch("fairfrontier.frontier._cut_table",
+                     wraps=frontier._cut_table) as index,
+          mock.patch("fairfrontier.frontier._masses",
+                     wraps=frontier._masses) as masses):
         build_frontier(scenario("example1"), family)
-    assert sorted(c.args[1] for c in index.call_args_list) == [
-        "positive_above", "positive_below"]
+    assert index.call_count == 1
+    assert masses.call_count == 2
 
 
 def decoded(regions):
-    """Patch _Regions to count the rows it decodes into regions."""
-    get, iterate = frontier._Regions.__getitem__, frontier._Regions.__iter__
+    """Patch _Regions to record the rows it decodes into regions; indexing
+    and iteration decode through take too."""
+    take = frontier._Regions.take
 
-    def one(self, k):
-        regions.append(k)
-        return get(self, k)
+    def counted(self, ks):
+        regions.extend(self.rows[ks].tolist())
+        return take(self, ks)
 
-    def every(self):
-        regions.extend(range(len(self)))
-        return iterate(self)
-
-    return mock.patch.multiple(frontier._Regions, __getitem__=one,
-                               __iter__=every)
+    return mock.patch.object(frontier._Regions, "take", counted)
 
 
 def test_boundary_alignment_search_decodes_no_region():

@@ -1,5 +1,7 @@
 """Rates, weighted accuracy, and the unfairness decomposition."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,7 @@ from fairfrontier import (FULL_LINE, ConfusionRates, Decomposition,
                           accuracy, bayes_accuracy_optimal, confusion_rates,
                           decompose_unfairness, fairness, scenario,
                           unfairness)
-from fairfrontier.metrics import DECOMP_TOL
+from fairfrontier.metrics import DECOMP_TOL, Reference
 from helpers import random_classifier, random_model
 
 T45 = GroupwiseClassifier.shared_threshold(4.5)
@@ -127,6 +129,21 @@ def test_decompose_example1_threshold():
     # reference rates order as TPR0 < TPR1 with TNR0 > TNR1 and the threshold
     # rule matches the shared verdict outside the disputed band
     assert d.condition_met == "condition1"
+
+
+def test_decompose_reads_the_models_kept_reference():
+    # default calls build the per-group Reference once per model; a given
+    # reference is still built from what is given
+    model = random_model(3)
+    clfs = [random_classifier(seed) for seed in range(4)]
+    want = [Reference.of(model).decompose(model, clf) for clf in clfs]
+    with mock.patch.object(Reference, "of", wraps=Reference.of) as of:
+        got = [decompose_unfairness(model, clf) for clf in clfs * 2]
+        assert of.call_count == 1
+        stars = bayes_accuracy_optimal(model, "per_group")
+        decompose_unfairness(model, T45, reference=stars)
+        assert of.call_count == 2
+    assert got == want * 2
 
 
 def test_decompose_data_part_constant_across_thresholds():

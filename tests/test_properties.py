@@ -1,5 +1,6 @@
 """Property-based invariants over random inputs."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,10 +22,9 @@ from fairfrontier import (ConfusionRates, FamilySpec, FrontierPoint,
                           pareto_filter, sweep, unfairness, validate,
                           well_defined_check)
 from fairfrontier.distributions import _root
-from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS,
-                                   _cell_cdfs, _group_table,
-                                   _interval_regions, _region_count,
-                                   _Regions)
+from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS, _bounds,
+                                   _cell_cdfs, _cut_table, _masses,
+                                   _region_count, _Regions)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
 from helpers import CELLS, random_classifier, random_model
@@ -465,9 +465,12 @@ def test_in_place_scores_equal_the_allocating_expression(
 
 
 def index_rows(n, k, orient):
-    family = FamilySpec("per_group_intervals", resolution=n, k=k)
-    return [tuple(zip(los, his))
-            for lo, hi in _interval_regions(family, orient)
+    """orient's rows of a "both" family's cut table as (lo, hi) index
+    pairs, without the padding pairs (n + 1, n + 1)."""
+    family = FamilySpec("per_group_intervals", orientations="both",
+                        resolution=n, k=k)
+    lo, hi = _bounds(family, _cut_table(family), orient)
+    return [tuple((a, b) for a, b in zip(los, his) if a <= n)
             for los, his in zip(lo.tolist(), hi.tolist())]
 
 
@@ -490,27 +493,33 @@ def test_interval_region_count_matches_enumeration(resolution, k, orient):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("orient", ORIENTS[:2])
 def test_index_arrays_equal_the_enumeration(resolution, k, orient):
-    # same region tuples in the same order, and bit-identical rates
+    # same region tuples in the same order, and bit-identical rates, read
+    # from a "both" family's cut table, whose positive_above rows pad the
+    # positive_below ones; 2k + 1 > resolution caps the boundary count
     model = random_model(10 * resolution + k)
     grid = np.linspace(*model.quantile_range(0.9999), resolution)
     edges = [-math.inf, *grid.tolist(), math.inf]
-    family = FamilySpec("per_group_intervals", orientations=orient,
+    family = FamilySpec("per_group_intervals", orientations="both",
                         resolution=resolution, k=k)
+    table = _cut_table(family)
+    own = _cut_table(dataclasses.replace(family, orientations=orient))
+    assert np.array_equal(own, table[:len(own), :own.shape[1]])
+    assert (table[:len(own), own.shape[1]:] == resolution + 1).all()
+    lo, hi = _bounds(family, table, orient)
+    masses = _masses(_cell_cdfs(model, grid), lo, hi)
     for a in (0, 1):
         regions, tpr, tnr = enumerated_rates(model, grid, k, a, orient)
         assert index_rows(resolution, k, orient) == regions
-        index = list(_interval_regions(family, orient))
-        got_tpr, got_tnr = _group_table(index, _cell_cdfs(model, grid, a))
         # decoded all at once, row by row, and for every third row
-        got = _Regions(np.array(edges), index, np.arange(len(got_tpr)))
+        got = _Regions(np.array(edges), lo, hi, np.arange(len(lo)))
         want = [tuple((edges[lo], edges[hi]) for lo, hi in r)
                 for r in regions]
         assert list(got) == want
-        assert [got[i] for i in range(len(got))] == want
-        assert list(_Regions(np.array(edges), index,
+        assert [got.take([i])[0] for i in range(len(got))] == want
+        assert list(_Regions(np.array(edges), lo, hi,
                              np.arange(0, len(got), 3))) == want[::3]
-        assert got_tpr.tobytes() == tpr.tobytes()
-        assert got_tnr.tobytes() == tnr.tobytes()
+        assert masses[2 * a + 1].tobytes() == tpr.tobytes()
+        assert (1.0 - masses[2 * a]).tobytes() == tnr.tobytes()
 
 
 @given(st.integers(0, 300), st.sampled_from(KINDS), st.sampled_from(ORIENTS),
@@ -535,10 +544,10 @@ def test_swept_scores_equal_the_scalar_api(mseed, kind, orient, resolution,
         assert p.fairness == 1.0 - unfairness(confusion_rates(model, clf), w)
         assert p.accuracy == accuracy(model, clf, w)
     grid = np.linspace(*candidates.sweep_range, family.resolution)
-    for a, o in itertools.product((0, 1), ORIENTS[:2]):
-        for rates in _group_table(list(_interval_regions(family, o)),
-                                  _cell_cdfs(model, grid, a)):
-            assert np.all((rates >= 0.0) & (rates <= 1.0))
+    cdfs, table = _cell_cdfs(model, grid), _cut_table(family)
+    for o in set(itertools.chain(*family.combos())):
+        masses = _masses(cdfs, *_bounds(family, table, o))
+        assert np.all((masses >= 0.0) & (masses <= 1.0))
 
 
 @given(mixtures(), st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1,

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+from functools import partial
 
+import numpy as np
 import pytest
 
 from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
@@ -13,9 +15,11 @@ from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
                           check_boundary_alignment, check_decomposition_bound,
                           check_simultaneous_optimality, fairness_optimal,
                           frontier, overpursuit_accuracy_bound, scenario,
-                          theorems)
-from helpers import (random_classifier, random_model, swapped_groups,
-                     valley_model)
+                          sweep, theorems)
+from fairfrontier.frontier import _open_lines
+from fairfrontier.metrics import MetricWeights, Reference, _hits
+from helpers import (group_table, random_classifier, random_model,
+                     swapped_groups, valley_model)
 
 
 def by_name(report, name):
@@ -332,17 +336,18 @@ def test_boundary_alignment_search_equals_the_full_sweep(name, monkeypatch):
     # both searches ask one model, so each optimum is solved once
     got = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     monkeypatch.setattr(theorems, "_sweep",
-                        lambda model, family, w, bounded:
-                        frontier._sweep(model, family, w, False))
+                        lambda model, family, w, closes:
+                        frontier._sweep(model, family, w, None))
     want = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
     assert got == want
 
 
-@pytest.mark.parametrize("name, count", [("example1", 4),
-                                         ("example4_identical", 10_306)])
+@pytest.mark.parametrize("name, count", [("example1", 2),
+                                         ("example4_identical", 15)])
 def test_boundary_alignment_scores_only_open_lines(name, count, monkeypatch):
     # candidates searched, of the full sweep's 148,998; both hold the two
-    # appended optima
+    # appended optima (the search closed lines by build_frontier's rule
+    # before, and scored 4 and 10,306)
     counts = []
 
     def counted(*args, **kwargs):
@@ -353,6 +358,44 @@ def test_boundary_alignment_scores_only_open_lines(name, count, monkeypatch):
     monkeypatch.setattr(theorems, "_sweep", counted)
     check_boundary_alignment(scenario(name))
     assert counts == [count]
+
+
+@pytest.mark.parametrize("name", [*PRESETS,
+                                  *(f"random-{s}" for s in range(10))])
+def test_search_closes_only_lines_that_cannot_change_its_answer(name):
+    # a pair can change found or _fairest only if it is fairer than the
+    # pivot, as fair and more accurate, or completely fair at the optimal
+    # accuracy; no pair on a closed line of the full sweep is one
+    model = (scenario(name) if name in PRESETS
+             else random_model(int(name.removeprefix("random-"))))
+    family, w, tol = theorems.SEARCH_FAMILY, MetricWeights(), 1e-9
+    ref = Reference.of(model)
+    target = _hits(model, w, *ref.rates.tpr, *ref.rates.tnr)
+    candidates = sweep(model, family, w)
+    pivot = max(candidates[-2], candidates[-1],
+                key=lambda p: (p.fairness, p.accuracy))
+    rule = partial(theorems._unchanging, f_top=pivot.fairness,
+                   a_top=pivot.accuracy, target=target, tol=tol)
+    grid = np.linspace(*candidates.sweep_range, family.resolution)
+    start = closed = 0
+    for o0, o1 in family.combos():
+        t0 = group_table(model, w, family, grid, 0, o0)
+        t1 = group_table(model, w, family, grid, 1, o1)
+        n0, n1 = len(t0.tpr), len(t1.tpr)
+        f, a = (column[start:start + n0 * n1].reshape(n0, n1) for column in
+                (candidates.fairness, candidates.accuracy))
+        start += n0 * n1
+        changes = ((f > pivot.fairness)
+                   | ((f >= pivot.fairness) & (a > pivot.accuracy))
+                   | ((1.0 - f <= tol) & (a >= target - tol)))
+        rows, cols = _open_lines(w, t0, t1, rule)
+        closed_rows = np.setdiff1d(np.arange(n0), rows)
+        assert not changes[closed_rows].any()
+        closed_cols = np.setdiff1d(np.arange(n1), cols)
+        assert not changes[:, closed_cols].any()
+        closed += len(closed_rows) + len(closed_cols)
+    assert start == len(candidates) - 2
+    assert closed > 0
 
 
 def test_boundary_alignment_mode_validated():
