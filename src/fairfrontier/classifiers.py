@@ -143,9 +143,6 @@ class GroupwiseClassifier:
     def predict(self, x, a: int):
         return self.regions[a].contains(x).astype(int)
 
-    def complemented(self) -> "GroupwiseClassifier":
-        return GroupwiseClassifier(tuple(r.complement() for r in self.regions))
-
 
 # -- sign-region extraction -------------------------------------------------
 

@@ -31,9 +31,10 @@ from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
                       _split, confusion_rates, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
-from .theorems import (_boundary_alignment_reports, _decomposition_report,
-                       _overpursuit_report, check_accuracy_jump,
-                       check_simultaneous_optimality)
+from .theorems import (_boundary_alignment_reports, check_accuracy_jump,
+                       check_decomposition_bound,
+                       check_simultaneous_optimality,
+                       overpursuit_accuracy_bound)
 
 ANALYSES = ("frontier", "decompose", "theorems")
 
@@ -75,17 +76,6 @@ def _region_str(bounds) -> str:
     return ";".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in bounds)
 
 
-def parse_region(text: str) -> tuple:
-    """Inverse of the region column format: 'lo:hi;lo:hi' -> bound pairs."""
-    if not text:
-        return ()
-    out = []
-    for part in text.split(";"):
-        lo, _, hi = part.partition(":")
-        out.append((float(lo), float(hi)))
-    return tuple(out)
-
-
 def _ray_threshold(bounds) -> str:
     if len(bounds) != 1:
         return ""
@@ -115,9 +105,10 @@ SweepTable = namedtuple("SweepTable", DECOMP_COLUMNS)
 _WRITE_BATCH = 32_768  # sweep.csv rows gathered and formatted at a time
 
 
-def _measurer(model, ref: Reference):
-    """measure(a, regions): the (text, ray, tpr, tnr, mismatch) columns of
-    group a's regions; each region is measured once, its rates per group."""
+def _measurer(model):
+    """measure(a, regions): group a's (text, ray, tpr, tnr, mismatch) columns
+    against the kept Reference; each region measured once, rates per group."""
+    ref = model._solved(Reference.of)
     shared = cache(lambda bounds: (_region_str(bounds), _ray_threshold(bounds),
                                    ref.mismatch(IntervalSet(bounds))))
     rates = cache(lambda a, b: _group_rates(model, a, IntervalSet(b)))
@@ -130,11 +121,11 @@ def _measurer(model, ref: Reference):
     return measure
 
 
-def _write_sweep_csv(model, candidates, w: MetricWeights, ref: Reference,
-                     path: Path) -> None:
+def _write_sweep_csv(model, candidates, w: MetricWeights, path: Path) -> None:
     """One row per candidate, block by block: each distinct region measured
-    and formatted once."""
-    measure = _measurer(model, ref)
+    once against the model's kept Reference, and formatted once."""
+    ref = model._solved(Reference.of)
+    measure = _measurer(model)
     f_du = _fmt(unfairness(ref.rates, w))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -206,7 +197,7 @@ def _decomposition_table(model, family: FamilySpec,
     # each boundary's shared_threshold region, which both groups take
     regions = [((x, math.inf),) if above else ((-math.inf, x),) for x in t]
     ref = model._solved(Reference.of)
-    measure = _measurer(model, ref)
+    measure = _measurer(model)
     *_, tpr0, tnr0, m = measure(0, regions)
     *_, tpr1, tnr1, _ = measure(1, regions)
     f_u = _gap(w, tpr0, tpr1, tnr0, tnr1)
@@ -244,6 +235,8 @@ def _axis_range(values) -> tuple:
     if hi <= lo:
         return lo - 0.5, hi + 0.5
     pad = 0.04 * (hi - lo)
+    if not math.isfinite((hi + pad) - (lo - pad)):  # near the float limit
+        return lo, hi
     return lo - pad, hi + pad
 
 
@@ -277,13 +270,13 @@ def _plot_svg(title, xlabel, curves, verticals) -> str:
         ' stroke="#333333"/>',
     ]
     for i in range(5):
-        xv = xlo + i * (xhi - xlo) / 4
+        xv = xlo + (xhi - xlo) * (i / 4)
         px = _fmt6(sx(xv))
         parts.append(f'<line x1="{px}" y1="{_H - _MB}" x2="{px}"'
                      f' y2="{_H - _MB + 4}" stroke="#333333"/>')
         parts.append(f'<text x="{px}" y="{_H - _MB + 17}"'
                      f' text-anchor="middle">{_fmt6(xv)}</text>')
-        yv = ylo + i * (yhi - ylo) / 4
+        yv = ylo + (yhi - ylo) * (i / 4)
         py = _fmt6(sy(yv))
         parts.append(f'<line x1="{_ML - 4}" y1="{py}" x2="{_ML}" y2="{py}"'
                      ' stroke="#333333"/>')
@@ -394,18 +387,18 @@ def _render_report(title: str, report) -> str:
 def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
     w = cfg.weights
     shared_opt = model._solved(bayes_accuracy_optimal, "overall")
-    ref = model._solved(Reference.of)
     located, indicated = _boundary_alignment_reports(
         model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
         ("accuracy ceiling under fairness over-pursuit",
-         _overpursuit_report(model, ref, fairness_optimal(model), w)),
+         overpursuit_accuracy_bound(model, fairness_optimal(model), w)),
         ("unfairness decomposition at the shared accuracy optimum",
-         _decomposition_report(model, ref, shared_opt, w)),
+         check_decomposition_bound(model, shared_opt, w)),
         ("unfairness decomposition at the per-group accuracy optimum",
-         _decomposition_report(model, ref, ref.optima, w)),
+         check_decomposition_bound(
+             model, model._solved(bayes_accuracy_optimal, "per_group"), w)),
         ("boundary alignment, matching boundary points", located),
         ("boundary alignment, matching indicators", indicated),
     ]
@@ -558,7 +551,6 @@ def _cmd_run(args) -> int:
     _out_dir(cfg.out)
     print(f"scenario {cfg.scenario}"
           + (f" ({model.label})" if model.label else ""))
-    ref = model._solved(Reference.of)
 
     frontier = None
     if "frontier" in cfg.analyses:
@@ -566,8 +558,7 @@ def _cmd_run(args) -> int:
         frontier = classify_shape(pareto_filter(candidates, cfg.family))
         print(f"swept {len(candidates)} candidates"
               f" ({cfg.family.kind}, resolution {cfg.family.resolution})")
-        _write_sweep_csv(model, candidates, cfg.weights, ref,
-                         cfg.out / "sweep.csv")
+        _write_sweep_csv(model, candidates, cfg.weights, cfg.out / "sweep.csv")
         _write_frontier_csv(frontier, cfg.family, cfg.out / "frontier.csv")
         emit_plot(frontier, "frontier_curve", cfg.out / "frontier.svg")
         print(f"frontier: {len(frontier.points)} points,"

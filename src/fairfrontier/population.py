@@ -91,31 +91,14 @@ class GroupConditionalModel:
     def p_label(self, y: int) -> float:
         return self.joint[(0, y)] + self.joint[(1, y)]
 
-    def p_group(self, a: int) -> float:
-        return self.joint[(a, 0)] + self.joint[(a, 1)]
-
-    def label_given_group(self, y: int, a: int) -> float:
-        return self.joint[(a, y)] / self.p_group(a)
-
     # -- densities -------------------------------------------------------
 
     def cell_pdf(self, x, a: int, y: int):
         return self.conditional[(a, y)].pdf(x)
 
-    def cell_cdf(self, x, a: int, y: int):
-        return self.conditional[(a, y)].cdf(x)
-
     def joint_pdf(self, x, a: int, y: int):
         """f(x, A=a, Y=y) = P(A=a, Y=y) f(x|a,y)."""
         return self.joint[(a, y)] * self.conditional[(a, y)].pdf(x)
-
-    def label_pdf(self, x, y: int):
-        """f(x | Y=y), pooled over groups."""
-        num = self.joint_pdf(x, 0, y) + self.joint_pdf(x, 1, y)
-        return num / self.p_label(y)
-
-    def pooled_cdf(self, x):
-        return sum(self.joint[(a, y)] * self.cell_cdf(x, a, y) for a, y in CELLS)
 
     # -- ranges ----------------------------------------------------------
 

@@ -124,14 +124,9 @@ def check_simultaneous_optimality(model, clf: GroupwiseClassifier,
 def overpursuit_accuracy_bound(model, clf: GroupwiseClassifier,
                                w: MetricWeights = None) -> TheoremReport:
     """Accuracy ceiling for classifiers at least as fair as the fairness
-    optimum: no better than the fairness optimum itself, nor than the best
-    single group optimum applied to everyone.
+    optimum: no better than that optimum, nor than the best group optimum
+    of the model's kept Reference applied to everyone.
     """
-    return _overpursuit_report(model, model._solved(Reference.of), clf, w)
-
-
-def _overpursuit_report(model, ref: Reference, clf: GroupwiseClassifier,
-                        w: MetricWeights = None) -> TheoremReport:
     w = w or MetricWeights()
     if not clf.shared:
         raise ContractError(
@@ -145,8 +140,8 @@ def _overpursuit_report(model, ref: Reference, clf: GroupwiseClassifier,
             f"classifier does not over-pursue fairness: its unfairness "
             f"{f_u_clf!r} exceeds the fairness optimum's {f_u_fair!r}")
 
-    acc_star = [accuracy(model, GroupwiseClassifier.from_shared(
-        ref.optima.positive_region(a)), w) for a in (0, 1)]
+    acc_star = [accuracy(model, GroupwiseClassifier.from_shared(region), w)
+                for region in model._solved(Reference.of).optima.regions]
     acc_fair = accuracy(model, fair_clf, w)
     acc_clf = accuracy(model, clf, w)
     bound = min(acc_fair, max(acc_star))
@@ -175,16 +170,10 @@ def check_decomposition_bound(model, clf: GroupwiseClassifier,
                               w: MetricWeights = None,
                               tol: float = 1e-9) -> TheoremReport:
     """Unfairness never exceeds its data part plus its model part, with
-    equality when the classifier is well-defined and the reference optima
-    disagree in one consistent direction.
+    equality when the classifier is well-defined and the optima of the
+    model's kept Reference disagree in one consistent direction.
     """
-    return _decomposition_report(model, model._solved(Reference.of), clf, w,
-                                 tol)
-
-
-def _decomposition_report(model, ref: Reference, clf: GroupwiseClassifier,
-                          w: MetricWeights = None,
-                          tol: float = 1e-9) -> TheoremReport:
+    ref = model._solved(Reference.of)
     d = ref.decompose(model, clf, w)
     pattern = ref.pattern or "none"
 

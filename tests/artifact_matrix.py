@@ -21,7 +21,9 @@ results: the ``repr`` of ``build_frontier`` for ``per_group_threshold``
 resolution 7, k = 2), and ``check_boundary_alignment(model, mode).to_dict()``
 for both modes. Each ``bounded.txt`` is computed twice on one model
 object, and the script exits 1 when the second pass, which reads the
-model's kept solves, differs from the first. Paths are relative to
+model's kept solves, differs from the first. It exits 1 too when a file
+it wrote holds a ``nan`` token, or an SVG an ``inf`` token (a CSV region
+bound may be ``inf``). Paths are relative to
 OUT_DIR, so the matrices of two trees compare with ``diff -r``, which then
 lists every artifact a change moved. The package is imported from this
 tree's ``src``. pytest does not collect this file.
@@ -33,6 +35,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,6 +55,8 @@ BOUNDED_FAMILIES = (FamilySpec("per_group_threshold", "both", 201),
 MODES = ("boundary_location", "strict_indicator")
 WEIGHTS = ("--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8", "--p2",
            "1.2")
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+INF = re.compile(r"\binf\b", re.IGNORECASE)
 
 
 def commands(scenarios):
@@ -85,6 +90,14 @@ def bounded_text(model) -> str:
            for mode in MODES])
 
 
+def non_finite(paths):
+    """The paths that hold a nan token, or, for an SVG, an inf token."""
+    for path in paths:
+        text = path.read_text()
+        if NAN.search(text) or (path.suffix == ".svg" and INF.search(text)):
+            yield path
+
+
 def main_matrix(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
@@ -113,6 +126,11 @@ def main_matrix(out_dir: Path) -> None:
             f"$ fairfrontier {' '.join(argv)}\n{stdout.getvalue()}"
             f"exit {code}\n")
         print(f"{out}: exit {code}", file=sys.stderr)
+    written = [path for top in ("scenarios", *models)
+               for path in sorted(Path(top).rglob("*")) if path.is_file()]
+    bad = list(non_finite(written))
+    if bad:
+        sys.exit("non-finite tokens in " + ", ".join(map(str, bad)))
 
 
 if __name__ == "__main__":

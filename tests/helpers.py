@@ -1,5 +1,7 @@
 """Shared builders for the test suite: seeded random models and classifiers,
-plus a hand-built population whose frontier drops sharply by construction."""
+a hand-built population whose frontier drops sharply by construction, and
+reference helpers (pooled laws, complements, region parsing) that only
+tests read."""
 
 import math
 
@@ -19,6 +21,40 @@ def group_table(model, w, family, grid, a, orient):
     masses = _masses(_cell_cdfs(model, grid),
                      *_bounds(family, _cut_table(family), orient))
     return _Table(model, w, a, masses)
+
+
+def parse_region(text: str) -> tuple:
+    """Inverse of the CLI's region column format: 'lo:hi;lo:hi' -> bound
+    pairs."""
+    if not text:
+        return ()
+    out = []
+    for part in text.split(";"):
+        lo, _, hi = part.partition(":")
+        out.append((float(lo), float(hi)))
+    return tuple(out)
+
+
+def complemented(clf: GroupwiseClassifier) -> GroupwiseClassifier:
+    """clf with each group's positive region complemented."""
+    return GroupwiseClassifier(tuple(r.complement() for r in clf.regions))
+
+
+def label_given_group(model, y: int, a: int) -> float:
+    """P(Y=y | A=a)."""
+    return model.joint[(a, y)] / (model.joint[(a, 0)] + model.joint[(a, 1)])
+
+
+def label_pdf(model, x, y: int):
+    """f(x | Y=y), pooled over groups."""
+    num = model.joint_pdf(x, 0, y) + model.joint_pdf(x, 1, y)
+    return num / model.p_label(y)
+
+
+def pooled_cdf(model, x):
+    """The cdf of X pooled over all four cells."""
+    return sum(model.joint[(a, y)] * model.conditional[(a, y)].cdf(x)
+               for a, y in CELLS)
 
 
 def random_model(seed: int) -> GroupConditionalModel:

@@ -12,8 +12,8 @@ from fairfrontier import (EMPTY, FULL_LINE, PRESETS, ComplexityError,
                           fairness_optimal, positive_mass, scenario,
                           sign_region, unfairness, validate,
                           well_defined_check)
-from helpers import (random_classifier, random_model, swapped_groups,
-                     valley_model)
+from helpers import (complemented, random_classifier, random_model,
+                     swapped_groups, valley_model)
 
 
 def gap(model, clf):
@@ -101,7 +101,7 @@ def test_threshold_orientations():
 
 def test_complemented_swaps_membership():
     clf = GroupwiseClassifier.per_group_thresholds(0.0, 1.0)
-    flipped = clf.complemented()
+    flipped = complemented(clf)
     xs = np.linspace(-3, 3, 50)
     for a in (0, 1):
         assert np.array_equal(flipped.predict(xs, a), 1 - clf.predict(xs, a))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from fairfrontier import (FamilySpec, Frontier, GroupConditionalModel,
                           confusion_rates, scenario, write_scenario_file)
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
-                              emit_plot, main, parse_region)
+                              emit_plot, main)
 from fairfrontier.frontier import _block_len, _first_pass_drops, _sweep
-from helpers import random_model, swapped_groups
+from helpers import parse_region, random_model, swapped_groups
 
 
 def read_csv(path):
@@ -84,13 +85,12 @@ def test_sweep_csv_rows_match_the_decomposition_oracle(
                         resolution=6 if kind == "per_group_intervals" else 17)
     w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
     c = _sweep(model, family, w, _first_pass_drops if bounded else None)
+    cli._write_sweep_csv(model, c, w, tmp_path / "sweep.csv")
     ref = Reference.of(model)
-    cli._write_sweep_csv(model, c, w, ref, tmp_path / "sweep.csv")
     rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == len(c)
     assert max(map(_block_len, c.blocks)) > 2 * cli._WRITE_BATCH
-    for k, row in enumerate(rows):
-        p = c[k]
+    for k, (row, p) in enumerate(zip(rows, c)):
         d = ref.decompose(model, p.clf, w)
         assert (row["source"], row["tag"]) == p.params[:2]
         assert (parse_region(row["region0"]),
@@ -489,6 +489,20 @@ def test_oversized_decomposition_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "cap" in captured.err and not captured.out
         assert not out.exists()
+
+
+def test_sweep_range_near_the_float_limit_plots_finite_svgs(tmp_path):
+    # the range is accepted, but padding its axis by 4% a side, or a
+    # tick's offset i * (hi - lo) before the division by 4, overflows
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example1", "family": {
+        "range": [-1e308, 7e307], "resolution": 21}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--frontier", "--decompose"]) == 0
+    for name in ("frontier.svg", "sweep.svg", "decomposition.svg"):
+        words = set(re.findall(r"[a-z]+", (out / name).read_text().lower()))
+        assert not {"nan", "inf"} & words, name
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -19,7 +19,7 @@ from fairfrontier import (CELLS, PRESETS, ContractError, GroupConditionalModel,
 from fairfrontier import population
 from fairfrontier.cli import main
 from fairfrontier.distributions import _finite_bracket, _root
-from helpers import random_model
+from helpers import label_given_group, pooled_cdf, random_model
 
 
 def test_example1_joint_and_conditionals():
@@ -49,9 +49,9 @@ def test_example4_identical_joints_are_quarter():
 def test_derived_probabilities_example1():
     m = scenario("example1")
     assert m.p_label(1) == pytest.approx(0.625, abs=1e-15)
-    assert m.p_group(1) == pytest.approx(0.75, abs=1e-15)
-    assert m.p_group(0) == pytest.approx(0.25, abs=1e-15)
-    assert m.label_given_group(1, 1) == pytest.approx(2 / 3, abs=1e-15)
+    assert m.joint[(1, 0)] + m.joint[(1, 1)] == pytest.approx(0.75, abs=1e-15)
+    assert m.joint[(0, 0)] + m.joint[(0, 1)] == pytest.approx(0.25, abs=1e-15)
+    assert label_given_group(m, 1, 1) == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_pooled_quantile_range_example4():
@@ -59,8 +59,8 @@ def test_pooled_quantile_range_example4():
     lo, hi = m.quantile_range(0.99999)
     assert lo == pytest.approx(0.02529822128125926, abs=1e-6)
     assert hi == pytest.approx(11.974701778718241, abs=1e-6)
-    assert m.pooled_cdf(lo) == pytest.approx(5e-6, abs=1e-9)
-    assert 1.0 - m.pooled_cdf(hi) == pytest.approx(5e-6, abs=1e-9)
+    assert pooled_cdf(m, lo) == pytest.approx(5e-6, abs=1e-9)
+    assert 1.0 - pooled_cdf(m, hi) == pytest.approx(5e-6, abs=1e-9)
 
 
 def test_validate_example1_all_pass():

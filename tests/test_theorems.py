@@ -18,7 +18,7 @@ from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
                           sweep, theorems)
 from fairfrontier.frontier import _open_lines
 from fairfrontier.metrics import MetricWeights, Reference, _hits
-from helpers import (group_table, random_classifier, random_model,
+from helpers import (group_table, label_pdf, random_classifier, random_model,
                      swapped_groups, valley_model)
 
 
@@ -117,7 +117,7 @@ def closure_measures(model, clf):
 
     measures = {
         "boundary_label_density_balance": over(
-            lambda b: abs(model.label_pdf(b, 1) - model.label_pdf(b, 0))),
+            lambda b: abs(label_pdf(model, b, 1) - label_pdf(model, b, 0))),
         "density_gap_identity": over(
             lambda b: abs(abs(f(b, 0, 1) - f(b, 1, 1))
                           - abs(f(b, 0, 0) - f(b, 1, 0))))}
