@@ -210,14 +210,26 @@ def bayes_accuracy_optimal(model, scope: str = "overall",
         return GroupwiseClassifier.from_shared(
             sign_region(g, lo, hi, max_intervals))
     if scope == "per_group":
-        regions = []
-        for a in (0, 1):
-            def g(x, a=a):
-                return model.joint_pdf(x, a, 1) - model.joint_pdf(x, a, 0)
-            lo, hi = model.group_quantile_range(a, 0.99999)
-            regions.append(sign_region(g, lo, hi, max_intervals))
-        return GroupwiseClassifier(tuple(regions))
+        return GroupwiseClassifier(_group_regions(model, 1.0, max_intervals))
     raise InputError(f"scope must be 'overall' or 'per_group', got {scope!r}")
+
+
+def _group_regions(model, sign: float, max_intervals: int) -> tuple:
+    """Each group's {sign g_a >= 0} on its range, g_a = J(a,1) f(x|a,1) -
+    J(a,0) f(x|a,0) being where its label-1 mass density wins."""
+    return tuple(sign_region(
+        lambda x, a=a: sign * (model.joint_pdf(x, a, 1)
+                               - model.joint_pdf(x, a, 0)),
+        *model.group_quantile_range(a, 0.99999), max_intervals)
+        for a in (0, 1))
+
+
+def _strict_accuracy_optimal(model) -> GroupwiseClassifier:
+    """The least per-group accuracy optimum {g_a > 0}, the complement of
+    {-g_a >= 0}; bayes_accuracy_optimal's is the greatest. It is not capped:
+    zero runs between positive ones add intervals the greatest does not."""
+    return GroupwiseClassifier(tuple(
+        r.complement() for r in _group_regions(model, -1.0, SIGN_GRID_POINTS)))
 
 
 def fairness_optimal(model) -> GroupwiseClassifier:

@@ -31,7 +31,7 @@ from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
                       _split, confusion_rates, unfairness)
 from .oracle import mc_estimate
 from .population import PRESETS, _dist_to_payload, scenario
-from .theorems import (_boundary_alignment_reports, check_accuracy_jump,
+from .theorems import (check_accuracy_jump, check_boundary_alignment,
                        check_decomposition_bound,
                        check_simultaneous_optimality,
                        overpursuit_accuracy_bound)
@@ -387,8 +387,6 @@ def _render_report(title: str, report) -> str:
 def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
     w = cfg.weights
     shared_opt = model._solved(bayes_accuracy_optimal, "overall")
-    located, indicated = _boundary_alignment_reports(
-        model, ("boundary_location", "strict_indicator"))
     sections = [
         ("shared-optimum necessary conditions",
          check_simultaneous_optimality(model, shared_opt)),
@@ -399,8 +397,10 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
         ("unfairness decomposition at the per-group accuracy optimum",
          check_decomposition_bound(
              model, model._solved(bayes_accuracy_optimal, "per_group"), w)),
-        ("boundary alignment, matching boundary points", located),
-        ("boundary alignment, matching indicators", indicated),
+        ("boundary alignment, matching boundary points",
+         check_boundary_alignment(model, "boundary_location")),
+        ("boundary alignment, matching indicators",
+         check_boundary_alignment(model, "strict_indicator")),
     ]
     if frontier is None:
         frontier = build_frontier(model, cfg.family, w)

@@ -297,7 +297,7 @@ def sweep(model, family: FamilySpec, w: MetricWeights = None) -> Candidates:
     end, in that order. The two score columns are allocated once, at their
     final size, and each block scores straight into its own slice.
     """
-    return _sweep(model, family, w or MetricWeights(), None)
+    return _sweep(model, family, w or MetricWeights(), False)
 
 
 def _capped(count: int) -> int:
@@ -312,11 +312,10 @@ def _capped(count: int) -> int:
 
 
 def _sweep(model, family: FamilySpec, w: MetricWeights,
-           closes) -> Candidates:
-    """sweep's candidates, or only the pair-block lines _open_lines leaves
-    open under closes(fairness, accuracy, f_top=, a_top=): downward closed,
-    it marks the points that cannot change the caller's answer while
-    (f_top, a_top), the fairest appended optimum, is a candidate."""
+           bounded: bool) -> Candidates:
+    """sweep's candidates, or when bounded only the pair-block lines
+    _open_lines leaves open under _first_pass_drops against the fairest
+    appended optimum (see build_frontier)."""
     count = _capped(_candidate_count(family))
     lo, hi = family.sweep_range or model._solved(
         type(model).quantile_range, 0.9999)
@@ -324,8 +323,8 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     appended = _appended_optima(model, family, w)
     product = family.kind != "shared_threshold"
     pivot = max(appended, key=lambda p: (p.fairness, p.accuracy), default=None)
-    rule = (partial(closes, f_top=pivot.fairness, a_top=pivot.accuracy)
-            if closes and product else None)
+    rule = (partial(_first_pass_drops, f_top=pivot.fairness,
+                    a_top=pivot.accuracy) if bounded and product else None)
 
     # one cut table serves every orientation, and one pass over it per
     # orientation gives all four cells' masses, which both groups read
@@ -779,4 +778,4 @@ def build_frontier(model, family: FamilySpec,
     Shared-threshold families are swept in full.
     """
     return classify_shape(pareto_filter(_sweep(
-        model, family, w or MetricWeights(), _first_pass_drops), family))
+        model, family, w or MetricWeights(), True), family))

@@ -16,7 +16,7 @@ from fairfrontier import (FamilySpec, Frontier, GroupConditionalModel,
 from fairfrontier import cli
 from fairfrontier.cli import (DECOMP_COLUMNS, FRONTIER_COLUMNS, SWEEP_COLUMNS,
                               emit_plot, main)
-from fairfrontier.frontier import _block_len, _first_pass_drops, _sweep
+from fairfrontier.frontier import _block_len, _sweep
 from helpers import parse_region, random_model, swapped_groups
 
 
@@ -84,7 +84,7 @@ def test_sweep_csv_rows_match_the_decomposition_oracle(
     family = FamilySpec(kind, orientations=orientations, k=1,
                         resolution=6 if kind == "per_group_intervals" else 17)
     w = MetricWeights(omega1=0.3, omega2=0.7, p1=0.8, p2=1.0)
-    c = _sweep(model, family, w, _first_pass_drops if bounded else None)
+    c = _sweep(model, family, w, bounded)
     cli._write_sweep_csv(model, c, w, tmp_path / "sweep.csv")
     ref = Reference.of(model)
     rows = read_csv(tmp_path / "sweep.csv")
@@ -419,19 +419,20 @@ def test_oversized_family_check_solves_no_optimum(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command, family, flags, fair_solves", [
-    *(pytest.param(command, family, flags, 1, id=f"{prefix}{family}-1")
+    *(pytest.param(command, family, flags, int(family != "shared-threshold"),
+                   id=f"{prefix}{family}-1")
       for command, prefix, flags in (
           ("check", "", []), ("run", "run-", ["--theorems"]),
           ("run", "run-all-", ["--frontier", "--decompose", "--theorems"]))
       for family in ("shared-threshold", "per-group-threshold")),
-    pytest.param("check", "per-group-threshold", WEIGHTED, 2,
+    pytest.param("check", "per-group-threshold", WEIGHTED, 1,
                  id="weighted-per-group-threshold-1")])
 def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
                                             command, family, flags,
                                             fair_solves):
     # one command solves each optimum once, whichever analyses read it;
-    # the per-group fairness optimum once per weights: the boundary-
-    # alignment search uses the defaults, a per-group family the command's
+    # the per-group fairness optimum only for a per-group family, under
+    # the command's weights: boundary alignment solves none
     from fairfrontier import classifiers, frontier, metrics, population
     solved = []
     fair_optimum = frontier._per_group_fairness_optimum
@@ -469,8 +470,8 @@ def test_check_solves_the_per_group_optimum(monkeypatch, capsys, tmp_path,
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 0
     # and builds the per-group optimum's Reference once, and every grid
-    # without a range (the sweep's, the search's, the decomposition's)
-    # reads one solve of the pooled range
+    # without a range (the sweep's, the decomposition's) reads one solve
+    # of the pooled range
     assert [solved.count(k) for k in (
         "overall", "per_group", "fair", "reference", ("pooled", 0.9999))
     ] == [1, 1, fair_solves, 1, 1]
@@ -532,7 +533,7 @@ def test_sweep_csv_well_defined_sum_that_overflows(tmp_path):
     ref = Reference.of(model)
     c = _sweep(model, FamilySpec("shared_threshold", resolution=5,
                                  sweep_range=(-1e308, 7e307)),
-               MetricWeights(), None)
+               MetricWeights(), False)
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == len(c)
     assert [row["well_defined"] for row in rows] == [

@@ -521,7 +521,7 @@ def test_zero_count_blocks_index_iterate_and_decode():
                         resolution=101)
     w = MetricWeights()
     full = sweep(model, family, w)
-    bounded = _sweep(model, family, w, _first_pass_drops)
+    bounded = _sweep(model, family, w, True)
     counts = [_block_len(block) for block in bounded.blocks]
     # the two appended optima are one 1 x 1 product block each
     assert counts[1:] == [0, 0, 0, 1, 1]
@@ -630,9 +630,10 @@ def test_grid_tnrs_equal_the_half_lines(name):
 
 def solve_counter(monkeypatch):
     """Record each call of a solver the model keeps, by name: the Bayes
-    optima by scope, the per-group fairness optimum, the Reference and the
-    ranges. Each wrapper calls the solver it replaced."""
-    from fairfrontier import metrics, population
+    optima by scope, the strict per-group optimum, the per-group fairness
+    optimum, the Reference and the ranges. Each wrapper calls the solver it
+    replaced."""
+    from fairfrontier import metrics, population, theorems
     solved = []
 
     def counted(name, solve):
@@ -644,6 +645,8 @@ def solve_counter(monkeypatch):
     bayes = counted(lambda model, scope: scope, bayes_accuracy_optimal)
     for module in (frontier, metrics):
         monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
+    monkeypatch.setattr(theorems, "_strict_accuracy_optimal", counted(
+        lambda model: "strict", theorems._strict_accuracy_optimal))
     monkeypatch.setattr(frontier, "_per_group_fairness_optimum", counted(
         lambda model, w: "fair", frontier._per_group_fairness_optimum))
     monkeypatch.setattr(metrics.Reference, "of", classmethod(counted(
@@ -656,7 +659,7 @@ def solve_counter(monkeypatch):
     return solved
 
 
-SOLVED_ONCE = ["overall", "per_group", "fair", "reference",
+SOLVED_ONCE = ["overall", "per_group", "strict", "fair", "reference",
                (0.9999, CELLS), (0.99999, ((0, 0), (0, 1))),
                (0.99999, ((1, 0), (1, 1)))]
 
@@ -670,6 +673,7 @@ def test_one_model_solves_each_optimum_and_range_once(monkeypatch):
     build_frontier(model, FamilySpec("per_group_intervals", "both", 7, k=2))
     sweep(model, FamilySpec("shared_threshold", resolution=51))
     check_boundary_alignment(model)
+    check_boundary_alignment(model, "strict_indicator")
     assert sorted(map(str, solved)) == sorted(map(str, SOLVED_ONCE))
     # other weights solve the fairness optimum once more, and only it
     build_frontier(model, FamilySpec("per_group_threshold", "both", 101),
@@ -701,8 +705,9 @@ def test_a_replaced_model_solves_again(monkeypatch):
     family = FamilySpec("per_group_threshold", "both", 101)
     first = build_frontier(model, family)
     assert build_frontier(dataclasses.replace(model), family) == first
-    # the sweep needs all but the shared optimum and the Reference
-    once = [s for s in SOLVED_ONCE if s not in ("overall", "reference")]
+    # the sweep needs all but the shared and strict optima and the Reference
+    once = [s for s in SOLVED_ONCE
+            if s not in ("overall", "strict", "reference")]
     assert sorted(map(str, solved)) == sorted(map(str, once + once))
 
 

@@ -27,6 +27,7 @@ from fairfrontier.frontier import (DOMINANCE_TOL, KINDS, ORIENTS, _bounds,
                                    _region_count, _Regions)
 from fairfrontier.metrics import _gap, _group_rates, _hits
 from fairfrontier.population import _dist_to_payload, _read_payload
+from fairfrontier.theorems import _least_gap
 from helpers import CELLS, random_classifier, random_model
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False,
@@ -294,6 +295,29 @@ def frontier_weights(draw):
     p1, p2 = (draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
               for _ in range(2))
     return MetricWeights(omega1, 1.0 - omega1, p1, p2)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+       frontier_weights())
+@example([1.0, 0.75, 0.5, 0.75, 0.5, 0.0, 1.0, 0.0], MetricWeights())
+@settings(max_examples=200, deadline=None)
+def test_least_tie_gap_is_the_grid_minimum(vals, w):
+    # group a's rates run from (tpr_a, tnr_a) by -s_a (d_tpr[a], d_tnr[a]),
+    # its tie segment: TPR falls and TNR rises toward the strict region's
+    # rates. The closed form is never above a dense (s0, s1) grid's
+    # minimum, and below it by at most the gap's slope times half a step
+    t0, t1, n0, n1, u0, u1, v0, v1 = vals
+    rates = ConfusionRates((t0, t1), (n0, n1))
+    d_tpr, d_tnr = np.array([u0 * t0, u1 * t1]), np.array([
+        -v0 * (1.0 - n0), -v1 * (1.0 - n1)])
+    least = _least_gap(w, rates, d_tpr, d_tnr)
+    s = np.linspace(0.0, 1.0, 201)
+    s0, s1 = s[:, None], s[None, :]
+    grid = _gap(w, t0 - s0 * d_tpr[0], t1 - s1 * d_tpr[1],
+                n0 - s0 * d_tnr[0], n1 - s1 * d_tnr[1]).min()
+    slope = w.omega1 * np.abs(d_tpr).sum() + w.omega2 * np.abs(d_tnr).sum()
+    assert grid - slope * (s[1] / 2.0) - 1e-12 <= least <= grid + 1e-12
+    assert least <= unfairness(rates, w)
 
 
 rate_lists = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),

@@ -2,23 +2,24 @@
 
 import dataclasses
 import json
-from functools import partial
+import math
 
 import numpy as np
 import pytest
 
-from fairfrontier import (FULL_LINE, PRESETS, ContractError, FamilySpec,
-                          GroupConditionalModel, GroupwiseClassifier,
-                          InputError, Jump, Normal,
-                          TheoremReport, bayes_accuracy_optimal,
+from fairfrontier import (CELLS, FULL_LINE, PRESETS, ContractError,
+                          FamilySpec, GroupConditionalModel,
+                          GroupwiseClassifier, InputError, IntervalSet, Jump,
+                          Mixture, Normal, TheoremReport, Triangular,
+                          accuracy, bayes_accuracy_optimal,
                           build_frontier, check_accuracy_jump,
                           check_boundary_alignment, check_decomposition_bound,
-                          check_simultaneous_optimality, fairness_optimal,
-                          frontier, overpursuit_accuracy_bound, scenario,
-                          sweep, theorems)
-from fairfrontier.frontier import _open_lines
+                          check_simultaneous_optimality, confusion_rates,
+                          fairness_optimal, frontier,
+                          overpursuit_accuracy_bound, scenario, sweep,
+                          theorems, unfairness)
 from fairfrontier.metrics import MetricWeights, Reference, _hits
-from helpers import (group_table, label_pdf, random_classifier, random_model,
+from helpers import (label_pdf, random_classifier, random_model,
                      swapped_groups, valley_model)
 
 
@@ -327,75 +328,103 @@ def test_boundary_alignment_solves_the_bayes_optimum_once(monkeypatch):
 
 @pytest.mark.parametrize("name", [*PRESETS,
                                   *(f"random-{s}" for s in range(40))])
-def test_boundary_alignment_search_equals_the_full_sweep(name, monkeypatch):
-    # the search scores only its open lines; its reports must be those of
-    # the full sweep, which scores every candidate
+def test_boundary_alignment_search_equals_the_full_sweep(name):
+    # the exact answer's verdicts against the full SEARCH_FAMILY sweep's:
+    # found when some candidate, or an appended optimum, is completely fair
+    # at the optimal accuracy; no model here has a tie set of positive
+    # mass, where the sweep misses
     model = (scenario(name) if name in PRESETS
              else random_model(int(name.removeprefix("random-"))))
-    modes = ("boundary_location", "strict_indicator")
-    # both searches ask one model, so each optimum is solved once
-    got = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
-    monkeypatch.setattr(theorems, "_sweep",
-                        lambda model, family, w, closes:
-                        frontier._sweep(model, family, w, None))
-    want = [check_boundary_alignment(model, mode).to_dict() for mode in modes]
-    assert got == want
-
-
-@pytest.mark.parametrize("name, count", [("example1", 2),
-                                         ("example4_identical", 15)])
-def test_boundary_alignment_scores_only_open_lines(name, count, monkeypatch):
-    # candidates searched, of the full sweep's 148,998; both hold the two
-    # appended optima (the search closed lines by build_frontier's rule
-    # before, and scored 4 and 10,306)
-    counts = []
-
-    def counted(*args, **kwargs):
-        candidates = frontier._sweep(*args, **kwargs)
-        counts.append(len(candidates))
-        return candidates
-
-    monkeypatch.setattr(theorems, "_sweep", counted)
-    check_boundary_alignment(scenario(name))
-    assert counts == [count]
-
-
-@pytest.mark.parametrize("name", [*PRESETS,
-                                  *(f"random-{s}" for s in range(10))])
-def test_search_closes_only_lines_that_cannot_change_its_answer(name):
-    # a pair can change found or _fairest only if it is fairer than the
-    # pivot, as fair and more accurate, or completely fair at the optimal
-    # accuracy; no pair on a closed line of the full sweep is one
-    model = (scenario(name) if name in PRESETS
-             else random_model(int(name.removeprefix("random-"))))
-    family, w, tol = theorems.SEARCH_FAMILY, MetricWeights(), 1e-9
+    tol, w = 1e-9, MetricWeights()
     ref = Reference.of(model)
     target = _hits(model, w, *ref.rates.tpr, *ref.rates.tnr)
-    candidates = sweep(model, family, w)
-    pivot = max(candidates[-2], candidates[-1],
-                key=lambda p: (p.fairness, p.accuracy))
-    rule = partial(theorems._unchanging, f_top=pivot.fairness,
-                   a_top=pivot.accuracy, target=target, tol=tol)
-    grid = np.linspace(*candidates.sweep_range, family.resolution)
-    start = closed = 0
-    for o0, o1 in family.combos():
-        t0 = group_table(model, w, family, grid, 0, o0)
-        t1 = group_table(model, w, family, grid, 1, o1)
-        n0, n1 = len(t0.tpr), len(t1.tpr)
-        f, a = (column[start:start + n0 * n1].reshape(n0, n1) for column in
-                (candidates.fairness, candidates.accuracy))
-        start += n0 * n1
-        changes = ((f > pivot.fairness)
-                   | ((f >= pivot.fairness) & (a > pivot.accuracy))
-                   | ((1.0 - f <= tol) & (a >= target - tol)))
-        rows, cols = _open_lines(w, t0, t1, rule)
-        closed_rows = np.setdiff1d(np.arange(n0), rows)
-        assert not changes[closed_rows].any()
-        closed_cols = np.setdiff1d(np.arange(n1), cols)
-        assert not changes[:, closed_cols].any()
-        closed += len(closed_rows) + len(closed_cols)
-    assert start == len(candidates) - 2
-    assert closed > 0
+    candidates = sweep(model, theorems.SEARCH_FAMILY, w)
+    found = bool(np.any((1.0 - candidates.fairness <= tol)
+                        & (candidates.accuracy >= target - tol)))
+    for mode, match in (("boundary_location", "boundary_location_match"),
+                        ("strict_indicator", "indicator_match")):
+        report = check_boundary_alignment(model, mode)
+        search = by_name(report, "complete_fairness_at_optimal_accuracy")
+        assert search.satisfied == found
+        assert search.measured["optimal_accuracy"] == target
+        predicted = (by_name(report, "data_unfairness_absent").satisfied
+                     and by_name(report, match).satisfied)
+        assert report.conclusion_checked == (predicted == found)
+
+
+def tie_model():
+    # group 0's label densities tie on [0, 2], which holds half of each;
+    # group 1 has no tie and rates (0.75, 0.75)
+    def tri(lo):
+        return Triangular(lo, lo + 2.0, lo + 1.0)
+    return GroupConditionalModel(
+        joint={cell: 0.25 for cell in CELLS},
+        conditional={
+            (0, 1): Mixture([(0.5, tri(0.0)), (0.5, tri(4.0))]),
+            (0, 0): Mixture([(0.5, tri(0.0)), (0.5, tri(6.0))]),
+            (1, 1): Mixture([(0.75, tri(10.0)), (0.25, tri(14.0))]),
+            (1, 0): Mixture([(0.25, tri(10.0)), (0.75, tri(14.0))])})
+
+
+def test_boundary_alignment_finds_a_fair_optimum_inside_a_tie_set():
+    # F_DU is 0.25, but giving group 0 half of its tie set [0, 2] yields
+    # rates (0.75, 0.75) in both groups at accuracy 0.75; the interval
+    # search missed it
+    model = tie_model()
+    report = check_boundary_alignment(model, "strict_indicator")
+    assert by_name(report, "data_unfairness_absent").measured["f_du"] == \
+        pytest.approx(0.25, abs=1e-12)
+    search = by_name(report, "complete_fairness_at_optimal_accuracy")
+    assert search.satisfied
+    assert search.measured["best_candidate_f_u"] <= 1e-9
+    assert search.measured["optimal_accuracy"] == pytest.approx(0.75,
+                                                                abs=1e-12)
+    assert np.allclose(search.measured["tie_segments"],
+                       [[0.5, -0.5], [0.0, 0.0]], rtol=0, atol=1e-12)
+    assert not report.conclusion_checked
+    assert report.notes == (
+        "strict_indicator alignment predicts absence but the search found "
+        "such a classifier",)
+    # the witness: the strict region (4, 6) plus the tie set's left half
+    witness = GroupwiseClassifier((IntervalSet(((0.0, 1.0), (4.0, 6.0))),
+                                   IntervalSet(((-math.inf, 13.0),))))
+    rates = confusion_rates(model, witness)
+    assert unfairness(rates) <= 1e-12
+    assert accuracy(model, witness) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_strict_optimum_is_not_refused_where_the_weak_one_is_accepted():
+    # group 0's label-1 law is six pieces with gaps between them, where g_0
+    # is 0: one weak interval, but six runs of {g_0 <= 0}, above
+    # DEFAULT_MAX_INTERVALS + 1
+    pieces = [(1.0 / 6.0, Triangular(lo, lo + 1.0, lo + 0.5))
+              for lo in range(0, 12, 2)]
+    model = GroupConditionalModel(
+        joint={cell: 0.25 for cell in CELLS},
+        conditional={(0, 1): Mixture(pieces),
+                     (0, 0): Triangular(12.0, 14.0, 13.0),
+                     (1, 1): Normal(2.0, 1.0), (1, 0): Normal(0.0, 1.0)})
+    assert len(model._solved(Reference.of).optima.regions[0].intervals) == 1
+    strict = theorems._strict_accuracy_optimal(model).regions[0]
+    assert strict.intervals[0][0] == -math.inf
+    assert np.allclose(strict.bounds[1:],
+                       [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], atol=1e-9)
+    search = by_name(check_boundary_alignment(model),
+                     "complete_fairness_at_optimal_accuracy")
+    # the gaps hold no mass, so no group has a tie segment
+    assert search.measured["tie_segments"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_boundary_alignment_solves_no_fairness_optimum_and_sweeps_nothing(
+        monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("boundary alignment solved or swept")
+
+    monkeypatch.setattr(frontier, "_per_group_fairness_optimum", refused)
+    monkeypatch.setattr(frontier, "_sweep", refused)
+    for model in (scenario("example4_identical"), random_model(0)):
+        for mode in ("boundary_location", "strict_indicator"):
+            check_boundary_alignment(model, mode)
 
 
 def test_boundary_alignment_mode_validated():
