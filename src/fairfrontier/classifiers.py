@@ -188,9 +188,8 @@ def sign_region(g, lo: float, hi: float,
 # -- optimal constructors ----------------------------------------------------
 
 
-def bayes_accuracy_optimal(model, scope: str = "overall",
-                           max_intervals: int = DEFAULT_MAX_INTERVALS
-                           ) -> GroupwiseClassifier:
+def bayes_accuracy_optimal(model,
+                           scope: str = "overall") -> GroupwiseClassifier:
     """Accuracy-maximizing sign rule: positive where the Y=1 mass density wins.
 
     scope "overall" compares group-summed joint densities on the hull of
@@ -207,10 +206,10 @@ def bayes_accuracy_optimal(model, scope: str = "overall",
         (lo0, hi0), (lo1, hi1) = (model.group_quantile_range(a, 0.99999)
                                   for a in (0, 1))
         lo, hi = min(lo0, lo1), max(hi0, hi1)
-        return GroupwiseClassifier.from_shared(
-            sign_region(g, lo, hi, max_intervals))
+        return GroupwiseClassifier.from_shared(sign_region(g, lo, hi))
     if scope == "per_group":
-        return GroupwiseClassifier(_group_regions(model, 1.0, max_intervals))
+        return GroupwiseClassifier(
+            _group_regions(model, 1.0, DEFAULT_MAX_INTERVALS))
     raise InputError(f"scope must be 'overall' or 'per_group', got {scope!r}")
 
 

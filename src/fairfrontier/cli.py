@@ -25,7 +25,7 @@ from .classifiers import (GroupwiseClassifier, IntervalSet,
 from .errors import (FairFrontierError, InputError, ResourceError,
                      ValidationError, _number, _whole)
 from .frontier import (KINDS, ORIENTS, FamilySpec, _block_len, _capped,
-                       _candidate_count, _members, _sweep_range,
+                       _candidate_count, _grid, _members, _sweep_range,
                        build_frontier, classify_shape, pareto_filter, sweep)
 from .metrics import (MetricWeights, Reference, _gap, _group_rates, _hits,
                       _split, confusion_rates, unfairness)
@@ -191,9 +191,7 @@ def _decomposition_table(model, family: FamilySpec,
     functions of a single boundary.
     """
     above = family.orientations != ("positive_below",)  # per group: 2 slots
-    lo, hi = family.sweep_range or model._solved(
-        type(model).quantile_range, 0.9999)
-    t = np.linspace(lo, hi, family.resolution).tolist()
+    t = _grid(model, family)[1].tolist()
     # each boundary's shared_threshold region, which both groups take
     regions = [((x, math.inf),) if above else ((-math.inf, x),) for x in t]
     ref = model._solved(Reference.of)
@@ -398,9 +396,9 @@ def _theorems_text(model, cfg: RunConfig, frontier=None) -> str:
          check_decomposition_bound(
              model, model._solved(bayes_accuracy_optimal, "per_group"), w)),
         ("boundary alignment, matching boundary points",
-         check_boundary_alignment(model, "boundary_location")),
+         check_boundary_alignment(model, "boundary_location", w=w)),
         ("boundary alignment, matching indicators",
-         check_boundary_alignment(model, "strict_indicator")),
+         check_boundary_alignment(model, "strict_indicator", w=w)),
     ]
     if frontier is None:
         frontier = build_frontier(model, cfg.family, w)
@@ -618,12 +616,12 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     model = scenario(args.scenario)
     w = MetricWeights()
-    lo, hi = model.quantile_range(0.9999)
+    lo, hi = model._solved(type(model).quantile_range, 0.9999)
     t = args.threshold if args.threshold is not None else 0.5 * (lo + hi)
     subjects = (
         (f"threshold {_fmt6(t)}",
          GroupwiseClassifier.shared_threshold(float(t))),
-        ("accuracy optimum", bayes_accuracy_optimal(model, "overall")),
+        ("accuracy optimum", model._solved(bayes_accuracy_optimal, "overall")),
         ("fairness optimum", fairness_optimal(model)),
     )
     failures = 0

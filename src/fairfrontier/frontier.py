@@ -317,9 +317,7 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     _open_lines leaves open under _first_pass_drops against the fairest
     appended optimum (see build_frontier)."""
     count = _capped(_candidate_count(family))
-    lo, hi = family.sweep_range or model._solved(
-        type(model).quantile_range, 0.9999)
-    grid = np.linspace(lo, hi, family.resolution)
+    (lo, hi), grid = _grid(model, family)
     appended = _appended_optima(model, family, w)
     product = family.kind != "shared_threshold"
     pivot = max(appended, key=lambda p: (p.fairness, p.accuracy), default=None)
@@ -363,6 +361,13 @@ def _sweep(model, family: FamilySpec, w: MetricWeights,
     blocks += [(source, tag, (r0,), (r1,), True)
                for source, tag, r0, r1 in (p.params for p in appended)]
     return Candidates(fair, acc, blocks, (float(lo), float(hi)))
+
+
+def _grid(model, family: FamilySpec) -> tuple:
+    """The sweep's (lo, hi) and its family.resolution grid boundaries."""
+    lo, hi = family.sweep_range or model._solved(
+        type(model).quantile_range, 0.9999)
+    return (lo, hi), np.linspace(lo, hi, family.resolution)
 
 
 def _cell_cdfs(model, grid) -> np.ndarray:
@@ -725,9 +730,9 @@ def classify_shape(frontier: Frontier, jump_threshold: float = 0.05,
 
     An accuracy jump is a drop > jump_threshold between points closer than
     fairness_gap in fairness; a fairness jump swaps the two roles. The gap
-    defaults to two grid steps of the generating sweep. Fairness jumps are
-    flagged as sweep artifacts: a maximal frontier cannot skip fairness
-    levels, so refining the resolution should dissolve them.
+    defaults to two grid steps of the generating sweep. A fairness jump is
+    a grid gap if a finer resolution closes it, else a flat step of the
+    family, as a shared threshold can hold one at any resolution.
     """
     if fairness_gap is None:
         if not frontier.resolution:
@@ -745,9 +750,8 @@ def classify_shape(frontier: Frontier, jump_threshold: float = 0.05,
             jumps.append(Jump(pts[i + 1].fairness, da, "fairness", i))
             notes.append(
                 f"fairness gap {df:.6g} at accuracy {pts[i].accuracy:.6g} "
-                "with nearly constant accuracy: sweep artifact, refine the "
-                "resolution"
-            )
+                "with nearly constant accuracy: a grid gap if a finer "
+                "resolution closes it, else a flat step of the family")
     kinds = {j.kind for j in jumps}
     if not kinds:
         shape = "continuous"

@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .classifiers import (GroupwiseClassifier, IntervalSet,
-                          bayes_accuracy_optimal)
+                          _strict_accuracy_optimal, bayes_accuracy_optimal)
 from .distributions import positive_mass
 from .errors import ValidationError, _number
 
@@ -145,6 +145,7 @@ class Reference:
     rates. disputed is where the two groups' optima disagree and common
     where both predict 1. pattern names the sign-pattern condition under
     which the split is exact for a well-defined classifier, or is None.
+    ties is each group's (TPR, TNR) minus the kept strict optimum's.
     """
 
     optima: GroupwiseClassifier
@@ -152,12 +153,12 @@ class Reference:
     disputed: IntervalSet
     common: IntervalSet
     pattern: Optional[str]
+    ties: tuple
 
     @classmethod
     def of(cls, model, optima: GroupwiseClassifier = None) -> "Reference":
         """The reference of model, by default of its solved Bayes optima."""
-        if optima is None:
-            optima = model._solved(bayes_accuracy_optimal, "per_group")
+        optima = optima or model._solved(bayes_accuracy_optimal, "per_group")
         rates = confusion_rates(model, optima)
         tpr, tnr = rates.tpr, rates.tnr
         r0, r1 = optima.regions
@@ -169,7 +170,10 @@ class Reference:
         elif (disputed.intersection(r0).length() <= DECOMP_TOL
                 and tpr[0] > tpr[1] and tnr[0] < tnr[1]):
             pattern = "condition2"
-        return cls(optima, rates, disputed, r0.intersection(r1), pattern)
+        low = confusion_rates(model, model._solved(_strict_accuracy_optimal))
+        return cls(optima, rates, disputed, r0.intersection(r1), pattern,
+                   tuple((tpr[a] - low.tpr[a], tnr[a] - low.tnr[a])
+                         for a in (0, 1)))
 
     def mismatch(self, region: IntervalSet) -> float:
         """Length of the agreed set where region departs from the optima's
@@ -203,13 +207,13 @@ def decompose_unfairness(model, clf: GroupwiseClassifier,
                          reference: GroupwiseClassifier = None) -> Decomposition:
     """Split the Equalized-Odds gap into data and model parts.
 
-    The reference is the pair of per-group accuracy optima (the model's
-    kept one when not supplied). condition_met names the sign-pattern
-    condition under which the split is exact, and is only reported when the
-    classifier also matches the reference verdict outside the disputed set.
+    The reference is a pair of per-group accuracy optima, by default the
+    Bayes ones; the model keeps its Reference. condition_met names the
+    sign-pattern condition under which the split is exact, reported only
+    if the classifier matches the reference verdict off the disputed set.
     """
     return (model._solved(Reference.of) if reference is None else
-            Reference.of(model, reference)).decompose(model, clf, w)
+            model._solved(Reference.of, reference)).decompose(model, clf, w)
 
 
 class WellDefinedResult(NamedTuple):

@@ -22,7 +22,7 @@ from .distributions import (Mixture, Normal, Triangular, _finite_bracket,
 from .errors import InputError, ValidationError, _number
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-SOLVES_KEPT = 64  # 6 weight-free solves, and up to 5 per weights
+SOLVES_KEPT = 64  # 7 weight-free, 1 per explicit reference, 5 per weights
 
 
 def _cell_key(a: int, y: int) -> str:

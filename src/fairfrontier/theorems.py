@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import (GroupwiseClassifier, _strict_accuracy_optimal,
-                          fairness_optimal, sign_region)
+from .classifiers import GroupwiseClassifier, fairness_optimal, sign_region
 from .errors import ContractError, InputError
 from .frontier import FamilySpec, Frontier, Jump, classify_shape
 from .metrics import (MetricWeights, Reference, _gap, _hits, accuracy,
@@ -205,34 +204,32 @@ SEARCH_FAMILY = FamilySpec("per_group_intervals", orientations="both",
 
 
 def check_boundary_alignment(model, mode: str = "boundary_location",
-                             tol: float = 1e-9) -> TheoremReport:
+                             tol: float = 1e-9,
+                             w: MetricWeights = None) -> TheoremReport:
     """When the data carries no unfairness of its own, matching per-group
     decision boundaries should make complete fairness attainable at optimal
     accuracy. Two readings of "matching" are provided: same boundary point
-    sets, or same indicator values everywhere.
+    sets, or same indicator values everywhere. Scores are taken under w.
 
     Attainability is exact: group a's accuracy-optimal regions lie between
     its strict region {g_a > 0} and the Reference's {g_a >= 0}. On the tie
     set between them f(x|a,0) / f(x|a,1) is constant and the laws have no
     atoms, so its optimal rates fill the segment between the two regions'
-    rates (tie_segments holds weak minus strict). The least gap over both
+    rates (tie_segments, the Reference's ties). The least gap over both
     segments, best_candidate_f_u, decides; with no ties it is F_DU."""
     if mode not in ("boundary_location", "strict_indicator"):
         raise InputError(f"unknown mode {mode!r}")
-    ref, w = model._solved(Reference.of), MetricWeights()
+    ref, w = model._solved(Reference.of), w or MetricWeights()
     f_du = unfairness(ref.rates, w)
     absent = Condition("data_unfairness_absent", f_du <= tol, {"f_du": f_du})
 
-    strict = confusion_rates(model, model._solved(_strict_accuracy_optimal))
-    d_tpr, d_tnr = np.subtract((ref.rates.tpr, ref.rates.tnr),
-                               (strict.tpr, strict.tnr))
-    least = _least_gap(w, ref.rates, d_tpr, d_tnr)
+    least = _least_gap(w, ref.rates, *zip(*ref.ties))
     found = least <= tol
     reached = Condition(
         "complete_fairness_at_optimal_accuracy", found,
         {"optimal_accuracy": _hits(model, w, *ref.rates.tpr, *ref.rates.tnr),
          "best_candidate_f_u": least,
-         "tie_segments": np.column_stack((d_tpr, d_tnr)).tolist()})
+         "tie_segments": [list(tie) for tie in ref.ties]})
 
     if mode == "boundary_location":
         b0, b1 = (r.boundary for r in ref.optima.regions)
@@ -248,12 +245,10 @@ def check_boundary_alignment(model, mode: str = "boundary_location",
                           {"disagreement_length": disagreement})
     predicted = absent.satisfied and aligned
     concluded = predicted == found
-    notes = ()
-    if not concluded:
-        notes = (f"{mode} alignment predicts "
-                 f"{'existence' if predicted else 'absence'} but the "
-                 f"search {'found' if found else 'did not find'} such a "
-                 "classifier",)
+    notes = () if concluded else (
+        f"{mode} alignment predicts {'existence' if predicted else 'absence'}"
+        f" but the accuracy-optimal set {'holds' if found else 'lacks'} a"
+        " completely fair classifier",)
     return TheoremReport("boundary_alignment", (absent, match, reached),
                          concluded, tol, notes)
 

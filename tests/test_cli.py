@@ -592,6 +592,19 @@ def test_check_subcommand(tmp_path, capsys):
     assert (tmp_path / "theorems.txt").read_text() == printed
 
 
+def test_weighted_check_prints_one_f_du(tmp_path, capsys):
+    # the decomposition and boundary-alignment sections all read F_DU under
+    # the command's weights
+    assert main(["check", "--scenario", "example1", "--resolution", "11",
+                 "--omega1", "0.3", "--omega2", "0.7", "--p1", "0.8",
+                 "--p2", "1.2", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "theorems.txt").read_text()
+    assert text == capsys.readouterr().out
+    values = re.findall(r"^ +f_du = (\S+)$", text, re.MULTILINE)
+    assert len(values) == 4
+    assert set(values) == {"0.018500147537727829"}
+
+
 def test_check_at_a_huge_scale_exits_0(tmp_path, capsys):
     # at stddev 1e300 the range solver's inverse quadratic denominator
     # underflows to 0; dividing by it raised ZeroDivisionError

@@ -344,7 +344,10 @@ def test_classify_shape_fairness_jump_flagged_as_artifact():
     f = Frontier(points=(pt(0.1, 0.9, "0"), pt(0.8, 0.8999, "1")))
     got = classify_shape(f, fairness_gap=0.01)
     assert got.shape == "sharp_decline_fairness"
-    assert any("sweep artifact" in note for note in got.diagnostics)
+    assert got.diagnostics == (
+        "fairness gap 0.7 at accuracy 0.9 with nearly constant accuracy: a "
+        "grid gap if a finer resolution closes it, else a flat step of the "
+        "family",)
 
 
 def test_classify_shape_singleton_is_continuous():
@@ -633,7 +636,7 @@ def solve_counter(monkeypatch):
     optima by scope, the strict per-group optimum, the per-group fairness
     optimum, the Reference and the ranges. Each wrapper calls the solver it
     replaced."""
-    from fairfrontier import metrics, population, theorems
+    from fairfrontier import metrics, population
     solved = []
 
     def counted(name, solve):
@@ -645,8 +648,8 @@ def solve_counter(monkeypatch):
     bayes = counted(lambda model, scope: scope, bayes_accuracy_optimal)
     for module in (frontier, metrics):
         monkeypatch.setattr(module, "bayes_accuracy_optimal", bayes)
-    monkeypatch.setattr(theorems, "_strict_accuracy_optimal", counted(
-        lambda model: "strict", theorems._strict_accuracy_optimal))
+    monkeypatch.setattr(metrics, "_strict_accuracy_optimal", counted(
+        lambda model: "strict", metrics._strict_accuracy_optimal))
     monkeypatch.setattr(frontier, "_per_group_fairness_optimum", counted(
         lambda model, w: "fair", frontier._per_group_fairness_optimum))
     monkeypatch.setattr(metrics.Reference, "of", classmethod(counted(

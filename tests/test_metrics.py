@@ -133,7 +133,7 @@ def test_decompose_example1_threshold():
 
 def test_decompose_reads_the_models_kept_reference():
     # default calls build the per-group Reference once per model; a given
-    # reference is still built from what is given
+    # reference is built from what is given, once, and kept too
     model = random_model(3)
     clfs = [random_classifier(seed) for seed in range(4)]
     want = [Reference.of(model).decompose(model, clf) for clf in clfs]
@@ -141,6 +141,8 @@ def test_decompose_reads_the_models_kept_reference():
         got = [decompose_unfairness(model, clf) for clf in clfs * 2]
         assert of.call_count == 1
         stars = bayes_accuracy_optimal(model, "per_group")
+        decompose_unfairness(model, T45, reference=stars)
+        assert of.call_count == 2
         decompose_unfairness(model, T45, reference=stars)
         assert of.call_count == 2
     assert got == want * 2

@@ -16,8 +16,8 @@ from fairfrontier import (CELLS, FULL_LINE, PRESETS, ContractError,
                           check_boundary_alignment, check_decomposition_bound,
                           check_simultaneous_optimality, confusion_rates,
                           fairness_optimal, frontier,
-                          overpursuit_accuracy_bound, scenario, sweep,
-                          theorems, unfairness)
+                          metrics, overpursuit_accuracy_bound, scenario,
+                          sweep, theorems, unfairness)
 from fairfrontier.metrics import MetricWeights, Reference, _hits
 from helpers import (label_pdf, random_classifier, random_model,
                      swapped_groups, valley_model)
@@ -295,8 +295,8 @@ def test_boundary_alignment_strict_indicator_disagrees():
     assert not ind.satisfied
     assert ind.measured["disagreement_length"] == float("inf")
     assert report.notes == (
-        "strict_indicator alignment predicts absence but the search found "
-        "such a classifier",)
+        "strict_indicator alignment predicts absence but the accuracy-optimal "
+        "set holds a completely fair classifier",)
 
 
 def test_boundary_alignment_nonidentical_boundaries_differ():
@@ -383,14 +383,55 @@ def test_boundary_alignment_finds_a_fair_optimum_inside_a_tie_set():
                        [[0.5, -0.5], [0.0, 0.0]], rtol=0, atol=1e-12)
     assert not report.conclusion_checked
     assert report.notes == (
-        "strict_indicator alignment predicts absence but the search found "
-        "such a classifier",)
+        "strict_indicator alignment predicts absence but the accuracy-optimal "
+        "set holds a completely fair classifier",)
     # the witness: the strict region (4, 6) plus the tie set's left half
     witness = GroupwiseClassifier((IntervalSet(((0.0, 1.0), (4.0, 6.0))),
                                    IntervalSet(((-math.inf, 13.0),))))
     rates = confusion_rates(model, witness)
     assert unfairness(rates) <= 1e-12
     assert accuracy(model, witness) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_reference_ties_are_the_tie_segments():
+    ties = Reference.of(tie_model()).ties
+    assert np.allclose(ties, ((0.5, -0.5), (0.0, 0.0)), rtol=0, atol=1e-12)
+    assert all(type(v) is float for tie in ties for v in tie)
+
+
+def test_a_warm_boundary_alignment_integrates_no_region(monkeypatch):
+    # the Reference keeps the tie segments, so once it is solved neither
+    # mode measures a region's rates again
+    def refused(*args):
+        raise AssertionError("a region was integrated")
+
+    model = scenario("example4_identical")
+    modes = ("boundary_location", "strict_indicator")
+    want = [check_boundary_alignment(model, mode) for mode in modes]
+    monkeypatch.setattr(metrics, "confusion_rates", refused)
+    monkeypatch.setattr(theorems, "confusion_rates", refused)
+    assert [check_boundary_alignment(model, mode) for mode in modes] == want
+
+
+def test_boundary_alignment_scores_under_the_given_weights():
+    # F_DU, the least gap and the optimal accuracy follow w, as the
+    # decomposition's do; the tie segments are rates and do not
+    model, w = scenario("example1"), MetricWeights(0.3, 0.7, 0.8, 1.2)
+    ref = model._solved(Reference.of)
+    plain = by_name(check_boundary_alignment(model),
+                    "complete_fairness_at_optimal_accuracy")
+    report = check_boundary_alignment(model, w=w)
+    f_du = by_name(report, "data_unfairness_absent").measured["f_du"]
+    reached = by_name(report, "complete_fairness_at_optimal_accuracy")
+    assert f_du == check_decomposition_bound(
+        model, bayes_accuracy_optimal(model, "per_group"),
+        w).conditions[0].measured["f_du"]
+    assert f_du == unfairness(ref.rates, w) != unfairness(ref.rates)
+    # example1 has no tie set, so the least gap is F_DU under w too
+    assert reached.measured["best_candidate_f_u"] == f_du
+    assert reached.measured["optimal_accuracy"] == _hits(
+        model, w, *ref.rates.tpr, *ref.rates.tnr)
+    assert reached.measured["tie_segments"] == plain.measured["tie_segments"]
 
 
 def test_strict_optimum_is_not_refused_where_the_weak_one_is_accepted():
@@ -405,7 +446,7 @@ def test_strict_optimum_is_not_refused_where_the_weak_one_is_accepted():
                      (0, 0): Triangular(12.0, 14.0, 13.0),
                      (1, 1): Normal(2.0, 1.0), (1, 0): Normal(0.0, 1.0)})
     assert len(model._solved(Reference.of).optima.regions[0].intervals) == 1
-    strict = theorems._strict_accuracy_optimal(model).regions[0]
+    strict = metrics._strict_accuracy_optimal(model).regions[0]
     assert strict.intervals[0][0] == -math.inf
     assert np.allclose(strict.bounds[1:],
                        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], atol=1e-9)
